@@ -14,9 +14,11 @@ same deadline (DEADLINE_S), enforced with SIGALRM in this process.
 
 With `--trace 0` the last line of standard output is a JSON object with the
 end-to-end metrics; with `--trace 1` one pass runs each item untraced and
-then traced, and the JSON object holds the per-layer metrics. Any wrong verdict, invalid
-plan, or counter that differs between passes of one seed ends the run with
-exit code 1. See perfbench/README.md for the workloads and metrics.
+then traced, and the JSON object holds the per-layer metrics. A wrong
+verdict, an invalid plan (also one that planlab's own re-validation rejects
+with an AssertionError), any other exception out of `cli.main`, or a counter
+that differs between passes of one seed ends the run with exit code 1. See
+perfbench/README.md for the workloads and metrics.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ OUT = ROOT / ".perfbench"
 
 WORKLOADS = ("mc-unary", "steiner", "routed")
 DEADLINE_S = 8.0
-SETUP_REPEATS = 3
+SETUP_REPEATS = 9
 MIN_PASSES = 2
 TAIL_BEYOND = 10
 
@@ -62,7 +64,8 @@ class DeadlineHit(BaseException):
 
 
 class BenchFailure(Exception):
-    """A wrong verdict, an invalid plan or a non-deterministic counter."""
+    """A wrong verdict, an invalid plan, an exception out of `cli.main` or a
+    non-deterministic counter."""
 
 
 def _on_alarm(signum, frame):
@@ -114,11 +117,15 @@ def environment() -> Dict[str, object]:
 @dataclass
 class Outcome:
     seconds: float
-    status: str  # "ok", "deadline", "exit 2", "exit 3" or "exception <type>"
+    status: str  # "ok", "deadline", "exit 2" or "exit 3"
     result: Optional[dict] = None
 
 
 def solve(main, item) -> Outcome:
+    """One call. The deadline and exit codes 2 and 3 are ordinary failures;
+    any exception is a BenchFailure: `cmd_solve` raises AssertionError for a
+    plan that fails its own re-validation, and main() maps every expected
+    error to an exit code."""
     argv = ["solve", item.path, str(item.k), *item.solver_args, "--stats"]
     out, err = _io.StringIO(), _io.StringIO()
     t0 = time.perf_counter()
@@ -133,8 +140,8 @@ def solve(main, item) -> Outcome:
     except DeadlineHit:
         return Outcome(time.perf_counter() - t0, "deadline")
     except (Exception, SystemExit) as exc:
-        return Outcome(time.perf_counter() - t0,
-                       f"exception {type(exc).__name__}")
+        raise BenchFailure(f"{item.id} ({item.path} k={item.k}): cli.main "
+                           f"raised {type(exc).__name__}: {exc}") from exc
     seconds = time.perf_counter() - t0
     if rc not in (0, 1):
         return Outcome(seconds, f"exit {rc}")
@@ -346,21 +353,35 @@ def emit(correct: bool, attempted: int, failed: int, metrics: dict,
 def import_planlab():
     """Import planlab from this checkout's src/ and nowhere else."""
     sys.path.insert(0, str(SRC))
-    t0 = time.perf_counter()
     from planlab import cli, core  # noqa: F401  (cli imports every route)
-    seconds = time.perf_counter() - t0
     import planlab
     if Path(planlab.__file__).resolve().parent.parent != SRC.resolve():
         raise ImportError(f"planlab came from {planlab.__file__}, "
                           f"not from {SRC}")
-    return cli, core, seconds
+    return cli, core
+
+
+IMPORT_TIMER = """import sys, time
+sys.path.insert(0, sys.argv[1])
+t0 = time.perf_counter()
+from planlab import cli
+print(time.perf_counter() - t0)
+"""
+
+
+def import_seconds() -> float:
+    """Seconds to import planlab (cli imports every route) in a fresh
+    interpreter, as `planlab solve` does on every start."""
+    proc = subprocess.run([sys.executable, "-c", IMPORT_TIMER, str(SRC)],
+                          stdout=subprocess.PIPE, text=True, check=True)
+    return float(proc.stdout)
 
 
 def run_workload(args) -> int:
     env = environment()
     print("environment: " + json.dumps(env))
     try:
-        cli, core, import_s = import_planlab()
+        cli, core = import_planlab()
     except ImportError as exc:
         print(f"cannot import planlab from {SRC}: {exc}", file=sys.stderr)
         return 2
@@ -369,15 +390,19 @@ def run_workload(args) -> int:
     import workloads
 
     outdir = OUT / f"{args.workload}-s{args.seed}"
-    setup_times, per_family = [], {}
+    # Drawing the corpus runs the oracle on candidates to fix some strata's
+    # verdicts and sizes; it is not part of set-up, only the generator calls
+    # and the writing of the files are.
+    selection = workloads.select(args.workload, args.seed)
+    import_times, build_times, per_family = [], [], {}
     for _ in range(SETUP_REPEATS):
+        import_times.append(import_seconds())
         t0 = time.perf_counter()
-        items, family_ms = workloads.build(args.workload, args.seed,
-                                           str(outdir / "corpus"))
-        setup_times.append(time.perf_counter() - t0)
+        items, family_ms = workloads.build(selection, str(outdir / "corpus"))
+        build_times.append(time.perf_counter() - t0)
         for f, ms in family_ms.items():
             per_family.setdefault(f, []).append(ms)
-    setup_s = import_s + statistics.median(setup_times)
+    setup_s = statistics.median(import_times) + statistics.median(build_times)
     family_ms = {f: statistics.median(v) for f, v in per_family.items()}
 
     t0 = time.perf_counter()
@@ -467,12 +492,14 @@ def run_probes(planlab, tracer, outdir: Path) -> int:
 
 
 def run_all(args) -> int:
-    """Each workload in its own process, so each has its own peak RSS."""
+    """Each workload in its own process, so each has its own peak RSS. The
+    workloads share the `--seconds` budget equally."""
     combined, correct, attempted, failed = {}, True, 0, 0
+    seconds = args.seconds / len(WORKLOADS)
     for workload in WORKLOADS:
         proc = subprocess.run(
             [sys.executable, __file__, "--workload", workload,
-             "--seed", str(args.seed), "--seconds", str(args.seconds),
+             "--seed", str(args.seed), "--seconds", str(seconds),
              "--trace", str(args.trace)],
             stdout=subprocess.PIPE, text=True, check=False)
         lines = proc.stdout.splitlines()
