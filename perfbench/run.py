@@ -4,13 +4,15 @@ planlab.cli.main with `--stats`.
 
 Run from the repository root:
 
-    python3 perfbench/run.py --workload mc-unary --seed 1 --seconds 36 --trace 0
+    python3 perfbench/run.py --workload mc-unary --seed 1 --seconds 30 --trace 0
     python3 perfbench/run.py --workload all --seed 1     # every workload
 
 One client, closed loop: each call starts when the previous one returned.
 No threads or worker pools take part in the timed loop; the reference
 verdicts are computed beforehand in one child process. Every call has the
-same deadline (DEADLINE_S), enforced with SIGALRM in this process.
+same deadline (DEADLINE_S), enforced with SIGALRM in this process. The
+host's speed is read between calls (hostspeed.py), and each call's time is
+scaled to the host's reference speed.
 
 With `--trace 0` the last line of standard output is a JSON object with the
 end-to-end metrics; with `--trace 1` one pass runs each item untraced and
@@ -40,6 +42,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
+
+import hostspeed
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -174,6 +178,10 @@ def check(core, references, item, outcome: Outcome, expected: bool) -> None:
 class Pass:
     """One call per corpus item, in corpus order."""
     seconds: List[float] = field(default_factory=list)  # failed calls too
+    # The same calls' times at the host's reference speed, and the host
+    # speed readings they were scaled by (run_pass only).
+    scaled: List[float] = field(default_factory=list)
+    factors: List[float] = field(default_factory=list)
     status: List[str] = field(default_factory=list)
     counters: Dict[str, int] = field(
         default_factory=lambda: {c: 0 for c in COUNTERS})
@@ -195,9 +203,14 @@ def call(planlab, refs, item, main, into: Pass) -> None:
 
 
 def run_pass(planlab, items, refs) -> Pass:
+    """Reads the host's speed between calls and scales each call's time by
+    the mean of the readings before and after it."""
     p = Pass()
+    p.factors.append(hostspeed.factor())
     for item in items:
         call(planlab, refs, item, planlab[0].main, p)
+        p.factors.append(hostspeed.factor())
+        p.scaled.append(hostspeed.scale(p.seconds[-1], *p.factors[-2:]))
     return p
 
 
@@ -243,28 +256,33 @@ def percentile(values: List[float], q: int) -> float:
 
 
 def end_to_end(passes: List[Pass], setup_s: float) -> Tuple[dict, str]:
-    """Each item's time is the best of its successful calls in the run's
-    passes (of all its calls, if none succeeded): the machine is shared, and
-    interference from other work only ever adds time."""
-    best, ok_ms = [], []
+    """Each item's time is the median of its successful calls' scaled times
+    in the run's passes (of all its calls, if none succeeded)."""
+    times, ok_ms = [], []
     for i in range(len(passes[0].status)):
-        good = [p.seconds[i] for p in passes if p.status[i] == "ok"]
-        best.append(min(good or [p.seconds[i] for p in passes]))
+        good = [p.scaled[i] for p in passes if p.status[i] == "ok"]
+        times.append(statistics.median(good or [p.scaled[i]
+                                                for p in passes]))
         if good:
-            ok_ms.append(best[-1] * 1e3)
+            ok_ms.append(times[-1] * 1e3)
     q = tail_level(len(ok_ms))
     tail = percentile(ok_ms, q)
     metrics = {
-        "instances_per_s": len(ok_ms) / sum(best),
+        "instances_per_s": len(ok_ms) / sum(times),
         "solve_p50_ms": statistics.median(ok_ms),
         "solve_tail_ms": tail,
         "setup_s": setup_s,
         "peak_rss_mb": resource.getrusage(
             resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
+    factors = [f for p in passes for f in p.factors]
+    q1, q2, q3 = statistics.quantiles(factors, n=4)
     note = (f"solve_tail_ms is p{q} of {len(ok_ms)} instances, each the "
-            f"best of {len(passes)} passes; "
-            f"{sum(1 for ms in ok_ms if ms > tail)} beyond it")
+            f"median of {len(passes)} passes; "
+            f"{sum(1 for ms in ok_ms if ms > tail)} beyond it\n"
+            f"host speed: the kernel took {q2:.3f}x its reference time "
+            f"(median of {len(factors)} readings; quartiles {q1:.3f}x and "
+            f"{q3:.3f}x)")
     return metrics, note
 
 
@@ -362,17 +380,22 @@ def import_planlab():
 
 
 IMPORT_TIMER = """import sys, time
-sys.path.insert(0, sys.argv[1])
+sys.path[:0] = sys.argv[1:3]
+import hostspeed
+before = hostspeed.factor()
 t0 = time.perf_counter()
 from planlab import cli
-print(time.perf_counter() - t0)
+seconds = time.perf_counter() - t0
+print(hostspeed.scale(seconds, before, hostspeed.factor()))
 """
 
 
 def import_seconds() -> float:
     """Seconds to import planlab (cli imports every route) in a fresh
-    interpreter, as `planlab solve` does on every start."""
-    proc = subprocess.run([sys.executable, "-c", IMPORT_TIMER, str(SRC)],
+    interpreter, as `planlab solve` does on every start, at the host's
+    reference speed."""
+    proc = subprocess.run([sys.executable, "-c", IMPORT_TIMER, str(SRC),
+                           str(Path(__file__).resolve().parent)],
                           stdout=subprocess.PIPE, text=True, check=True)
     return float(proc.stdout)
 
@@ -397,9 +420,12 @@ def run_workload(args) -> int:
     import_times, build_times, per_family = [], [], {}
     for _ in range(SETUP_REPEATS):
         import_times.append(import_seconds())
+        before = hostspeed.factor()
         t0 = time.perf_counter()
         items, family_ms = workloads.build(selection, str(outdir / "corpus"))
-        build_times.append(time.perf_counter() - t0)
+        seconds = time.perf_counter() - t0
+        build_times.append(hostspeed.scale(seconds, before,
+                                           hostspeed.factor()))
         for f, ms in family_ms.items():
             per_family.setdefault(f, []).append(ms)
     setup_s = statistics.median(import_times) + statistics.median(build_times)
@@ -433,12 +459,13 @@ def run_workload(args) -> int:
             for name in sorted(tracer.missing):
                 print(f"missing span: {name}")
         else:
-            passes = []
+            passes, last = [], 0.0
             start = time.perf_counter()
             while len(passes) < MIN_PASSES or (
-                    time.perf_counter() - start
-                    + sum(passes[-1].seconds) <= args.seconds):
+                    time.perf_counter() - start + last <= args.seconds):
+                t0 = time.perf_counter()
                 passes.append(run_pass(planlab, items, refs))
+                last = time.perf_counter() - t0
         same_counters(passes)
     except BenchFailure as exc:
         print(f"FAILED: {exc}", file=sys.stderr)
@@ -525,7 +552,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", default="all",
                         choices=WORKLOADS + ("all",))
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=36)
+    parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     if args.workload == "all":
