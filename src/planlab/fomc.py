@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from . import kernels
 from .core import (ContractError, Instance, Plan, PlanLabError, classify,
                    diff_set, validate_plan)
 
@@ -399,14 +398,33 @@ def build_sigma1_formula(k: int) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Compilation to the kernel encoding
+# Compiled queries
 # ---------------------------------------------------------------------------
 
-_K = kernels.mc_core
+# Node kinds of a compiled formula; payload[node] holds the node's data.
+ATOM = 0      # (relation id, slots); the relation is a frozenset of keys
+EQ = 1        # (slot, slot)
+NOT = 2       # child
+AND = 3       # children
+OR = 4        # children
+IMPLIES = 5   # (child, child)
+EXISTS = 6    # (slot, child)
+FORALL = 7    # (slot, child)
+ATOM_BM = 8   # atom over a relation stored as a byte bitmap
 
 
 @dataclass
 class CompiledQuery:
+    """A closed formula over one structure, flattened for evaluation.
+
+    Relations are sets (or byte bitmaps) of radix-U packed tuples, and
+    quantified variables are integer slots into a single environment list.
+    The outer existential block is split out: candidates[L] lists the
+    elements tried for prefix level L (pre-filtered through unary guard
+    conjuncts), const_nodes are conjuncts with no prefix variable, and
+    sched[L] holds (node, conflict levels) pairs checked right after level L
+    is bound; every conjunct appears exactly once across the three.
+    """
     kinds: List[int]
     payload: List[object]
     rels: List[object]
@@ -475,29 +493,29 @@ def compile_query(structure: RelationalStructure,
         if isinstance(f, Atom):
             slots = tuple(slot_of(t) for t in f.terms)
             rid = rel_id(f.rel, len(f.terms))
-            kind = _K.ATOM_BM if isinstance(rels[rid], bytes) else _K.ATOM
+            kind = ATOM_BM if isinstance(rels[rid], bytes) else ATOM
             return emit(kind, (rid, slots), frozenset(slots))
         if isinstance(f, Equal):
             a, b = slot_of(f.left), slot_of(f.right)
-            return emit(_K.EQ, (a, b), frozenset((a, b)))
+            return emit(EQ, (a, b), frozenset((a, b)))
         if isinstance(f, Not):
             c = walk(f.part)
-            return emit(_K.NOT, c, free[c])
+            return emit(NOT, c, free[c])
         if isinstance(f, And) or isinstance(f, Or):
             children = tuple(walk(p) for p in f.parts)
             fs = frozenset().union(*(free[c] for c in children)) \
                 if children else frozenset()
-            return emit(_K.AND if isinstance(f, And) else _K.OR, children, fs)
+            return emit(AND if isinstance(f, And) else OR, children, fs)
         if isinstance(f, Implies):
             a, b = walk(f.left), walk(f.right)
-            return emit(_K.IMPLIES, (a, b), free[a] | free[b])
+            return emit(IMPLIES, (a, b), free[a] | free[b])
         if isinstance(f, (Exists, Forall)):
             slot = slot_count
             slot_count += 1
             scope.setdefault(f.var, []).append(slot)
             c = walk(f.body)
             scope[f.var].pop()
-            kind = _K.EXISTS if isinstance(f, Exists) else _K.FORALL
+            kind = EXISTS if isinstance(f, Exists) else FORALL
             return emit(kind, (slot, c), free[c] - {slot})
         raise TypeError(f"not a formula node: {f!r}")
 
@@ -510,7 +528,7 @@ def compile_query(structure: RelationalStructure,
     prefix_names: List[str] = []
     node = root
     f_walk = formula
-    while kinds[node] == _K.EXISTS:
+    while kinds[node] == EXISTS:
         slot, child = payload[node]
         prefix_slots.append(slot)
         prefix_names.append(f_walk.var)
@@ -518,7 +536,7 @@ def compile_query(structure: RelationalStructure,
         node = child
 
     def conjuncts_of(n: int) -> List[int]:
-        if kinds[n] == _K.AND:
+        if kinds[n] == AND:
             out: List[int] = []
             for c in payload[n]:
                 out.extend(conjuncts_of(c))
@@ -538,7 +556,7 @@ def compile_query(structure: RelationalStructure,
         if not levels:
             const_nodes.append(c)
             continue
-        if kinds[c] in (_K.ATOM, _K.ATOM_BM):
+        if kinds[c] in (ATOM, ATOM_BM):
             rid, slots = payload[c]
             if len(slots) == 1 and slots[0] in level_of:
                 L = level_of[slots[0]]
@@ -557,6 +575,129 @@ def compile_query(structure: RelationalStructure,
                          sched)
 
 
+# ---------------------------------------------------------------------------
+# Evaluation
+# ---------------------------------------------------------------------------
+#
+# Two evaluators.  evaluate_basic is the plain recursive short-circuiting
+# definition of satisfaction.  evaluate_program handles the common shape
+# here -- a closed formula with an outer existential block -- and checks
+# each top-level conjunct as soon as its variables are bound, with
+# conflict-directed backjumping over the block.  Both try universe elements
+# in index order, so the first witness is deterministic and the same for both.
+
+_SAT = object()  # sentinel distinct from any conflict set
+
+
+def eval_node(kinds, payload, rels, U, env, node):
+    kind = kinds[node]
+    if kind == ATOM_BM:
+        rel_id, slots = payload[node]
+        key = 0
+        for s in slots:
+            key = key * U + env[s]
+        return rels[rel_id][key] != 0
+    if kind == ATOM:
+        rel_id, slots = payload[node]
+        key = 0
+        for s in slots:
+            key = key * U + env[s]
+        return key in rels[rel_id]
+    if kind == EQ:
+        a, b = payload[node]
+        return env[a] == env[b]
+    if kind == NOT:
+        return not eval_node(kinds, payload, rels, U, env, payload[node])
+    if kind == AND:
+        for child in payload[node]:
+            if not eval_node(kinds, payload, rels, U, env, child):
+                return False
+        return True
+    if kind == OR:
+        for child in payload[node]:
+            if eval_node(kinds, payload, rels, U, env, child):
+                return True
+        return False
+    if kind == IMPLIES:
+        a, b = payload[node]
+        if not eval_node(kinds, payload, rels, U, env, a):
+            return True
+        return eval_node(kinds, payload, rels, U, env, b)
+    if kind == EXISTS:
+        slot, child = payload[node]
+        for val in range(U):
+            env[slot] = val
+            if eval_node(kinds, payload, rels, U, env, child):
+                env[slot] = -1
+                return True
+        env[slot] = -1
+        return False
+    if kind == FORALL:
+        slot, child = payload[node]
+        for val in range(U):
+            env[slot] = val
+            if not eval_node(kinds, payload, rels, U, env, child):
+                env[slot] = -1
+                return False
+        env[slot] = -1
+        return True
+    raise ValueError(f"unknown node kind {kind}")
+
+
+def evaluate_basic(q: CompiledQuery) -> bool:
+    env = [-1] * q.n_slots
+    return eval_node(q.kinds, q.payload, q.rels, q.U, env, q.root)
+
+
+def _try_level(kinds, payload, rels, U, env, prefix_slots, cands, sched, L,
+               counter):
+    """Bind prefix level L..end.  Returns _SAT or the conflict level set."""
+    last = len(prefix_slots) - 1
+    slot = prefix_slots[L]
+    conflict = set()
+    for val in cands[L]:
+        counter[0] += 1
+        env[slot] = val
+        failed = False
+        for node, levels in sched[L]:
+            if not eval_node(kinds, payload, rels, U, env, node):
+                conflict.update(levels)
+                failed = True
+                break
+        if failed:
+            continue
+        if L == last:
+            return _SAT
+        res = _try_level(kinds, payload, rels, U, env, prefix_slots, cands,
+                         sched, L + 1, counter)
+        if res is _SAT:
+            return _SAT
+        if L not in res:
+            env[slot] = -1
+            return res  # backjump: failure did not involve this level
+        res.discard(L)
+        conflict.update(res)
+    env[slot] = -1
+    conflict.discard(L)
+    return conflict
+
+
+def evaluate_program(q: CompiledQuery):
+    """(satisfied, witness values for the prefix or None, assignments)."""
+    env = [-1] * q.n_slots
+    counter = [0]
+    for node in q.const_nodes:
+        if not eval_node(q.kinds, q.payload, q.rels, q.U, env, node):
+            return (False, None, counter[0])
+    if not q.prefix_slots:
+        return (True, [], counter[0])
+    res = _try_level(q.kinds, q.payload, q.rels, q.U, env, q.prefix_slots,
+                     q.candidates, q.sched, 0, counter)
+    if res is _SAT:
+        return (True, [env[s] for s in q.prefix_slots], counter[0])
+    return (False, None, counter[0])
+
+
 def model_check(structure: RelationalStructure, formula: Formula) -> bool:
     sat, _, _ = model_check_witness(structure, formula)
     return sat
@@ -569,17 +710,16 @@ def model_check_witness(structure: RelationalStructure, formula: Formula):
     block when elements are tried in universe index order.
     """
     q = compile_query(structure, formula)
-    sat, values, assignments = _K.evaluate_program(
-        q.kinds, q.payload, q.rels, q.U, q.n_slots, q.prefix_slots,
-        q.candidates, q.const_nodes, q.sched)
+    sat, values, assignments = evaluate_program(q)
     witness = dict(zip(q.prefix_names, values)) if sat else None
     return sat, witness, assignments
 
 
 def model_check_basic(structure: RelationalStructure, formula: Formula) -> bool:
-    """Plain recursive evaluation; reference semantics for parity tests."""
+    """Plain recursive evaluation; the reference semantics that
+    model_check is tested against."""
     q = compile_query(structure, formula)
-    return _K.evaluate_basic(q.kinds, q.payload, q.rels, q.U, q.n_slots, q.root)
+    return evaluate_basic(q)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from planlab.core import Action, Instance
+from planlab import oracle
 from planlab.generators import HittingSetInput, from_hitting_set
 from planlab.oracle import (BudgetExhausted, enumerate_minimal_plans,
                             is_valid_plan, shortest_plan)
@@ -98,3 +99,21 @@ def test_general_domain_path():
     inst = Instance(1, 3, acts, (0,), {0: 2})
     assert shortest_plan(inst, 2) == (0, 1)
     assert shortest_plan(inst, 1) is None
+
+
+def test_binary_path_beyond_64_variables():
+    # 72 binary variables: the packed states need more than 64 bits, and the
+    # bitmask search must agree with the mixed-radix one on plan and visits
+    n = 72
+    acts = (Action("seed", {}, {0: 1}),
+            Action("far", {0: 1, 70: 1}, {71: 1, 0: 0}),
+            Action("noise1", {}, {1: 1}),
+            Action("noise2", {}, {65: 1}),
+            Action("back", {71: 1}, {64: 1}))
+    init = tuple(1 if v == 70 else 0 for v in range(n))
+    inst = Instance(n, 2, acts, init, {64: 1, 0: 0, 70: 1})
+    assert shortest_plan(inst, 4) == (0, 1, 4)
+    assert shortest_plan(inst, 2) is None
+    binary = oracle._bfs_binary(inst, 4, oracle.DEFAULT_BUDGET)
+    assert binary[0] == (0, 1, 4)
+    assert binary == oracle._bfs_general(inst, 4, oracle.DEFAULT_BUDGET)
