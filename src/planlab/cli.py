@@ -77,12 +77,8 @@ def _solve_with(instance: Instance, k: int, solver: str, fragment: Optional[str]
         if result.solution is not None:
             stats["dp_cells"] = result.solution.cells
         if dot_path:
-            work = instance
-            if result.transformed:
-                work = zerotwo.eliminate_two_effect_good_actions(
-                    instance, k).instance
             with open(dot_path, "w") as fh:
-                fh.write(zerotwo.steiner_to_dot(result.dst, work))
+                fh.write(zerotwo.steiner_to_dot(result.dst, result.built_from))
         return result.plan is not None, result.plan, solver, stats
     if solver == "fo-mc":
         frag = fragment or (fomc.SIGMA1 if classify(instance).unary

@@ -4,11 +4,13 @@ Stages: (1) a chain transform that removes good actions with two effects,
 raising the bound from k to k*(k+3)+1; (2) a reduction to directed Steiner
 tree -- good actions become root arcs, mixed actions arcs from their bad to
 their good variable; (3) the Dreyfus-Wagner dynamic program over terminal
-subsets; (4) plan extraction by walking the tree bottom-up.
+subsets, pruned to the entries a tree within the bound can use; (4) plan
+extraction by walking the tree bottom-up.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -18,6 +20,8 @@ from .core import (Action, BAD, ContractError, GOOD, Instance, MIXED, Plan,
 ROOT = 0  # Steiner node 0 is the root; variable v is node v + 1
 
 MAX_TERMINALS = 20
+
+INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -44,13 +48,14 @@ class TransformResult:
 class DstSolution:
     weight: int
     arcs: Tuple[Tuple[int, int], ...]
-    cells: int  # dynamic-programming table size, for --stats
+    cells: int  # table entries kept within the bound, for --stats
 
 
 @dataclass(frozen=True)
 class ZeroTwoResult:
     plan: Optional[Plan]
     transformed: bool
+    built_from: Instance  # the instance `dst` encodes: transformed or input
     dst: SteinerInstance
     solution: Optional[DstSolution]
 
@@ -199,36 +204,32 @@ def build_dst(instance: Instance, bound: int) -> SteinerInstance:
         bound=bound)
 
 
-INF = float("inf")
-
-
-def _all_pairs(dst: SteinerInstance):
-    """BFS distances and shortest-path predecessors over the weight-1 arcs."""
-    n = dst.node_count
-    adj: List[List[int]] = [[] for _ in range(n)]
-    for tail, head in dst.arcs:
-        adj[tail].append(head)
-    dist = [[INF] * n for _ in range(n)]
-    pred = [[-1] * n for _ in range(n)]
-    for s in range(n):
-        dist[s][s] = 0
-        queue = [s]
-        while queue:
-            new = []
-            for u in queue:
-                for w in adj[u]:
-                    if dist[s][w] == INF:
-                        dist[s][w] = dist[s][u] + 1
-                        pred[s][w] = u
-                        new.append(w)
-            queue = new
+def _bfs(adj: List[List[int]], s: int, limit: float = INF):
+    """BFS distances and predecessors from `s` over `adj`, to depth
+    `limit`.  Ties go to the first arc found, layer by layer, in arc
+    order."""
+    dist = {s: 0}
+    pred: Dict[int, int] = {}
+    queue = [s]
+    depth = 0
+    while queue and depth < limit:
+        depth += 1
+        new = []
+        for u in queue:
+            for w in adj[u]:
+                if w not in dist:
+                    dist[w] = depth
+                    pred[w] = u
+                    new.append(w)
+        queue = new
     return dist, pred
 
 
-def _path_arcs(pred, s: int, t: int) -> List[Tuple[int, int]]:
+def _path_arcs(pred: Dict[int, int], s: int, t: int
+               ) -> List[Tuple[int, int]]:
     arcs = []
     while t != s:
-        p = pred[s][t]
+        p = pred[t]
         arcs.append((p, t))
         t = p
     return arcs
@@ -237,7 +238,17 @@ def _path_arcs(pred, s: int, t: int) -> List[Tuple[int, int]]:
 def dreyfus_wagner(dst: SteinerInstance) -> Optional[DstSolution]:
     """Minimum-weight arborescence from the root covering all terminals,
     or None when the optimum exceeds the bound or a terminal is unreachable.
-    Table indexed by (terminal subset, node)."""
+
+    f[mask][v] is the cheapest tree hanging from v that covers the terminal
+    subset `mask`.  Only entries with f[mask][v] + dist(root, v) <= bound are
+    kept: any tree within the bound that uses an entry also holds a root path
+    to its node, so the kept entries are exact and the dropped ones are never
+    needed.  Each subset merges its splits at a common node, then relaxes
+    the merged costs backwards along the unit arcs with a Dijkstra sweep
+    (Erickson, Monma & Veinott 1987) keyed on (cost, merge node), so that
+    the smallest merge node wins ties.  Splits are tried in a fixed order
+    and only a strictly cheaper one replaces the last, so the result is the
+    one the dense O(2^t n^2) table gives: same weight, same arcs."""
     terms = dst.terminals
     t_count = len(terms)
     if t_count > MAX_TERMINALS:
@@ -245,69 +256,87 @@ def dreyfus_wagner(dst: SteinerInstance) -> Optional[DstSolution]:
             f"{t_count} terminals exceed the hard cap of {MAX_TERMINALS}")
     if t_count == 0:
         return DstSolution(0, (), 0)
+    bound = dst.bound
     n = dst.node_count
-    dist, pred = _all_pairs(dst)
+    adj: List[List[int]] = [[] for _ in range(n)]
+    radj: List[List[int]] = [[] for _ in range(n)]
+    for tail, head in dst.arcs:
+        adj[tail].append(head)
+        radj[head].append(tail)
+    droot, _ = _bfs(adj, ROOT)
+    if any(t not in droot for t in terms):
+        return None
+    if len(set(terms) - {ROOT}) > bound:
+        return None  # each such terminal is the head of its own arc
 
     full = (1 << t_count) - 1
-    f = [[INF] * n for _ in range(full + 1)]
-    # choice[mask][v]: ("leaf", t) | ("split", submask, via-node)
-    choice: List[List[object]] = [[None] * n for _ in range(full + 1)]
+    f: List[Dict[int, int]] = [{} for _ in range(full + 1)]
+    # choice[mask][v]: (submask, via-node) for a split; (0, t) for a leaf
+    choice: List[Dict[int, Tuple[int, int]]] = [{} for _ in range(full + 1)]
     for ti, t in enumerate(terms):
         mask = 1 << ti
-        for v in range(n):
-            if dist[v][t] != INF:
-                f[mask][v] = dist[v][t]
-                choice[mask][v] = ("leaf", t)
+        dist_to_t, _ = _bfs(radj, t, bound)
+        f[mask] = {v: d for v, d in dist_to_t.items()
+                   if d + droot.get(v, INF) <= bound}
+        choice[mask] = {v: (0, t) for v in f[mask]}
     for mask in range(1, full + 1):
         if mask & (mask - 1) == 0:
             continue  # singleton, done above
-        merged = [INF] * n
-        merged_choice = [None] * n
+        merged: Dict[int, int] = {}
+        merged_choice: Dict[int, int] = {}
         low = mask & -mask
         sub = (mask - 1) & mask
         while sub:
             if sub & low:  # enumerate each split once
-                rest = mask ^ sub
-                for u in range(n):
-                    if f[sub][u] != INF and f[rest][u] != INF:
-                        cost = f[sub][u] + f[rest][u]
-                        if cost < merged[u]:
-                            merged[u] = cost
-                            merged_choice[u] = sub
+                small, large = f[sub], f[mask ^ sub]
+                if len(small) > len(large):
+                    small, large = large, small
+                for u, cost in small.items():
+                    other = large.get(u)
+                    if other is None:
+                        continue
+                    cost += other
+                    if (cost + droot[u] <= bound
+                            and cost < merged.get(u, INF)):
+                        merged[u] = cost
+                        merged_choice[u] = sub
             sub = (sub - 1) & mask
-        for v in range(n):
-            best, best_u = INF, -1
-            for u in range(n):
-                if merged[u] != INF and dist[v][u] != INF:
-                    cost = dist[v][u] + merged[u]
-                    if cost < best:
-                        best, best_u = cost, u
-            f[mask][v] = best
-            if best_u >= 0:
-                choice[mask][v] = ("split", merged_choice[best_u], best_u)
+        heap = [(cost, u, u) for u, cost in merged.items()]
+        heapq.heapify(heap)
+        fm, cm = f[mask], choice[mask]
+        while heap:
+            cost, u, v = heapq.heappop(heap)
+            if v in fm:
+                continue
+            fm[v] = cost
+            cm[v] = (merged_choice[u], u)
+            cost += 1
+            for w in radj[v]:
+                if w not in fm and cost + droot.get(w, INF) <= bound:
+                    heapq.heappush(heap, (cost, u, w))
 
-    cells = (full + 1) * n
-    if f[full][ROOT] == INF or f[full][ROOT] > dst.bound:
+    if ROOT not in f[full]:
         return None
 
+    preds: Dict[int, Dict[int, int]] = {}
     arcs: Set[Tuple[int, int]] = set()
 
     def collect(mask: int, v: int) -> None:
-        what = choice[mask][v]
-        if what[0] == "leaf":
-            arcs.update(_path_arcs(pred, v, what[1]))
-        else:
-            _, sub, u = what
-            arcs.update(_path_arcs(pred, v, u))
+        sub, u = choice[mask][v]
+        if v not in preds:
+            preds[v] = _bfs(adj, v)[1]
+        arcs.update(_path_arcs(preds[v], v, u))
+        if sub:
             collect(sub, u)
             collect(mask ^ sub, u)
 
     collect(full, ROOT)
-    weight = int(f[full][ROOT])
+    weight = f[full][ROOT]
     if len(arcs) != weight:
         raise AssertionError("reconstructed arc set disagrees with the "
                              "optimum weight")
-    return DstSolution(weight, tuple(sorted(arcs)), cells)
+    return DstSolution(weight, tuple(sorted(arcs)),
+                       sum(len(fm) for fm in f))
 
 
 def extract_plan(instance: Instance, dst: SteinerInstance,
@@ -353,7 +382,7 @@ def solve_zero_two(instance: Instance, k: int) -> ZeroTwoResult:
     dst = build_dst(work, bound)
     solution = dreyfus_wagner(dst)
     if solution is None:
-        return ZeroTwoResult(None, transform is not None, dst, None)
+        return ZeroTwoResult(None, transform is not None, work, dst, None)
 
     plan = extract_plan(work, dst, solution.arcs)
     report = validate_plan(work, plan)
@@ -374,7 +403,7 @@ def solve_zero_two(instance: Instance, k: int) -> ZeroTwoResult:
     if len(plan) > k:
         raise AssertionError(f"pipeline produced a plan of length {len(plan)}"
                              f" > k={k}")
-    return ZeroTwoResult(plan, transform is not None, dst, solution)
+    return ZeroTwoResult(plan, transform is not None, work, dst, solution)
 
 
 def steiner_to_dot(dst: SteinerInstance, instance: Instance) -> str:

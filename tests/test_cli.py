@@ -87,6 +87,34 @@ def test_solve_forced_fragment(capsys, toy_file):
     assert code == 0 and out["solver"] == "fo-mc/sigma22"
 
 
+def test_solve_zero_two_dot(capsys, tmp_path):
+    # a two-effect good action: the Steiner graph is built from its chain
+    chained = tmp_path / "chained.sasp"
+    chained.write_text("SASP 1\nvars 2\ndomain 2\ninit 0 0\ngoal 0=1 1=1\n"
+                       "action ab pre eff 0=1 1=1\n")
+    dot = tmp_path / "chained.dot"
+    code, out = run(capsys, "solve", str(chained), "1", "--solver",
+                    "zero-two", "--stats", "--dot", str(dot))
+    assert code == 0 and out["plan"] == ["ab"]
+    assert out["stats"]["transformed"]
+    text = dot.read_text()
+    assert text.startswith("digraph") and '"gflag"' in text
+    assert '"ab+c1"' in text and '"ab+x1"' in text
+
+    # no two-effect good action: the graph is built from the input itself
+    plain = tmp_path / "plain.sasp"
+    plain.write_text("SASP 1\nvars 2\ndomain 2\ninit 0 0\ngoal 0=1 1=1\n"
+                     "action a pre eff 0=1\naction b pre eff 1=1 0=0\n")
+    dot = tmp_path / "plain.dot"
+    code, out = run(capsys, "solve", str(plain), "2", "--solver",
+                    "zero-two", "--stats", "--dot", str(dot))
+    assert code == 0 and out["plan"] == ["b", "a"]
+    assert not out["stats"]["transformed"]
+    text = dot.read_text()
+    assert '[label="a"]' in text and '[label="b"]' in text
+    assert "+c" not in text and "gflag" not in text
+
+
 def test_validate(capsys, toy_file, tmp_path):
     good = tmp_path / "good.plan"
     good.write_text("a1\na2\n")

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from planlab.core import Action, ContractError, Instance, classify
+from planlab.core import Action, ContractError, Instance, classify, delta_vars
 from planlab.generators import (HittingSetInput, InstanceBuilder,
                                 MulticoloredGraph, compose_pub,
                                 compose_zero_two, from_hitting_set,
@@ -356,6 +356,54 @@ def test_compose_zero_two_t3():
              (unit_zero_two(False), 1)]
     comp, kpp = compose_zero_two(comps)
     assert solve_zero_two(comp, kpp).plan is not None
+
+
+def draw_zero_two_component(rng: random.Random, k: int,
+                            solvable: bool) -> Instance:
+    """A random component (3 variables, 4 actions, no preconditions, at most
+    2 effects) with work to do, solvable at k iff `solvable` by the oracle."""
+    while True:
+        inst = random_instance(3, 2, 4, seed=rng.randrange(1 << 30),
+                               max_pre=0, max_eff=2)
+        if (delta_vars(inst)
+                and (shortest_plan(inst, k) is not None) == solvable):
+            return inst
+
+
+def zero_two_patterns(t: int):
+    """Which components are solvable: each single position, none, and the
+    first and last."""
+    for pos in range(t):
+        yield tuple(i == pos for i in range(t))
+    yield (False,) * t
+    yield tuple(i in (0, t - 1) for i in range(t))
+
+
+def check_compose_zero_two(rng: random.Random, k: int, pattern) -> None:
+    comps = [(draw_zero_two_component(rng, k, s), k) for s in pattern]
+    comp, kpp = compose_zero_two(comps)
+    plan = solve_zero_two(comp, kpp).plan
+    if any(pattern):
+        assert plan is not None, (k, pattern, comps)
+        assert is_valid_plan(comp, plan) and len(plan) <= kpp
+    else:
+        assert plan is None, (k, pattern, comps)
+
+
+@pytest.mark.parametrize("t", [2, 3, 4])
+def test_compose_zero_two_exact_random_components(t):
+    """Both directions at k = 1 against the oracle on each component: the
+    composition is solvable at k'' iff some component is solvable at k."""
+    rng = random.Random(f"compose-02/{t}")
+    for _ in range(3):
+        for pattern in zero_two_patterns(t):
+            check_compose_zero_two(rng, 1, pattern)
+
+
+def test_compose_zero_two_exact_random_components_k2():
+    rng = random.Random("compose-02/k2")
+    for pattern in zero_two_patterns(2):
+        check_compose_zero_two(rng, 2, pattern)
 
 
 def test_compose_zero_two_rejects_satisfied_goal():

@@ -8,9 +8,9 @@ from planlab.core import (Action, ContractError, GOOD, Instance, classify,
 from planlab.generators import random_instance
 from planlab.oracle import (enumerate_minimal_plans, is_valid_plan,
                             shortest_plan)
-from planlab.zerotwo import (ROOT, SteinerInstance, build_dst, dreyfus_wagner,
-                             eliminate_two_effect_good_actions, extract_plan,
-                             solve_zero_two, steiner_to_dot)
+from planlab.zerotwo import (MAX_TERMINALS, ROOT, SteinerInstance, build_dst,
+                             dreyfus_wagner, eliminate_two_effect_good_actions,
+                             extract_plan, solve_zero_two, steiner_to_dot)
 
 
 def random_zero_two(seed: int, n_max=5, m_max=6) -> Instance:
@@ -210,6 +210,68 @@ def test_dw_matches_brute_force_random_graphs():
             assert got is None
         else:
             assert got is not None and got.weight == expected, dst
+
+
+def reaches_all_terminals(dst: SteinerInstance, arcs) -> bool:
+    children = {}
+    for tail, head in arcs:
+        children.setdefault(tail, []).append(head)
+    reach, stack = {ROOT}, [ROOT]
+    while stack:
+        for w in children.get(stack.pop(), ()):
+            if w not in reach:
+                reach.add(w)
+                stack.append(w)
+    return all(t in reach for t in dst.terminals)
+
+
+def test_dw_matches_brute_force_at_tight_bounds():
+    """Bounds one below, at and one above the optimum, so that pruning and
+    both early exits (an unreachable terminal, more terminals than the
+    bound) are exercised."""
+    rng = random.Random(707)
+    seen = {"unreachable": 0, "too_many_terminals": 0, "pruned": 0,
+            "solved": 0}
+    for _ in range(150):
+        n = rng.randint(2, 8)
+        arcs = {(rng.randrange(n), rng.randrange(n))
+                for _ in range(rng.randint(1, 12))}
+        t_count = rng.randint(1, min(4, n - 1))
+        terminals = tuple(sorted(rng.sample(range(1, n), t_count)))
+        if rng.random() < 0.2:  # cut every arc into one terminal
+            arcs = {a for a in arcs if a[1] != terminals[0]}
+        arcs = sorted(a for a in arcs if a[0] != a[1] and a[1] != ROOT)
+        loose = SteinerInstance(n, tuple(arcs),
+                                {a: i for i, a in enumerate(arcs)},
+                                terminals, n + len(arcs))
+        opt = brute_force_steiner(loose)
+        for slack in (-1, 0, 1):
+            bound = (t_count if opt is None else opt) + slack
+            dst = SteinerInstance(n, loose.arcs, loose.arc_action, terminals,
+                                  bound)
+            got = dreyfus_wagner(dst)
+            if opt is None:
+                seen["unreachable"] += 1
+                assert got is None, dst
+            elif opt > bound:
+                seen["too_many_terminals" if t_count > bound
+                     else "pruned"] += 1
+                assert got is None, dst
+            else:
+                seen["solved"] += 1
+                assert got is not None and got.weight == opt, dst
+                assert len(got.arcs) == opt
+                assert reaches_all_terminals(dst, got.arcs), dst
+    assert all(seen.values()), seen
+
+
+def test_dw_terminal_cap_checked_before_early_exits():
+    count = MAX_TERMINALS + 1
+    arcs = tuple((ROOT, v) for v in range(1, count + 1))
+    dst = SteinerInstance(count + 1, arcs, {a: i for i, a in enumerate(arcs)},
+                          tuple(range(1, count + 1)), count - 1)
+    with pytest.raises(ContractError):
+        dreyfus_wagner(dst)
 
 
 # ---------------------------------------------------------------------------
