@@ -337,8 +337,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except io.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as exc:
-        print(f"cannot read {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        print(f"cannot access {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_PARSE
     except ContractError as exc:
         print(f"inapplicable: {exc}", file=sys.stderr)

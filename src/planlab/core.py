@@ -93,10 +93,6 @@ class Instance:
                 return i
         raise KeyError(name)
 
-    @property
-    def action_names(self) -> Tuple[str, ...]:
-        return tuple(a.name for a in self.actions)
-
 
 @dataclass(frozen=True)
 class RestrictionProfile:
@@ -159,10 +155,6 @@ def apply_action(state: TotalState, action: Action) -> TotalState:
             raise StructuralError(f"effect variable {v} out of range")
         out[v] = x
     return tuple(out)
-
-
-def goal_satisfied(state: TotalState, goal: PartialState) -> bool:
-    return all(state[v] == x for v, x in goal.items())
 
 
 def validate_plan(instance: Instance, plan: Plan) -> ValidationReport:

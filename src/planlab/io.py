@@ -89,17 +89,19 @@ def parse_instance(data: Union[str, bytes]) -> Instance:
                          tokens[0][0] if tokens else 1,
                          tokens[0][1] if tokens else "")
 
-    def keyword_int(expect: str) -> int:
+    def keyword_int(expect: str, least: int = 0) -> int:
         lineno, tokens = next_line(f"'{expect} <int>'")
         if len(tokens) != 2 or tokens[0][1] != expect or not tokens[1][1].isdigit():
             col, tok = tokens[0] if tokens else (1, "")
             raise ParseError(f"expected '{expect} <int>'", lineno, col, tok)
-        return int(tokens[1][1])
+        value = int(tokens[1][1])
+        if value < least:
+            raise ParseError(f"{expect} must be at least {least}", lineno,
+                             *tokens[1])
+        return value
 
     n = keyword_int("vars")
-    d = keyword_int("domain")
-    if d < 1:
-        raise ParseError("domain must be at least 1", lineno)
+    d = keyword_int("domain", least=1)
 
     lineno, tokens = next_line("'init ...'")
     if not tokens or tokens[0][1] != "init":

@@ -4,10 +4,14 @@ shortest_plan runs breadth-first search over total states;
 enumerate_minimal_plans brute-forces every action sequence up to the bound.
 Both are deliberately simple and only meant for desk-scale instances.
 
-The search packs each state into one integer: a bitmask for binary domains,
-base-d digits otherwise.  Actions are expanded in declaration order and the
-frontier is FIFO, so the first goal state reached has the lexicographically
-smallest among the shortest action-id sequences.
+The search packs each state into one integer of bit fields: variable v
+holds bits v*w .. v*w + w - 1, w = (d - 1).bit_length(), so a binary
+domain gives a plain bitmask and a one-value domain zero-width fields.  A
+condition is then one (field mask, value bits) pair, tested as
+`s & mask == bits`; an effect clears its fields and sets its bits.
+Actions are expanded in declaration order and the frontier is FIFO, so the
+first goal state reached has the lexicographically smallest among the
+shortest action-id sequences.
 """
 
 from __future__ import annotations
@@ -42,41 +46,11 @@ def shortest_plan_with_stats(instance: Instance, k: int,
     more than `budget` states have been visited."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    if instance.domain_size == 2:
-        return _bfs_binary(instance, k, budget)
-    return _bfs_general(instance, k, budget)
-
-
-def _reconstruct(parent, state) -> Plan:
-    plan = []
-    while True:
-        prev, aid = parent[state]
-        if aid < 0:
-            break
-        plan.append(aid)
-        state = prev
-    plan.reverse()
-    return tuple(plan)
-
-
-def _masks(cond) -> Tuple[int, int]:
-    """(bits of the variables cond mentions, bits of those it sets to 1)."""
-    mask = bits = 0
-    for v, x in cond.items():
-        mask |= 1 << v
-        if x:
-            bits |= 1 << v
-    return mask, bits
-
-
-def _bfs_binary(instance: Instance, k: int, budget: int):
-    """Bit v of a state is the value of variable v."""
-    init = 0
-    for v, x in enumerate(instance.init):
-        if x:
-            init |= 1 << v
-    acts = [_masks(a.pre) + _masks(a.eff) for a in instance.actions]
-    goal_mask, goal_bits = _masks(instance.goal)
+    width = (instance.domain_size - 1).bit_length()
+    _, init = _masks(dict(enumerate(instance.init)), width)
+    acts = [_masks(a.pre, width) + _masks(a.eff, width)
+            for a in instance.actions]
+    goal_mask, goal_bits = _masks(instance.goal, width)
     if init & goal_mask == goal_bits:
         return (), 1
     parent = {init: (0, -1)}
@@ -102,50 +76,26 @@ def _bfs_binary(instance: Instance, k: int, budget: int):
     return None, len(parent)
 
 
-def _holds(s, cond, d):
-    for w, x in cond:
-        if (s // w) % d != x:
-            return False
-    return True
-
-
-def _bfs_general(instance: Instance, k: int, budget: int):
-    """Variable v is digit v of the state in base d; conditions are
-    (weight d**v, value) pairs."""
-    d = instance.domain_size
-    weights = [d ** v for v in range(instance.var_count)]
-
-    def digits(cond):
-        return tuple((weights[v], x) for v, x in cond.items())
-
-    init = sum(x * w for x, w in zip(instance.init, weights))
-    acts = [(digits(a.pre), digits(a.eff)) for a in instance.actions]
-    goal = digits(instance.goal)
-    if _holds(init, goal, d):
-        return (), 1
-    parent = {init: (0, -1)}
-    frontier = [init]
-    for _depth in range(k):
-        next_frontier = []
-        for s in frontier:
-            for aid, (pre, eff) in enumerate(acts):
-                if not _holds(s, pre, d):
-                    continue
-                t = s
-                for w, x in eff:
-                    t += (x - (t // w) % d) * w
-                if t in parent:
-                    continue
-                parent[t] = (s, aid)
-                if len(parent) > budget:
-                    raise BudgetExhausted(len(parent))
-                if _holds(t, goal, d):
-                    return _reconstruct(parent, t), len(parent)
-                next_frontier.append(t)
-        if not next_frontier:
+def _reconstruct(parent, state) -> Plan:
+    plan = []
+    while True:
+        prev, aid = parent[state]
+        if aid < 0:
             break
-        frontier = next_frontier
-    return None, len(parent)
+        plan.append(aid)
+        state = prev
+    plan.reverse()
+    return tuple(plan)
+
+
+def _masks(cond, width: int) -> Tuple[int, int]:
+    """(bits of the fields cond mentions, the values it sets them to)."""
+    field = (1 << width) - 1
+    mask = bits = 0
+    for v, x in cond.items():
+        mask |= field << (v * width)
+        bits |= x << (v * width)
+    return mask, bits
 
 
 def is_valid_plan(instance: Instance, plan: Plan) -> bool:

@@ -41,7 +41,6 @@ class TransformResult:
     source_action: Dict[int, int]  # chain action id -> original action id
     g_var: int
     g_reset: int  # id of the action that clears the shared flag variable
-    dropped: Tuple[int, ...]  # original actions with no chain (bad / no-op)
 
 
 @dataclass(frozen=True)
@@ -118,50 +117,30 @@ def eliminate_two_effect_good_actions(instance: Instance,
 
     chains: Dict[int, Tuple[int, ...]] = {}
     source: Dict[int, int] = {}
-    dropped: List[int] = []
 
     for aid, action in enumerate(instance.actions):
         polarity = effect_polarity(instance, aid)
         if not action.eff or polarity.action == BAD:
-            dropped.append(aid)
             continue
         cvars = [fresh_var(f"{action.name}+x{i}") for i in range(1, k + 3)]
         effs = sorted(action.eff.items())
-        chain: List[int] = []
+        # The head sets the bad effect of a mixed action (gflag otherwise),
+        # the links pass a token along cvars, and each payload pair gets a
+        # tail of its own off the last link.
         if polarity.action == MIXED:
-            (bad_v, bad_x), (good_v, good_x) = (
-                (effs[0], effs[1]) if polarity.effects[0][1] == BAD
-                else (effs[1], effs[0]))
-            chain.append(fresh_action(f"{action.name}+c1",
-                                      {bad_v: bad_x, cvars[0]: 0}))
-            for i in range(2, k + 3):
-                chain.append(fresh_action(
-                    f"{action.name}+c{i}",
-                    {cvars[i - 2]: 1, cvars[i - 1]: 0}))
-            chain.append(fresh_action(f"{action.name}+c{k + 3}",
-                                      {cvars[k + 1]: 1, good_v: good_x}))
-        elif len(action.eff) == 1:
-            (v, x), = effs
-            chain.append(fresh_action(f"{action.name}+c1",
-                                      {g_var: 1, cvars[0]: 0}))
-            for i in range(2, k + 3):
-                chain.append(fresh_action(
-                    f"{action.name}+c{i}",
-                    {cvars[i - 2]: 1, cvars[i - 1]: 0}))
-            chain.append(fresh_action(f"{action.name}+c{k + 3}",
-                                      {cvars[k + 1]: 1, v: x}))
-        else:  # good with two effects: shared chain, two payload tails
-            (v1, x1), (v2, x2) = effs
-            chain.append(fresh_action(f"{action.name}+c1",
-                                      {g_var: 1, cvars[0]: 0}))
-            for i in range(2, k + 2):
-                chain.append(fresh_action(
-                    f"{action.name}+c{i}",
-                    {cvars[i - 2]: 1, cvars[i - 1]: 0}))
-            chain.append(fresh_action(f"{action.name}+c{k + 2}",
-                                      {cvars[k]: 1, v1: x1}))
-            chain.append(fresh_action(f"{action.name}+c{k + 3}",
-                                      {cvars[k]: 1, v2: x2}))
+            bad = 0 if polarity.effects[0][1] == BAD else 1
+            head, payload = effs[bad], [effs[1 - bad]]
+        else:
+            head, payload = (g_var, 1), effs
+        links = k + 3 - len(payload)
+        chain = [fresh_action(f"{action.name}+c1",
+                              {head[0]: head[1], cvars[0]: 0})]
+        for i in range(2, links + 1):
+            chain.append(fresh_action(
+                f"{action.name}+c{i}", {cvars[i - 2]: 1, cvars[i - 1]: 0}))
+        for i, (v, x) in enumerate(payload, start=links + 1):
+            chain.append(fresh_action(f"{action.name}+c{i}",
+                                      {cvars[links - 1]: 1, v: x}))
         chains[aid] = tuple(chain)
         for cid in chain:
             source[cid] = aid
@@ -172,7 +151,7 @@ def eliminate_two_effect_good_actions(instance: Instance,
         var_count=len(var_names), domain_size=d, actions=tuple(actions),
         init=tuple(init), goal=goal, var_names=tuple(var_names))
     return TransformResult(transformed, k * (k + 3) + 1, chains, source,
-                           g_var, g_reset, tuple(dropped))
+                           g_var, g_reset)
 
 
 def build_dst(instance: Instance, bound: int) -> SteinerInstance:

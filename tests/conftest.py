@@ -24,11 +24,12 @@ def zt1() -> Instance:
 
 
 def random_small_instance(rng: random.Random, n_max: int = 5, d_max: int = 3,
-                          m_max: int = 6, no_pre: bool = False) -> Instance:
+                          m_max: int = 6, no_pre: bool = False,
+                          d_min: int = 2) -> Instance:
     """Unconstrained random instance for property tests (not seeded-suite
     generation; see planlab.generators.random_instance for that)."""
     n = rng.randint(1, n_max)
-    d = rng.randint(2, d_max)
+    d = rng.randint(d_min, d_max)
     m = rng.randint(0, m_max)
     actions = []
     for i in range(m):

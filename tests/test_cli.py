@@ -133,8 +133,16 @@ def test_validate(capsys, toy_file, tmp_path):
     assert code == 2
 
 
-def test_missing_file(capsys):
+def test_missing_file(capsys, tmp_path):
     code, _ = run(capsys, "classify", "/nonexistent/x.sasp")
+    assert code == 2
+    # a directory is an unreadable path too, not an unsolvable instance
+    code, _ = run(capsys, "classify", str(tmp_path))
+    assert code == 2
+    code, _ = run(capsys, "solve", str(tmp_path), "1")
+    assert code == 2
+    code, _ = run(capsys, "generate", "hitting-set", "--universe", "3",
+                  "--sets", "{1,2}", "--k", "1", "--out", str(tmp_path))
     assert code == 2
 
 

@@ -71,6 +71,10 @@ def test_parse_error_location():
         parse_instance(TOY1_TEXT.replace("init 0 0", "init 0 2"))
     assert err.value.line == 4
     assert err.value.token == "2"
+    with pytest.raises(ParseError) as err:
+        parse_instance(TOY1_TEXT.replace("domain 2", "domain 0"))
+    assert err.value.line == 3
+    assert err.value.token == "0"
 
 
 def test_plan_files(toy1):
