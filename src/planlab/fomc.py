@@ -4,9 +4,19 @@ An instance is encoded as a finite relational structure; a plan bound k is
 encoded as a closed formula whose size depends on k alone.  The general
 encoding needs one existential block followed by two universal quantifiers;
 for unary instances an extended structure with dummy padding elements makes
-a purely existential formula possible.  A generic evaluator then decides
+a purely existential formula possible, and one-element relations DUMj pin
+its interchangeable dummy variables.  A generic evaluator then decides
 satisfaction, giving a solver route that shares no code with the state-space
 oracle or the search-tree solver.
+
+The evaluator takes each quantified variable's domain from the formula's
+guards: a unary atom conjoined under the existential prefix filters that
+level's candidates, conjuncts of the following universal block that mention
+none of its variables are hoisted out of it, and the block's variables
+range only over the elements passing the unary atoms of its Implies guard.
+On the sigma22 encoding the actions then range over ACT and (v, x) over
+VAR x DOM: the prefix assignments tried no longer depend on the size of the
+declared domain, and each check visits n(d+1) pairs instead of U**2.
 """
 
 from __future__ import annotations
@@ -239,12 +249,15 @@ def build_structure(instance: Instance) -> RelationalStructure:
 
 def build_extended_structure(instance: Instance, k: int) -> RelationalStructure:
     """The base structure plus k dummy elements and the diff relations,
-    each action padded to exactly k DIFF_ACT rows."""
+    each action padded to exactly k DIFF_ACT rows.  DUMj holds the j-th
+    dummy alone, so that a formula can pin its j-th dummy variable."""
     lay = _layout(instance)
     universe = _base_universe(instance, lay)
     universe += [(f"dum{i}", SORT_DUMMY) for i in range(1, k + 1)]
     rels = _base_relations(instance, lay)
     rels["DUM"] = {(lay.dummy(i),) for i in range(1, k + 1)}
+    for i in range(1, k + 1):
+        rels[f"DUM{i}"] = {(lay.dummy(i),)}
     rels["GOAL"] = {(lay.var(v),) for v in instance.goal}
     diff_act = set()
     for a, action in enumerate(instance.actions):
@@ -267,6 +280,7 @@ def build_extended_structure(instance: Instance, k: int) -> RelationalStructure:
                             for i in range(1, k - len(goal_diff) + 1)})
     arities = dict(_BASE_ARITIES)
     arities.update({"DUM": 1, "GOAL": 1, "DIFF_ACT": 2, "DIFF_GOAL": 1})
+    arities.update({f"DUM{i}": 1 for i in range(1, k + 1)})
     return RelationalStructure(
         tuple(universe),
         {name: frozenset(t) for name, t in rels.items()},
@@ -341,7 +355,16 @@ def _subset_cover(target_rel: str, first_term: Optional[str], k: int) -> Formula
 
 def build_sigma1_formula(k: int) -> Formula:
     """Closed purely-existential formula over the extended vocabulary,
-    equivalent to plan existence for unary instances."""
+    equivalent to plan existence for unary instances.
+
+    The dummies d1..dk only need to be distinct dummy elements, and they
+    occur elsewhere only in padding atoms of the DIFF relations, whose dummy
+    columns are the prefix dum1..dum(k-|diff|); so d_j = dum_j satisfies the
+    formula whenever any distinct choice does.  The guard DUMj(dj) pins
+    them to that choice (a symmetry-breaking predicate in the sense of
+    Crawford, Ginsberg, Luks and Roy, KR 1996), which also makes them
+    distinct dummies.  They lead the prefix, so a search binds each once.
+    """
     if k < 1:
         raise ValueError("k must be positive")
     if k > SIGMA1_MAX_K:
@@ -354,9 +377,7 @@ def build_sigma1_formula(k: int) -> Formula:
     guards += [Atom("VAR", (f"v{i}",)) for i in range(1, k + 1)]
     guards += [Atom("DOM", (f"x{i}_{j}",))
                for i in range(1, k + 1) for j in range(1, k + 1)]
-    guards += [Atom("DUM", (f"d{i}",)) for i in range(1, k + 1)]
-    guards += [Not(Equal(f"d{i}", f"d{j}"))
-               for i, j in combinations(range(1, k + 1), 2)]
+    guards += [Atom(f"DUM{i}", (f"d{i}",)) for i in range(1, k + 1)]
 
     check_eff = And(tuple(
         Or((Atom("EFF", (f"a{i}", f"v{i}")), Atom("DUM_A", (f"a{i}",))))
@@ -385,9 +406,9 @@ def build_sigma1_formula(k: int) -> Formula:
     body = And((And(tuple(guards)), check_eff, diff_op_all, diff_goal,
                 check_pre_all, check_goal))
 
-    roster = ([f"a{i}" for i in range(1, k + 1)]
+    roster = ([f"d{i}" for i in range(1, k + 1)]
+              + [f"a{i}" for i in range(1, k + 1)]
               + [f"v{i}" for i in range(1, k + 1)]
-              + [f"d{i}" for i in range(1, k + 1)]
               + [f"x{i}_{j}" for i in range(1, k + 1)
                  for j in range(1, k + 1)]
               + [f"xg{i}" for i in range(1, k + 1)])
@@ -408,8 +429,8 @@ NOT = 2       # child
 AND = 3       # children
 OR = 4        # children
 IMPLIES = 5   # (child, child)
-EXISTS = 6    # (slot, child)
-FORALL = 7    # (slot, child)
+EXISTS = 6    # (slot, child, domain)
+FORALL = 7    # (slot, child, domain)
 ATOM_BM = 8   # atom over a relation stored as a byte bitmap
 
 
@@ -419,11 +440,19 @@ class CompiledQuery:
 
     Relations are sets (or byte bitmaps) of radix-U packed tuples, and
     quantified variables are integer slots into a single environment list.
+    Each quantifier node carries the domain it ranges over: range(U) in the
+    tree under root, which evaluate_basic walks.
+
     The outer existential block is split out: candidates[L] lists the
     elements tried for prefix level L (pre-filtered through unary guard
     conjuncts), const_nodes are conjuncts with no prefix variable, and
     sched[L] holds (node, conflict levels) pairs checked right after level L
-    is bound; every conjunct appears exactly once across the three.
+    is bound; every conjunct appears exactly once across the three.  When
+    the prefix is followed by a universal block over a non-empty universe,
+    its conjuncts that mention no block variable are hoisted out of it and
+    join the prefix conjuncts (so unary ones become candidate filters too),
+    and the rest of the block is emitted as new nodes whose variables range
+    only over the elements passing the unary atoms of its Implies guard.
     """
     kinds: List[int]
     payload: List[object]
@@ -450,6 +479,7 @@ def compile_query(structure: RelationalStructure,
 
     scope: Dict[str, List[int]] = {}
     slot_count = 0
+    full = range(U)
 
     def rel_id(name: str, arity: int) -> int:
         if name not in structure.relations:
@@ -516,7 +546,7 @@ def compile_query(structure: RelationalStructure,
             c = walk(f.body)
             scope[f.var].pop()
             kind = EXISTS if isinstance(f, Exists) else FORALL
-            return emit(kind, (slot, c), free[c] - {slot})
+            return emit(kind, (slot, c, full), free[c] - {slot})
         raise TypeError(f"not a formula node: {f!r}")
 
     root = walk(formula)
@@ -529,11 +559,10 @@ def compile_query(structure: RelationalStructure,
     node = root
     f_walk = formula
     while kinds[node] == EXISTS:
-        slot, child = payload[node]
+        slot, node, _ = payload[node]
         prefix_slots.append(slot)
         prefix_names.append(f_walk.var)
         f_walk = f_walk.body
-        node = child
 
     def conjuncts_of(n: int) -> List[int]:
         if kinds[n] == AND:
@@ -543,6 +572,74 @@ def compile_query(structure: RelationalStructure,
             return out
         return [n]
 
+    def unary_guard(n: int, slots: Dict[int, object]):
+        """(slot, sorted members) if n is a unary atom over one of slots."""
+        if kinds[n] in (ATOM, ATOM_BM):
+            rid, atom_slots = payload[n]
+            if len(atom_slots) == 1 and atom_slots[0] in slots:
+                # unary keys are the elements themselves
+                return atom_slots[0], sorted(packed_keys[rid])
+        return None
+
+    def narrow(domains: Dict[int, Optional[List[int]]], slot: int,
+               members: List[int]) -> None:
+        if domains[slot] is None:
+            domains[slot] = members
+        else:
+            keep = set(members)
+            domains[slot] = [e for e in domains[slot] if e in keep]
+
+    def conjunction(parts: List[int]) -> int:
+        if len(parts) == 1:
+            return parts[0]
+        return emit(AND, tuple(parts),
+                    frozenset().union(*(free[p] for p in parts)))
+
+    def split_universal_block(n: int) -> List[int]:
+        """Conjuncts equivalent to the universal block at n when U >= 1.
+
+        Conjuncts of the block's body that mention no block variable are
+        hoisted out (for U >= 1, forall x (P and Q) is P and forall x Q
+        when x is not free in P).  If a single Implies is left, each block
+        variable ranges only over the elements passing the unary atoms of
+        its antecedent, since the implication holds vacuously elsewhere.
+        """
+        block: List[int] = []
+        while kinds[n] == FORALL:
+            slot, n, _ = payload[n]
+            block.append(slot)
+        domains: Dict[int, Optional[List[int]]] = dict.fromkeys(block)
+        hoisted: List[int] = []
+        kept: List[int] = []
+        for c in conjuncts_of(n):
+            (hoisted if free[c].isdisjoint(block) else kept).append(c)
+        if not kept:
+            return hoisted
+        body = conjunction(kept)
+        if len(kept) == 1 and kinds[body] == IMPLIES:
+            guard, then = payload[body]
+            rest = []
+            for g in conjuncts_of(guard):
+                hit = unary_guard(g, domains)
+                if hit is None:
+                    rest.append(g)
+                else:
+                    narrow(domains, *hit)
+            if rest:
+                left = conjunction(rest)
+                body = emit(IMPLIES, (left, then), free[left] | free[then])
+            else:
+                body = then
+        for slot in reversed(block):
+            domain = full if domains[slot] is None else domains[slot]
+            body = emit(FORALL, (slot, body, domain), free[body] - {slot})
+        return hoisted + [body]
+
+    if kinds[node] == FORALL and U > 0:
+        top = split_universal_block(node)
+    else:
+        top = conjuncts_of(node)
+
     level_of = {slot: i for i, slot in enumerate(prefix_slots)}
     const_nodes: List[int] = []
     sched: List[List[Tuple[int, Tuple[int, ...]]]] = \
@@ -550,25 +647,19 @@ def compile_query(structure: RelationalStructure,
     # A conjunct that is a bare unary atom over one prefix variable acts as
     # a candidate filter for that level instead of a runtime check; this
     # preserves index order and hence the first witness.
-    candidates: List[Optional[List[int]]] = [None] * len(prefix_slots)
-    for c in conjuncts_of(node):
+    candidates: Dict[int, Optional[List[int]]] = dict.fromkeys(prefix_slots)
+    for c in top:
         levels = tuple(sorted(level_of[s] for s in free[c] if s in level_of))
         if not levels:
             const_nodes.append(c)
             continue
-        if kinds[c] in (ATOM, ATOM_BM):
-            rid, slots = payload[c]
-            if len(slots) == 1 and slots[0] in level_of:
-                L = level_of[slots[0]]
-                members = sorted(packed_keys[rid])  # unary keys are elements
-                if candidates[L] is None:
-                    candidates[L] = members
-                else:
-                    keep = set(members)
-                    candidates[L] = [e for e in candidates[L] if e in keep]
-                continue
+        hit = unary_guard(c, candidates)
+        if hit is not None:
+            narrow(candidates, *hit)
+            continue
         sched[levels[-1]].append((c, levels))
-    cands = [c if c is not None else list(range(U)) for c in candidates]
+    cands = [list(full) if candidates[s] is None else candidates[s]
+             for s in prefix_slots]
 
     return CompiledQuery(kinds, payload, rels, U, slot_count, root,
                          prefix_slots, prefix_names, cands, const_nodes,
@@ -624,8 +715,8 @@ def eval_node(kinds, payload, rels, U, env, node):
             return True
         return eval_node(kinds, payload, rels, U, env, b)
     if kind == EXISTS:
-        slot, child = payload[node]
-        for val in range(U):
+        slot, child, domain = payload[node]
+        for val in domain:
             env[slot] = val
             if eval_node(kinds, payload, rels, U, env, child):
                 env[slot] = -1
@@ -633,8 +724,8 @@ def eval_node(kinds, payload, rels, U, env, node):
         env[slot] = -1
         return False
     if kind == FORALL:
-        slot, child = payload[node]
-        for val in range(U):
+        slot, child, domain = payload[node]
+        for val in domain:
             env[slot] = val
             if not eval_node(kinds, payload, rels, U, env, child):
                 env[slot] = -1
@@ -772,11 +863,12 @@ def solve_via_mc(instance: Instance, k: int, fragment: str = SIGMA22) -> McResul
         if len(diff_set(instance, instance.goal)) > k:
             return McResult(False, None, 0, fragment)
         # An action whose precondition deviates from the initial state on
-        # more than k-1 variables can never fire within k unary steps; it is
+        # more than k-1 variables can never fire within k unary steps (the
+        # i-th action follows at most i-1 single-variable changes); it is
         # dropped so the padded diff relations stay well-formed.
         action_ids = [a for a in action_ids
                       if len(diff_set(instance,
-                                      instance.actions[a].pre)) <= k]
+                                      instance.actions[a].pre)) < k]
         work = Instance(
             instance.var_count, instance.domain_size,
             tuple(instance.actions[a] for a in action_ids),

@@ -1,15 +1,17 @@
+import dataclasses
 import random
 
 import pytest
 
 from planlab.core import Action, ContractError, Instance, classify
 from planlab.fomc import (SIGMA1, SIGMA22, And, Atom, Equal, Exists, Forall,
-                          Implies, Not, Or, TriviallyUnsolvable,
-                          build_extended_structure, build_sigma1_formula,
-                          build_sigma22_formula, build_structure,
-                          formula_to_sexpr, model_check, model_check_basic,
-                          model_check_witness, node_count, prefix_shape,
-                          solve_via_mc, structure_to_text)
+                          Implies, Not, Or, RelationalStructure,
+                          TriviallyUnsolvable, build_extended_structure,
+                          build_sigma1_formula, build_sigma22_formula,
+                          build_structure, compile_query, formula_to_sexpr,
+                          model_check, model_check_basic, model_check_witness,
+                          node_count, prefix_shape, solve_via_mc,
+                          structure_to_text)
 from planlab.generators import random_instance
 from planlab.oracle import is_valid_plan, shortest_plan
 
@@ -38,6 +40,9 @@ def test_extended_structure_toy1(toy1):
     s = build_extended_structure(toy1, 2)
     act, dummy = lambda a: 2 + a, lambda i: 2 + 2 + 3 + 1 + i - 1
     assert s.relations["DUM"] == {(dummy(1),), (dummy(2),)}
+    assert s.relations["DUM1"] == {(dummy(1),)}
+    assert s.relations["DUM2"] == {(dummy(2),)}
+    assert s.arities["DUM1"] == s.arities["DUM2"] == 1
     # a1 has no precondition: two padding rows; a2 deviates on v1: one row
     assert s.relations["DIFF_ACT"] == {
         (act(0), dummy(1)), (act(0), dummy(2)),
@@ -46,6 +51,11 @@ def test_extended_structure_toy1(toy1):
     for a in range(2):
         rows = [t for t in s.relations["DIFF_ACT"] if t[0] == act(a)]
         assert len(rows) == 2
+    # the pinned dummies: a witness binds d_j to the j-th dummy element
+    sat, witness, _ = model_check_witness(s, build_sigma1_formula(2))
+    assert sat
+    assert (witness["d1"], witness["d2"]) == (dummy(1), dummy(2))
+    assert (witness["a1"], witness["a2"]) == (act(0), act(1))
 
 
 def test_extended_structure_rejects_large_diffs():
@@ -132,6 +142,31 @@ def test_witness_is_index_order_first(toy1):
     sat, witness, _ = model_check_witness(s, build_sigma22_formula(2))
     assert sat
     assert witness["a1"] == 2 and witness["a2"] == 3  # a1 then a2
+
+
+def test_sigma22_action_levels_take_act_candidates(toy1, zt1):
+    for inst in (toy1, zt1, Instance(1, 2, (), (0,), {0: 1})):
+        s = build_structure(inst)
+        act = sorted(e for (e,) in s.relations["ACT"])
+        for k in (1, 3):
+            q = compile_query(s, build_sigma22_formula(k))
+            assert q.prefix_names == [f"a{i}" for i in range(1, k + 1)]
+            for L in range(k):
+                assert q.candidates[L] == act
+
+
+def test_sigma22_refutation_ignores_declared_domain():
+    # nothing sets v2, so the goal v2 = 1 is out of reach at every bound
+    acts = (Action("set", {1: 1}, {0: 1}), Action("reset", {0: 1}, {0: 0}))
+    inst = Instance(2, 2, acts, (0, 0), {1: 1})
+    wide = dataclasses.replace(inst, domain_size=64)
+    k, m = 3, len(acts)
+    assert shortest_plan(wide, k) is None
+    narrow_r = solve_via_mc(inst, k, SIGMA22)
+    wide_r = solve_via_mc(wide, k, SIGMA22)
+    assert not narrow_r.solvable and not wide_r.solvable
+    assert narrow_r.assignments == wide_r.assignments
+    assert wide_r.assignments <= sum((m + 1) ** i for i in range(1, k + 1))
 
 
 def test_solve_via_mc_examples(toy1):
@@ -225,6 +260,136 @@ def test_program_evaluator_matches_basic():
             assert model_check(se, f) == model_check_basic(se, f), i
             sigma1_checked += 1
     assert sigma1_checked > 0
+
+
+_ARITY = {"P": 1, "Q": 1, "E": 1, "R": 2, "S": 2}
+
+
+def _structure(size, **rels):
+    """A hand-made structure over elements 0..size-1; each keyword names a
+    relation of _ARITY and gives its rows."""
+    return RelationalStructure(
+        tuple((str(e), "element") for e in range(size)),
+        {name: frozenset(rows) for name, rows in rels.items()},
+        {name: _ARITY[name] for name in rels})
+
+
+_P, _Q = Atom("P", ("a",)), Atom("Q", ("x",))
+_R = Atom("R", ("a", "x"))
+# P = {0}, Q = {1, 2}, E = {}, R = {(0, 1), (0, 2), (1, 0)}
+_EDGE = dict(P={(0,)}, Q={(1,), (2,)}, E=set(),
+             R={(0, 1), (0, 2), (1, 0)})
+
+REWRITE_CASES = [
+    # a hoisted conjunct that is false: no a is in both P and Q
+    ("hoisted-false", 3, _EDGE,
+     Exists("a", Forall("x", And((_P, Atom("Q", ("a",)),
+                                  Implies(_Q, _R))))), False),
+    # a closed hoisted conjunct that is false
+    ("hoisted-closed-false", 3, _EDGE,
+     Exists("a", Forall("x", And((Exists("y", Atom("E", ("y",))),
+                                  Implies(_Q, _R))))), False),
+    # the hoisted guard leaves a = 0, and Q's members are R-successors of 0
+    ("hoisted-guard", 3, _EDGE,
+     Exists("a", Forall("x", And((_P, Implies(_Q, _R))))), True),
+    # a universal guard over an empty relation holds vacuously
+    ("empty-guard", 3, _EDGE,
+     Exists("a", Forall("x", And((_P, Implies(
+         Atom("E", ("x",)), Not(Equal("x", "x"))))))), True),
+    ("empty-guard-closed", 3, _EDGE,
+     Forall("x", Implies(Atom("E", ("x",)), Atom("E", ("x",)))), True),
+    # two conjuncts left after hoisting: no guard applies, and x = 0
+    # fails Q over the full universe
+    ("two-left", 3, _EDGE,
+     Exists("a", Forall("x", And((_P, _Q, Implies(_Q, _R))))), False),
+    ("two-left-true", 3, _EDGE,
+     Exists("a", Forall("x", And((_P, Implies(_Q, _R),
+                                  Or((_Q, Not(_Q))))))), True),
+    # a guard with a binary atom left in the antecedent: a = 1 has no
+    # R-successor in Q
+    ("mixed-guard", 3, _EDGE,
+     Exists("a", Forall("x", Implies(And((_Q, _R)), Atom("E", ("x",))))),
+     True),
+    ("mixed-guard-false", 3, _EDGE,
+     Exists("a", Forall("x", And((_P, Implies(And((_Q, _R)),
+                                              Atom("E", ("x",))))))), False),
+    # a Forall nested below the prefix is not a leading block
+    ("nested", 3, _EDGE,
+     Exists("a", And((_P, Forall("x", Implies(_Q, _R))))), True),
+    ("nested-false", 3, _EDGE,
+     Exists("a", And((Not(_P), Forall("x", Implies(_Q, _R))))), False),
+    # two universal variables, each with its own guard
+    ("two-block-vars", 3, _EDGE,
+     Forall("a", Forall("x", Implies(And((_Q, Atom("P", ("a",)))), _R))),
+     True),
+    # an empty universe: the universal block holds vacuously, so hoisting
+    # the closed, false conjunct out of it would change the answer
+    ("empty-universe", 0, dict(E=set()),
+     Forall("x", And((Exists("y", Equal("y", "y")),
+                      Atom("E", ("x",))))), True),
+    ("empty-universe-exists", 0, dict(E=set()),
+     Exists("a", Forall("x", Atom("E", ("x",)))), False),
+]
+
+
+@pytest.mark.parametrize("name, size, rels, formula, expected", REWRITE_CASES,
+                         ids=[c[0] for c in REWRITE_CASES])
+def test_universal_block_rewrite_edge_cases(name, size, rels, formula,
+                                            expected):
+    s = _structure(size, **rels)
+    assert model_check_basic(s, formula) == expected
+    assert model_check(s, formula) == expected
+
+
+def test_universal_block_rewrite_matches_basic_random():
+    """Random prefix-then-universal formulas over random small structures:
+    the rewritten schedule and the textbook recursion agree."""
+    rng = random.Random(77)
+    unary, binary = ("P", "Q", "E"), ("R", "S")
+    for trial in range(400):
+        size = rng.randint(0, 4)
+        rels = {r: {(e,) for e in range(size) if rng.random() < 0.5}
+                for r in unary}
+        rels.update({r: {(a, b) for a in range(size) for b in range(size)
+                         if rng.random() < 0.4} for r in binary})
+        rels["E"] = set()
+        ex = [f"a{i}" for i in range(rng.randint(0, 2))]
+        fa = [f"x{i}" for i in range(rng.randint(1, 2))]
+        names = ex + fa
+
+        def atom():
+            if rng.random() < 0.5:
+                return Atom(rng.choice(unary), (rng.choice(names),))
+            return Atom(rng.choice(binary),
+                        (rng.choice(names), rng.choice(names)))
+
+        def literal():
+            f = atom() if rng.random() < 0.8 else Equal(rng.choice(names),
+                                                        rng.choice(names))
+            return Not(f) if rng.random() < 0.3 else f
+
+        parts = []
+        for _ in range(rng.randint(0, 2)):
+            parts.append(Atom(rng.choice(unary), (rng.choice(ex),))
+                         if ex and rng.random() < 0.6 else literal())
+        if rng.random() < 0.8:
+            guard = [Atom(rng.choice(unary), (x,)) for x in fa
+                     if rng.random() < 0.7]
+            if rng.random() < 0.3:
+                guard.append(literal())
+            left = guard[0] if len(guard) == 1 else And(tuple(guard))
+            parts.append(Implies(left, Or((literal(), literal()))))
+        if rng.random() < 0.2:
+            parts.append(literal())
+        rng.shuffle(parts)
+        f = parts[0] if len(parts) == 1 else And(tuple(parts))
+        for x in reversed(fa):
+            f = Forall(x, f)
+        for a in reversed(ex):
+            f = Exists(a, f)
+        s = _structure(size, **rels)
+        assert model_check(s, f) == model_check_basic(s, f), \
+            (trial, formula_to_sexpr(f), rels)
 
 
 def test_structure_debug_text(toy1):
