@@ -62,13 +62,8 @@ def _solve_with(instance: Instance, k: int, solver: str, fragment: Optional[str]
                 budget: int, dot_path: Optional[str] = None):
     """Returns (solvable, plan or None, solver label, stats)."""
     if solver == "post-unique":
-        if not classify(instance).post_unique:
-            raise ContractError("instance is not post-unique")
-        result = postunique.solve_postunique(instance, k)
-        best = min(result.plans, key=lambda p: (len(p), p), default=None)
-        return best is not None, best, solver, {
-            "search_tree_nodes": result.node_count,
-            "minimal_plans": len(result.plans)}
+        plan, labels = postunique.shortest_plan_with_stats(instance, k)
+        return plan is not None, plan, solver, {"search_tree_nodes": labels}
     if solver == "zero-two":
         result = zerotwo.solve_zero_two(instance, k)
         stats = {"transformed": result.transformed,
@@ -93,17 +88,16 @@ def _solve_with(instance: Instance, k: int, solver: str, fragment: Optional[str]
 
 
 def cmd_solve(args) -> int:
-    instance = _load_instance(args.instance)
     if args.k < 0:
-        raise ContractError("k must be non-negative")
-    solver = args.solver
-    if solver == "auto":
-        solver = _route(instance)
-        fragment = fomc.SIGMA1 if solver == "fo-mc" else None
-    else:
-        fragment = args.fragment
+        raise ValueError("k must be non-negative")
+    instance = _load_instance(args.instance)
+    solver = _route(instance) if args.solver == "auto" else args.solver
+    if args.fragment and solver != "fo-mc":
+        raise ValueError(f"--fragment applies to fo-mc, not {solver}")
+    if args.dot and solver != "zero-two":
+        raise ValueError(f"--dot applies to zero-two, not {solver}")
     solvable, plan, label, stats = _solve_with(
-        instance, args.k, solver, fragment, _budget(args), args.dot)
+        instance, args.k, solver, args.fragment, _budget(args), args.dot)
     if plan is not None:
         report = validate_plan(instance, plan)
         if not report.valid:

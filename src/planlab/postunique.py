@@ -1,24 +1,26 @@
-"""Search-tree solver for post-unique instances.
+"""Level-order search for post-unique instances.
 
 A sequence that is not yet a plan always has a required variable-value pair:
 some step's precondition (or the goal) needs (v, x) while the preceding
 window of states does not deliver it.  Post-uniqueness means at most one
-action produces (v, x), so the tree branches only on the insertion position
-of that producer.  The tree enumerates every minimal plan of length <= k.
+action produces (v, x), so a sequence branches only on the insertion
+position of that producer.  Starting from the empty sequence, these
+insertions reach every minimal plan of length <= k.
+
+A sequence's successors depend on the sequence alone, and each insertion
+adds one step, so the search runs level by level over sets of distinct
+sequences ("labels"): a label reached along two insertion orders is
+examined once.  `solve_postunique` drains every level and keeps the minimal
+plans; `shortest_plan_with_stats` stops at the first level holding a plan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from .core import (ContractError, Instance, Plan, apply_action, classify,
-                   validate_plan)
+from .core import ContractError, Instance, Plan, apply_action
 from .oracle import is_minimal_plan
-
-OPEN = "open"
-SUCCESS = "success"
-FAILURE = "failure"
 
 
 @dataclass(frozen=True)
@@ -30,21 +32,9 @@ class RequiredPair:
 
 
 @dataclass
-class SearchNode:
-    label: Plan
-    depth: int
-    status: str
-    children: List[int]
-
-
-@dataclass
 class SearchResult:
     plans: Tuple[Plan, ...]
-    nodes: List[SearchNode]
-
-    @property
-    def node_count(self) -> int:
-        return len(self.nodes)
+    node_count: int  # distinct labels examined
 
 
 def _states_along(instance: Instance, seq: Plan):
@@ -88,12 +78,7 @@ def find_required_pair(instance: Instance, seq: Plan) -> Optional[RequiredPair]:
 
 def producer(instance: Instance, v: int, x: int) -> Optional[int]:
     """The unique action with eff[v] = x; requires a post-unique instance."""
-    if not classify(instance).post_unique:
-        raise ContractError("producer() requires a post-unique instance")
-    for aid, action in enumerate(instance.actions):
-        if action.eff.get(v) == x:
-            return aid
-    return None
+    return _producer_table(instance).get((v, x))
 
 
 def _producer_table(instance: Instance) -> Dict[Tuple[int, int], int]:
@@ -113,49 +98,54 @@ def _insert(seq: Plan, pos: int, aid: int) -> Plan:
     return seq[:pos - 1] + (aid,) + seq[pos - 1:]
 
 
-def solve_postunique(instance: Instance, k: int) -> SearchResult:
-    """All minimal plans of length <= k, with the explored tree."""
+def _levels(instance: Instance, k: int) -> Iterator[Tuple[List[Plan], int]]:
+    """For d = 0, 1, ... up to k: the plans among the distinct labels of
+    length d, and the number of labels examined so far."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    if not classify(instance).post_unique:
-        raise ContractError("solve_postunique requires a post-unique instance")
     table = _producer_table(instance)
-    node_budget = (k + 1) ** (k + 1)
-
-    nodes: List[SearchNode] = [SearchNode((), 0, OPEN, [])]
-    plans = set()
-    stack = [0]
-    while stack:
-        node_id = stack.pop()
-        node = nodes[node_id]
-        seq = node.label
-        if validate_plan(instance, seq).valid:
-            node.status = SUCCESS
-            plans.add(seq)
-            continue
-        pair = find_required_pair(instance, seq)
-        aid = table.get((pair.variable, pair.value))
-        if len(seq) == k or aid is None:
-            node.status = FAILURE
-            continue
-        # Insertion slots i..j as list positions; slot 0 coincides with slot 1.
-        children = []
-        for pos in range(max(pair.i, 1), pair.j + 1):
-            child = SearchNode(_insert(seq, pos, aid), node.depth + 1, OPEN, [])
-            nodes.append(child)
-            if len(nodes) > node_budget:
-                raise AssertionError(
-                    f"search tree exceeded {node_budget} nodes: "
-                    "implementation bug")
-            children.append(len(nodes) - 1)
-        node.children = children
-        # LIFO with reversed push keeps exploration in child order i..j.
-        stack.extend(reversed(children))
-
-    minimal = tuple(sorted((p for p in plans if is_minimal_plan(instance, p)),
-                           key=lambda p: (len(p), p)))
-    return SearchResult(minimal, nodes)
+    label_budget = (k + 1) ** (k + 1)
+    level = {()}
+    labels = 0
+    while level:
+        labels += len(level)
+        if labels > label_budget:
+            raise AssertionError(
+                f"search exceeded {label_budget} labels: implementation bug")
+        plans: List[Plan] = []
+        successors = set()
+        for seq in level:
+            pair = find_required_pair(instance, seq)
+            if pair is None:
+                plans.append(seq)
+                continue
+            aid = table.get((pair.variable, pair.value))
+            if len(seq) < k and aid is not None:
+                # Insertion slots i..j as list positions; slot 0 coincides
+                # with slot 1.
+                successors.update(_insert(seq, pos, aid)
+                                  for pos in range(max(pair.i, 1), pair.j + 1))
+        yield plans, labels
+        level = successors
 
 
-def minimal_plans(instance: Instance, k: int) -> Tuple[Plan, ...]:
-    return solve_postunique(instance, k).plans
+def solve_postunique(instance: Instance, k: int) -> SearchResult:
+    """All minimal plans of length <= k, shortest first, then
+    lexicographically; and the number of labels examined."""
+    minimal: List[Plan] = []
+    labels = 0
+    for plans, labels in _levels(instance, k):
+        minimal.extend(sorted(p for p in plans if is_minimal_plan(instance, p)))
+    return SearchResult(tuple(minimal), labels)
+
+
+def shortest_plan_with_stats(instance: Instance, k: int
+                             ) -> Tuple[Optional[Plan], int]:
+    """(lexicographically smallest shortest plan of length <= k or None,
+    labels examined up to its level).  A shortest plan is minimal, so the
+    search reaches every one of them."""
+    labels = 0
+    for plans, labels in _levels(instance, k):
+        if plans:
+            return min(plans), labels
+    return None, labels

@@ -1,8 +1,12 @@
 import json
+import random
 
 import pytest
 
+from planlab import io
 from planlab.cli import main
+from planlab.generators import compose_pub, random_instance
+from planlab.oracle import shortest_plan
 
 TOY1_TEXT = """\
 SASP 1
@@ -76,15 +80,78 @@ def test_solve_every_solver_agrees(capsys, toy_file):
         assert code == 1, solver
 
 
+def test_solve_negative_k_is_a_usage_error(capsys, toy_file):
+    for solver in ("auto", "oracle", "post-unique", "zero-two", "fo-mc"):
+        code, out = run(capsys, "solve", toy_file, "-1", "--solver", solver)
+        assert code == 2 and out is None, solver
+
+
+def test_solve_post_unique_prints_oracle_plan(capsys, tmp_path):
+    rng = random.Random(2718)
+    path = tmp_path / "pu.sasp"
+    for i in range(40):
+        n, d = rng.randint(2, 5), rng.randint(2, 3)
+        inst = random_instance(n, d, rng.randint(1, min(8, n * d)),
+                               seed=5_000 + i, post_unique=True)
+        k = rng.randint(0, 4)
+        path.write_text(io.serialize_instance(inst))
+        expected = shortest_plan(inst, k)
+        code, out = run(capsys, "solve", str(path), str(k),
+                        "--solver", "post-unique")
+        assert code == (1 if expected is None else 0), i
+        assert out["plan"] == (None if expected is None else
+                               [inst.actions[a].name for a in expected]), i
+
+
+def test_solve_compose_pub_three_components(capsys, tmp_path):
+    # three components at k_i = 1 give k' = 1 + 1 + 6 * ceil(log2 3) = 14;
+    # answered by the post-unique route, with the oracle's plan length
+    comps = [(random_instance(3, 2, 4, seed, post_unique=True, unary=True), 1)
+             for seed in (126227683, 244027943, 282804736)]
+    inst, bound = compose_pub(comps)
+    assert bound == 14
+    path = tmp_path / "pub3.sasp"
+    path.write_text(io.serialize_instance(inst))
+    code, out = run(capsys, "solve", str(path), "14")
+    assert code == 0 and out["solver"] == "post-unique"
+    assert out["length"] == len(shortest_plan(inst, 14)) == 13
+
+
 def test_solve_stats(capsys, toy_file):
     code, out = run(capsys, "solve", toy_file, "2", "--stats")
     assert code == 0 and out["stats"]["search_tree_nodes"] >= 1
 
 
-def test_solve_forced_fragment(capsys, toy_file):
+def test_solve_forced_fragment(capsys, toy_file, tmp_path):
     code, out = run(capsys, "solve", toy_file, "2", "--solver", "fo-mc",
                     "--fragment", "sigma22")
     assert code == 0 and out["solver"] == "fo-mc/sigma22"
+
+    # unary, two producers of 1=1: auto routes to fo-mc and keeps the
+    # requested fragment
+    unary = tmp_path / "unary.sasp"
+    unary.write_text("SASP 1\nvars 2\ndomain 2\ninit 0 0\ngoal 1=1\n"
+                     "action a pre eff 0=1\naction b pre 0=1 eff 1=1\n"
+                     "action c pre 0=1 eff 1=1\n")
+    code, out = run(capsys, "solve", str(unary), "2")
+    assert code == 0 and out["solver"] == "fo-mc/sigma1"
+    code, out = run(capsys, "solve", str(unary), "2", "--fragment", "sigma22")
+    assert code == 0 and out["solver"] == "fo-mc/sigma22"
+    assert out["plan"] == ["a", "b"]
+
+
+def test_solve_route_options_need_their_route(capsys, toy_file, tmp_path):
+    # toy1 routes to post-unique: neither --fragment nor --dot applies
+    dot = tmp_path / "toy.dot"
+    cases = [[solver, option] for solver in ("auto", "oracle", "post-unique")
+             for option in (["--fragment", "sigma1"], ["--dot", str(dot)])]
+    cases.append(["fo-mc", ["--dot", str(dot)]])
+    for solver, option in cases:
+        code = main(["solve", toy_file, "2", "--solver", solver, *option])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", (solver, option)
+        assert captured.err.startswith("invalid arguments"), (solver, option)
+    assert not dot.exists()
 
 
 def test_solve_zero_two_dot(capsys, tmp_path):

@@ -4,10 +4,9 @@ import pytest
 
 from planlab.core import Action, ContractError, Instance
 from planlab.generators import random_instance
-from planlab.oracle import enumerate_minimal_plans, is_valid_plan
-from planlab.postunique import (FAILURE, SUCCESS, RequiredPair,
-                                find_required_pair, producer,
-                                solve_postunique)
+from planlab.oracle import enumerate_minimal_plans, is_valid_plan, shortest_plan
+from planlab.postunique import (RequiredPair, find_required_pair, producer,
+                                shortest_plan_with_stats, solve_postunique)
 
 from conftest import random_small_instance
 
@@ -58,11 +57,12 @@ def test_solve_toy1(toy1):
 
 
 def test_no_producer_single_failure_node():
+    # the goal's pair has no producer: the empty label is the only one
     inst = Instance(1, 2, (Action("down", {}, {0: 0}),), (0,), {0: 1})
     result = solve_postunique(inst, 3)
     assert result.plans == ()
     assert result.node_count == 1
-    assert result.nodes[0].status == FAILURE
+    assert shortest_plan_with_stats(inst, 3) == (None, 1)
 
 
 def test_contract_requires_post_unique():
@@ -70,30 +70,65 @@ def test_contract_requires_post_unique():
     inst = Instance(1, 2, acts, (0,), {0: 1})
     with pytest.raises(ContractError):
         solve_postunique(inst, 1)
+    with pytest.raises(ContractError):
+        shortest_plan_with_stats(inst, 1)
+
+
+def test_negative_k_rejected(toy1):
+    with pytest.raises(ValueError):
+        solve_postunique(toy1, -1)
+    with pytest.raises(ValueError):
+        shortest_plan_with_stats(toy1, -1)
 
 
 def test_tree_shape(toy1):
-    result = solve_postunique(toy1, 2)
+    # labels by level: (); (a1,); (a2, a1) and the plan (a1, a2)
     k = 2
-    assert result.node_count <= (k + 1) ** (k + 1)
-    producers = {(v, x) for a in toy1.actions for v, x in a.eff.items()}
-    for node in result.nodes:
-        assert node.depth == len(node.label) <= k
-        assert len(node.children) <= k + 1
-        if node.status == SUCCESS:
-            assert is_valid_plan(toy1, node.label)
-        if node.status == FAILURE:
-            pair = find_required_pair(toy1, node.label)
-            assert pair is not None
-            assert node.depth == k or \
-                (pair.variable, pair.value) not in producers
+    result = solve_postunique(toy1, k)
+    assert result.plans == ((0, 1),)
+    assert result.node_count == 4 <= (k + 1) ** (k + 1)
+    assert shortest_plan_with_stats(toy1, k) == ((0, 1), 4)
+    # at k = 1 the search stops after the first two levels
+    assert solve_postunique(toy1, 1).node_count == 2
+    assert shortest_plan_with_stats(toy1, 1) == (None, 2)
+    # the goal already holds: the empty plan, after one label
+    done = Instance(1, 2, toy1.actions[:1], (1,), {0: 1})
+    assert shortest_plan_with_stats(done, 2) == ((), 1)
+    assert solve_postunique(done, 2).plans == ((),)
 
 
-def test_rerun_identical(toy1):
-    a = solve_postunique(toy1, 2)
-    b = solve_postunique(toy1, 2)
-    assert [n.label for n in a.nodes] == [n.label for n in b.nodes]
-    assert a.plans == b.plans
+def test_rerun_identical():
+    rng = random.Random(4242)
+    for i in range(40):
+        n, d = rng.randint(2, 5), rng.randint(2, 3)
+        inst = random_instance(n, d, rng.randint(1, min(8, n * d)), seed=i,
+                               post_unique=True)
+        k = rng.randint(0, 4)
+        a, b = solve_postunique(inst, k), solve_postunique(inst, k)
+        assert a.plans == b.plans and a.node_count == b.node_count
+        assert shortest_plan_with_stats(inst, k) == \
+            shortest_plan_with_stats(inst, k)
+
+
+def test_shortest_matches_oracle():
+    # the criterion-2 distribution: the first plan level's smallest label
+    # is the oracle's shortest plan, and solving examines no more labels
+    # than enumerating
+    rng = random.Random(0x5107)
+    lengths = []
+    for i in range(320):
+        n = rng.randint(2, 6)
+        d = rng.randint(2, 3)
+        m = rng.randint(1, min(8, n * d))
+        k = rng.randint(0, 5)
+        inst = random_instance(n, d, m, seed=91_000 + i, post_unique=True)
+        plan, labels = shortest_plan_with_stats(inst, k)
+        assert plan == shortest_plan(inst, k), (i, k)
+        assert 1 <= labels <= solve_postunique(inst, k).node_count \
+            <= (k + 1) ** (k + 1)
+        if plan is not None:
+            lengths.append(len(plan))
+    assert 50 <= len(lengths) <= 270 and {0, 1, 2} <= set(lengths)
 
 
 @pytest.mark.parametrize("seed", range(30))
