@@ -25,9 +25,12 @@ EXIT_INAPPLICABLE = 3
 
 
 def _budget(args) -> int:
-    if args.budget is not None:
-        return args.budget
-    return int(os.environ.get(BUDGET_ENV, oracle.DEFAULT_BUDGET))
+    budget = args.budget
+    if budget is None:
+        budget = int(os.environ.get(BUDGET_ENV, oracle.DEFAULT_BUDGET))
+    if budget < 0:
+        raise ValueError(f"the budget must be non-negative, got {budget}")
+    return budget
 
 
 def _load_instance(path: str) -> Instance:
@@ -90,6 +93,7 @@ def _solve_with(instance: Instance, k: int, solver: str, fragment: Optional[str]
 def cmd_solve(args) -> int:
     if args.k < 0:
         raise ValueError("k must be non-negative")
+    budget = _budget(args)
     instance = _load_instance(args.instance)
     solver = _route(instance) if args.solver == "auto" else args.solver
     if args.fragment and solver != "fo-mc":
@@ -97,7 +101,7 @@ def cmd_solve(args) -> int:
     if args.dot and solver != "zero-two":
         raise ValueError(f"--dot applies to zero-two, not {solver}")
     solvable, plan, label, stats = _solve_with(
-        instance, args.k, solver, args.fragment, _budget(args), args.dot)
+        instance, args.k, solver, args.fragment, budget, args.dot)
     if plan is not None:
         report = validate_plan(instance, plan)
         if not report.valid:
@@ -141,7 +145,7 @@ def _parse_sets(text: str) -> Tuple[Tuple[int, ...], ...]:
     if not text:
         return ()
     if not (text.startswith("{") and text.endswith("}")):
-        raise ContractError("subsets must look like {1,2},{2,3}")
+        raise ValueError("subsets must look like {1,2},{2,3}")
     groups = text[1:-1].split("},{")
     out = []
     for g in groups:
@@ -169,7 +173,7 @@ def _parse_edges(text: str) -> Tuple[Tuple[generators.Vertex,
 def _graph_from_args(args) -> generators.MulticoloredGraph:
     if args.complete:
         if args.per_part != 1:
-            raise ContractError("--complete is defined for --per-part 1")
+            raise ValueError("--complete is defined for --per-part 1")
         edges = tuple(generators.normalize_edge((i, 0), (j, 0))
                       for i in range(1, args.parts + 1)
                       for j in range(i + 1, args.parts + 1))
@@ -224,7 +228,7 @@ def cmd_generate(args) -> int:
         for spec_text in args.component:
             path, _, ktext = spec_text.rpartition(":")
             if not path:
-                raise ContractError("--component takes PATH:K")
+                raise ValueError("--component takes PATH:K")
             comps.append((_load_instance(path), int(ktext)))
         instance, bound = generators.compose_pub(comps)
         meta = {"generator": kind, "components": list(args.component)}

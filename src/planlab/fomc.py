@@ -9,21 +9,26 @@ its interchangeable dummy variables.  A generic evaluator then decides
 satisfaction, giving a solver route that shares no code with the state-space
 oracle or the search-tree solver.
 
-The evaluator takes each quantified variable's domain from the formula's
-guards: a unary atom conjoined under the existential prefix filters that
-level's candidates, conjuncts of the following universal block that mention
-none of its variables are hoisted out of it, and the block's variables
-range only over the elements passing the unary atoms of its Implies guard.
+The evaluator compiles each formula node to a Python closure over one
+environment list, with every relation a frozenset of radix-packed keys.  It
+takes each quantified variable's domain from the formula's guards: a unary
+atom conjoined under the existential prefix filters that level's
+candidates, conjuncts of the following universal block that mention none
+of its variables are hoisted out of it, and the block's variables range
+only over the elements passing the unary atoms of its Implies guard.
 On the sigma22 encoding the actions then range over ACT and (v, x) over
 VAR x DOM: the prefix assignments tried no longer depend on the size of the
-declared domain, and each check visits n(d+1) pairs instead of U**2.
+declared domain, and each check visits n(d+1) pairs instead of U**2.  The
+reference evaluator model_check_basic compiles the same nodes with no
+rewrite, every quantifier over the whole universe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from .core import (ContractError, Instance, Plan, PlanLabError, classify,
                    diff_set, validate_plan)
@@ -421,182 +426,169 @@ def build_sigma1_formula(k: int) -> Formula:
 # ---------------------------------------------------------------------------
 # Compiled queries
 # ---------------------------------------------------------------------------
+#
+# A formula compiles to closures over one environment list: each quantifier
+# gets an integer slot, and a variable name resolves through the scope of its
+# enclosing binders to the innermost one.  A relation is a frozenset of its
+# tuples packed radix-U into ints, so a unary relation's keys are its
+# elements.
 
-# Node kinds of a compiled formula; payload[node] holds the node's data.
-ATOM = 0      # (relation id, slots); the relation is a frozenset of keys
-EQ = 1        # (slot, slot)
-NOT = 2       # child
-AND = 3       # children
-OR = 4        # children
-IMPLIES = 5   # (child, child)
-EXISTS = 6    # (slot, child, domain)
-FORALL = 7    # (slot, child, domain)
-ATOM_BM = 8   # atom over a relation stored as a byte bitmap
+Check = Callable[[List[int]], bool]
 
 
-@dataclass
-class CompiledQuery:
-    """A closed formula over one structure, flattened for evaluation.
-
-    Relations are sets (or byte bitmaps) of radix-U packed tuples, and
-    quantified variables are integer slots into a single environment list.
-    Each quantifier node carries the domain it ranges over: range(U) in the
-    tree under root, which evaluate_basic walks.
-
-    The outer existential block is split out: candidates[L] lists the
-    elements tried for prefix level L (pre-filtered through unary guard
-    conjuncts), const_nodes are conjuncts with no prefix variable, and
-    sched[L] holds (node, conflict levels) pairs checked right after level L
-    is bound; every conjunct appears exactly once across the three.  When
-    the prefix is followed by a universal block over a non-empty universe,
-    its conjuncts that mention no block variable are hoisted out of it and
-    join the prefix conjuncts (so unary ones become candidate filters too),
-    and the rest of the block is emitted as new nodes whose variables range
-    only over the elements passing the unary atoms of its Implies guard.
-    """
-    kinds: List[int]
-    payload: List[object]
-    rels: List[object]
-    U: int
-    n_slots: int
-    root: int
-    prefix_slots: List[int]
-    prefix_names: List[str]
-    candidates: List[List[int]]
-    const_nodes: List[int]
-    sched: List[List[Tuple[int, Tuple[int, ...]]]]
+def _atom(keys: FrozenSet[int], slots: Tuple[int, ...], U: int) -> Check:
+    if len(slots) == 1:
+        a, = slots
+        return lambda env: env[a] in keys
+    if len(slots) == 2:
+        a, b = slots
+        return lambda env: env[a] * U + env[b] in keys
+    if len(slots) == 3:
+        a, b, c = slots
+        return lambda env: (env[a] * U + env[b]) * U + env[c] in keys
+    return lambda env: reduce(lambda key, s: key * U + env[s], slots, 0) in keys
 
 
-def compile_query(structure: RelationalStructure,
-                  formula: Formula) -> CompiledQuery:
-    U = structure.size
-    rel_ids: Dict[str, int] = {}
-    rels: List[object] = []  # bytes bitmap (small key spaces) or frozenset
-    packed_keys: List[frozenset] = []
-    kinds: List[int] = []
-    payload: List[object] = []
-    free: List[frozenset] = []  # free slots per node
+def _all(parts: Tuple[Check, ...]) -> Check:
+    if len(parts) == 1:
+        return parts[0]
+    if len(parts) == 2:
+        a, b = parts
+        return lambda env: a(env) and b(env)
 
-    scope: Dict[str, List[int]] = {}
-    slot_count = 0
-    full = range(U)
+    def all_(env):
+        for p in parts:
+            if not p(env):
+                return False
+        return True
+    return all_
 
-    def rel_id(name: str, arity: int) -> int:
-        if name not in structure.relations:
+
+def _any(parts: Tuple[Check, ...]) -> Check:
+    if len(parts) == 1:
+        return parts[0]
+    if len(parts) == 2:
+        a, b = parts
+        return lambda env: a(env) or b(env)
+
+    def any_(env):
+        for p in parts:
+            if p(env):
+                return True
+        return False
+    return any_
+
+
+def _quantifier(exists: bool, slot: int, domain, body: Check) -> Check:
+    if exists:
+        return lambda env: any(body(env) for env[slot] in domain)
+    return lambda env: all(body(env) for env[slot] in domain)
+
+
+def _conjuncts(f: Formula) -> List[Formula]:
+    if isinstance(f, And):
+        return [g for p in f.parts for g in _conjuncts(p)]
+    return [f]
+
+
+def _free_names(f: Formula) -> set:
+    if isinstance(f, Atom):
+        return set(f.terms)
+    if isinstance(f, Equal):
+        return {f.left, f.right}
+    if isinstance(f, (Exists, Forall)):
+        return _free_names(f.body) - {f.var}
+    if isinstance(f, Not):
+        return _free_names(f.part)
+    if isinstance(f, Implies):
+        return _free_names(f.left) | _free_names(f.right)
+    return set().union(*map(_free_names, f.parts))
+
+
+def _narrow(domains: Dict[int, Optional[List[int]]], slot: int,
+            members: List[int]) -> None:
+    if domains[slot] is None:
+        domains[slot] = members
+    else:
+        keep = set(members)
+        domains[slot] = [e for e in domains[slot] if e in keep]
+
+
+class _Compiler:
+    """Formula nodes to closures over one structure.  Slots are allocated
+    as binders are met; scope maps each name to its stack of binding slots."""
+
+    def __init__(self, structure: RelationalStructure):
+        self.structure = structure
+        self.U = structure.size
+        self.keys: Dict[str, FrozenSet[int]] = {}
+        self.scope: Dict[str, List[int]] = {}
+        self.n_slots = 0
+
+    def relation(self, name: str, arity: int) -> FrozenSet[int]:
+        s = self.structure
+        if name not in s.relations:
             raise ContractError(f"formula uses unknown relation {name!r}")
-        if structure.arities[name] != arity:
-            raise ContractError(
-                f"relation {name} has arity {structure.arities[name]}, "
-                f"atom uses {arity}")
-        if name not in rel_ids:
-            packed = set()
-            for t in structure.relations[name]:
-                key = 0
-                for e in t:
-                    key = key * U + e
-                packed.add(key)
-            rel_ids[name] = len(rels)
-            packed_keys.append(frozenset(packed))
-            span = U ** arity
-            if span <= 1 << 21:
-                bitmap = bytearray(span)
-                for key in packed:
-                    bitmap[key] = 1
-                rels.append(bytes(bitmap))
-            else:
-                rels.append(frozenset(packed))
-        return rel_ids[name]
+        if s.arities[name] != arity:
+            raise ContractError(f"relation {name} has arity "
+                                f"{s.arities[name]}, atom uses {arity}")
+        if name not in self.keys:
+            self.keys[name] = frozenset(
+                reduce(lambda key, e: key * self.U + e, t, 0)
+                for t in s.relations[name])
+        return self.keys[name]
 
-    def slot_of(name: str) -> int:
-        if name not in scope or not scope[name]:
+    def slot(self, name: str) -> int:
+        stack = self.scope.get(name)
+        if not stack:
             raise ContractError(f"free variable {name!r} in formula")
-        return scope[name][-1]
+        return stack[-1]
 
-    def emit(kind: int, data, free_slots: frozenset) -> int:
-        kinds.append(kind)
-        payload.append(data)
-        free.append(free_slots)
-        return len(kinds) - 1
+    def free_slots(self, f: Formula) -> set:
+        return {self.slot(name) for name in _free_names(f)}
 
-    def walk(f: Formula) -> int:
-        nonlocal slot_count
-        if isinstance(f, Atom):
-            slots = tuple(slot_of(t) for t in f.terms)
-            rid = rel_id(f.rel, len(f.terms))
-            kind = ATOM_BM if isinstance(rels[rid], bytes) else ATOM
-            return emit(kind, (rid, slots), frozenset(slots))
-        if isinstance(f, Equal):
-            a, b = slot_of(f.left), slot_of(f.right)
-            return emit(EQ, (a, b), frozenset((a, b)))
-        if isinstance(f, Not):
-            c = walk(f.part)
-            return emit(NOT, c, free[c])
-        if isinstance(f, And) or isinstance(f, Or):
-            children = tuple(walk(p) for p in f.parts)
-            fs = frozenset().union(*(free[c] for c in children)) \
-                if children else frozenset()
-            return emit(AND if isinstance(f, And) else OR, children, fs)
-        if isinstance(f, Implies):
-            a, b = walk(f.left), walk(f.right)
-            return emit(IMPLIES, (a, b), free[a] | free[b])
-        if isinstance(f, (Exists, Forall)):
-            slot = slot_count
-            slot_count += 1
-            scope.setdefault(f.var, []).append(slot)
-            c = walk(f.body)
-            scope[f.var].pop()
-            kind = EXISTS if isinstance(f, Exists) else FORALL
-            return emit(kind, (slot, c, full), free[c] - {slot})
-        raise TypeError(f"not a formula node: {f!r}")
+    def bind(self, name: str) -> int:
+        self.scope.setdefault(name, []).append(self.n_slots)
+        self.n_slots += 1
+        return self.n_slots - 1
 
-    root = walk(formula)
-    if free[root]:
-        raise ContractError("formula is not closed")
-
-    # Outer existential block and its conjunct schedule.
-    prefix_slots: List[int] = []
-    prefix_names: List[str] = []
-    node = root
-    f_walk = formula
-    while kinds[node] == EXISTS:
-        slot, node, _ = payload[node]
-        prefix_slots.append(slot)
-        prefix_names.append(f_walk.var)
-        f_walk = f_walk.body
-
-    def conjuncts_of(n: int) -> List[int]:
-        if kinds[n] == AND:
-            out: List[int] = []
-            for c in payload[n]:
-                out.extend(conjuncts_of(c))
-            return out
-        return [n]
-
-    def unary_guard(n: int, slots: Dict[int, object]):
-        """(slot, sorted members) if n is a unary atom over one of slots."""
-        if kinds[n] in (ATOM, ATOM_BM):
-            rid, atom_slots = payload[n]
-            if len(atom_slots) == 1 and atom_slots[0] in slots:
-                # unary keys are the elements themselves
-                return atom_slots[0], sorted(packed_keys[rid])
+    def unary_guard(self, f: Formula, domains: Dict[int, object]):
+        """(slot, sorted members) if f is a unary atom over one of domains'
+        slots."""
+        if isinstance(f, Atom) and len(f.terms) == 1:
+            slot = self.slot(f.terms[0])
+            if slot in domains:
+                return slot, sorted(self.relation(f.rel, 1))
         return None
 
-    def narrow(domains: Dict[int, Optional[List[int]]], slot: int,
-               members: List[int]) -> None:
-        if domains[slot] is None:
-            domains[slot] = members
-        else:
-            keep = set(members)
-            domains[slot] = [e for e in domains[slot] if e in keep]
+    def compile(self, f: Formula) -> Check:
+        if isinstance(f, Atom):
+            return _atom(self.relation(f.rel, len(f.terms)),
+                         tuple(map(self.slot, f.terms)), self.U)
+        if isinstance(f, Equal):
+            a, b = self.slot(f.left), self.slot(f.right)
+            return lambda env: env[a] == env[b]
+        if isinstance(f, Not):
+            part = self.compile(f.part)
+            return lambda env: not part(env)
+        if isinstance(f, And):
+            return _all(tuple(map(self.compile, f.parts)))
+        if isinstance(f, Or):
+            return _any(tuple(map(self.compile, f.parts)))
+        if isinstance(f, Implies):
+            left, right = self.compile(f.left), self.compile(f.right)
+            return lambda env: not left(env) or right(env)
+        if isinstance(f, (Exists, Forall)):
+            slot = self.bind(f.var)
+            body = self.compile(f.body)
+            self.scope[f.var].pop()
+            return _quantifier(isinstance(f, Exists), slot, range(self.U),
+                               body)
+        raise TypeError(f"not a formula node: {f!r}")
 
-    def conjunction(parts: List[int]) -> int:
-        if len(parts) == 1:
-            return parts[0]
-        return emit(AND, tuple(parts),
-                    frozenset().union(*(free[p] for p in parts)))
-
-    def split_universal_block(n: int) -> List[int]:
-        """Conjuncts equivalent to the universal block at n when U >= 1.
+    def universal_block(self, f: Forall):
+        """(hoisted conjuncts, (check, free slots) or None), equivalent to
+        the universal block f when U >= 1.
 
         Conjuncts of the block's body that mention no block variable are
         hoisted out (for U >= 1, forall x (P and Q) is P and forall x Q
@@ -604,154 +596,136 @@ def compile_query(structure: RelationalStructure,
         variable ranges only over the elements passing the unary atoms of
         its antecedent, since the implication holds vacuously elsewhere.
         """
-        block: List[int] = []
-        while kinds[n] == FORALL:
-            slot, n, _ = payload[n]
-            block.append(slot)
-        domains: Dict[int, Optional[List[int]]] = dict.fromkeys(block)
-        hoisted: List[int] = []
-        kept: List[int] = []
-        for c in conjuncts_of(n):
-            (hoisted if free[c].isdisjoint(block) else kept).append(c)
+        block: List[str] = []
+        while isinstance(f, Forall):
+            block.append(f.var)
+            f = f.body
+        hoisted: List[Formula] = []
+        kept: List[Formula] = []
+        for g in _conjuncts(f):
+            (kept if _free_names(g).intersection(block) else hoisted).append(g)
         if not kept:
-            return hoisted
-        body = conjunction(kept)
-        if len(kept) == 1 and kinds[body] == IMPLIES:
-            guard, then = payload[body]
+            return hoisted, None
+        slots = [self.bind(name) for name in block]
+        domains: Dict[int, Optional[List[int]]] = dict.fromkeys(slots)
+        body: Formula = And(tuple(kept))
+        free = _free_names(body).difference(block)
+        if len(kept) == 1 and isinstance(kept[0], Implies):
             rest = []
-            for g in conjuncts_of(guard):
-                hit = unary_guard(g, domains)
+            for g in _conjuncts(kept[0].left):
+                hit = self.unary_guard(g, domains)
                 if hit is None:
                     rest.append(g)
                 else:
-                    narrow(domains, *hit)
-            if rest:
-                left = conjunction(rest)
-                body = emit(IMPLIES, (left, then), free[left] | free[then])
-            else:
-                body = then
-        for slot in reversed(block):
-            domain = full if domains[slot] is None else domains[slot]
-            body = emit(FORALL, (slot, body, domain), free[body] - {slot})
-        return hoisted + [body]
+                    _narrow(domains, *hit)
+            body = Implies(And(tuple(rest)), kept[0].right) if rest \
+                else kept[0].right
+        check = self.compile(body)
+        for name in block:
+            self.scope[name].pop()
+        for slot in reversed(slots):
+            domain = range(self.U) if domains[slot] is None else domains[slot]
+            check = _quantifier(False, slot, domain, check)
+        return hoisted, (check, {self.slot(name) for name in free})
 
-    if kinds[node] == FORALL and U > 0:
-        top = split_universal_block(node)
+
+@dataclass
+class CompiledQuery:
+    """A closed formula over one structure, compiled for evaluate_program.
+
+    The outer existential block is split out: prefix_slots[L] is the
+    environment slot of prefix level L, bound to prefix_names[L].
+    candidates[L] lists the elements tried for level L (pre-filtered through
+    unary guard conjuncts), const_checks are conjuncts with no prefix
+    variable, and sched[L] holds (check, conflict levels) pairs run right
+    after level L is bound; every conjunct appears exactly once across the
+    three.  When the prefix is followed by a universal block over a
+    non-empty universe, its conjuncts that mention no block variable are
+    hoisted out of it and join the prefix conjuncts (so unary ones become
+    candidate filters too), and the rest of the block's variables range only
+    over the elements passing the unary atoms of its Implies guard.
+    """
+    n_slots: int
+    prefix_slots: List[int]
+    prefix_names: List[str]
+    candidates: List[List[int]]
+    const_checks: List[Check]
+    sched: List[List[Tuple[Check, Tuple[int, ...]]]]
+
+
+def compile_query(structure: RelationalStructure,
+                  formula: Formula) -> CompiledQuery:
+    c = _Compiler(structure)
+    prefix_slots: List[int] = []
+    prefix_names: List[str] = []
+    f = formula
+    while isinstance(f, Exists):
+        prefix_slots.append(c.bind(f.var))
+        prefix_names.append(f.var)
+        f = f.body
+
+    if isinstance(f, Forall) and c.U > 0:
+        conjuncts, block = c.universal_block(f)
     else:
-        top = conjuncts_of(node)
+        conjuncts, block = _conjuncts(f), None
+    # (conjunct or None, its check if already compiled, its free slots)
+    top = [(g, None, c.free_slots(g)) for g in conjuncts]
+    if block is not None:
+        top.append((None, *block))
 
     level_of = {slot: i for i, slot in enumerate(prefix_slots)}
-    const_nodes: List[int] = []
-    sched: List[List[Tuple[int, Tuple[int, ...]]]] = \
+    const_checks: List[Check] = []
+    sched: List[List[Tuple[Check, Tuple[int, ...]]]] = \
         [[] for _ in prefix_slots]
     # A conjunct that is a bare unary atom over one prefix variable acts as
     # a candidate filter for that level instead of a runtime check; this
     # preserves index order and hence the first witness.
     candidates: Dict[int, Optional[List[int]]] = dict.fromkeys(prefix_slots)
-    for c in top:
-        levels = tuple(sorted(level_of[s] for s in free[c] if s in level_of))
-        if not levels:
-            const_nodes.append(c)
-            continue
-        hit = unary_guard(c, candidates)
+    for g, check, free in top:
+        levels = tuple(sorted(level_of[s] for s in free if s in level_of))
+        hit = c.unary_guard(g, candidates) if levels else None
         if hit is not None:
-            narrow(candidates, *hit)
+            _narrow(candidates, *hit)
             continue
-        sched[levels[-1]].append((c, levels))
-    cands = [list(full) if candidates[s] is None else candidates[s]
+        check = check or c.compile(g)
+        if levels:
+            sched[levels[-1]].append((check, levels))
+        else:
+            const_checks.append(check)
+    cands = [list(range(c.U)) if candidates[s] is None else candidates[s]
              for s in prefix_slots]
-
-    return CompiledQuery(kinds, payload, rels, U, slot_count, root,
-                         prefix_slots, prefix_names, cands, const_nodes,
-                         sched)
+    return CompiledQuery(c.n_slots, prefix_slots, prefix_names, cands,
+                         const_checks, sched)
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
 #
-# Two evaluators.  evaluate_basic is the plain recursive short-circuiting
-# definition of satisfaction.  evaluate_program handles the common shape
-# here -- a closed formula with an outer existential block -- and checks
-# each top-level conjunct as soon as its variables are bound, with
-# conflict-directed backjumping over the block.  Both try universe elements
-# in index order, so the first witness is deterministic and the same for both.
+# Two evaluators over the same node compiler.  model_check_basic is the plain
+# recursive short-circuiting definition of satisfaction: every quantifier
+# ranges over the whole universe and nothing is rewritten.  evaluate_program
+# handles the common shape here -- a closed formula with an outer
+# existential block -- and checks each top-level conjunct as soon as its
+# variables are bound, with conflict-directed backjumping over the block.
+# Both try universe elements in index order, so the first witness is
+# deterministic and the same for both.
 
 _SAT = object()  # sentinel distinct from any conflict set
 
 
-def eval_node(kinds, payload, rels, U, env, node):
-    kind = kinds[node]
-    if kind == ATOM_BM:
-        rel_id, slots = payload[node]
-        key = 0
-        for s in slots:
-            key = key * U + env[s]
-        return rels[rel_id][key] != 0
-    if kind == ATOM:
-        rel_id, slots = payload[node]
-        key = 0
-        for s in slots:
-            key = key * U + env[s]
-        return key in rels[rel_id]
-    if kind == EQ:
-        a, b = payload[node]
-        return env[a] == env[b]
-    if kind == NOT:
-        return not eval_node(kinds, payload, rels, U, env, payload[node])
-    if kind == AND:
-        for child in payload[node]:
-            if not eval_node(kinds, payload, rels, U, env, child):
-                return False
-        return True
-    if kind == OR:
-        for child in payload[node]:
-            if eval_node(kinds, payload, rels, U, env, child):
-                return True
-        return False
-    if kind == IMPLIES:
-        a, b = payload[node]
-        if not eval_node(kinds, payload, rels, U, env, a):
-            return True
-        return eval_node(kinds, payload, rels, U, env, b)
-    if kind == EXISTS:
-        slot, child, domain = payload[node]
-        for val in domain:
-            env[slot] = val
-            if eval_node(kinds, payload, rels, U, env, child):
-                env[slot] = -1
-                return True
-        env[slot] = -1
-        return False
-    if kind == FORALL:
-        slot, child, domain = payload[node]
-        for val in domain:
-            env[slot] = val
-            if not eval_node(kinds, payload, rels, U, env, child):
-                env[slot] = -1
-                return False
-        env[slot] = -1
-        return True
-    raise ValueError(f"unknown node kind {kind}")
-
-
-def evaluate_basic(q: CompiledQuery) -> bool:
-    env = [-1] * q.n_slots
-    return eval_node(q.kinds, q.payload, q.rels, q.U, env, q.root)
-
-
-def _try_level(kinds, payload, rels, U, env, prefix_slots, cands, sched, L,
-               counter):
+def _try_level(q: CompiledQuery, env: List[int], L: int, counter: List[int]):
     """Bind prefix level L..end.  Returns _SAT or the conflict level set."""
-    last = len(prefix_slots) - 1
-    slot = prefix_slots[L]
+    last = len(q.prefix_slots) - 1
+    slot = q.prefix_slots[L]
+    checks = q.sched[L]
     conflict = set()
-    for val in cands[L]:
+    for val in q.candidates[L]:
         counter[0] += 1
         env[slot] = val
         failed = False
-        for node, levels in sched[L]:
-            if not eval_node(kinds, payload, rels, U, env, node):
+        for check, levels in checks:
+            if not check(env):
                 conflict.update(levels)
                 failed = True
                 break
@@ -759,8 +733,7 @@ def _try_level(kinds, payload, rels, U, env, prefix_slots, cands, sched, L,
             continue
         if L == last:
             return _SAT
-        res = _try_level(kinds, payload, rels, U, env, prefix_slots, cands,
-                         sched, L + 1, counter)
+        res = _try_level(q, env, L + 1, counter)
         if res is _SAT:
             return _SAT
         if L not in res:
@@ -777,14 +750,12 @@ def evaluate_program(q: CompiledQuery):
     """(satisfied, witness values for the prefix or None, assignments)."""
     env = [-1] * q.n_slots
     counter = [0]
-    for node in q.const_nodes:
-        if not eval_node(q.kinds, q.payload, q.rels, q.U, env, node):
+    for check in q.const_checks:
+        if not check(env):
             return (False, None, counter[0])
     if not q.prefix_slots:
         return (True, [], counter[0])
-    res = _try_level(q.kinds, q.payload, q.rels, q.U, env, q.prefix_slots,
-                     q.candidates, q.sched, 0, counter)
-    if res is _SAT:
+    if _try_level(q, env, 0, counter) is _SAT:
         return (True, [env[s] for s in q.prefix_slots], counter[0])
     return (False, None, counter[0])
 
@@ -809,8 +780,9 @@ def model_check_witness(structure: RelationalStructure, formula: Formula):
 def model_check_basic(structure: RelationalStructure, formula: Formula) -> bool:
     """Plain recursive evaluation; the reference semantics that
     model_check is tested against."""
-    q = compile_query(structure, formula)
-    return evaluate_basic(q)
+    c = _Compiler(structure)
+    check = c.compile(formula)
+    return check([-1] * c.n_slots)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ from typing import Dict, Iterator, List, Tuple, Union
 from .core import NAME_RE, Action, Instance, Plan, PlanLabError, StructuralError
 
 _TOKEN_RE = re.compile(r"\S+")
-_ASSIGN_RE = re.compile(r"(\d+)=(\d+)\Z")
+_INT_RE = re.compile(r"[0-9]+\Z")  # ASCII only: str.isdigit() accepts "²"
+_ASSIGN_RE = re.compile(r"([0-9]+)=([0-9]+)\Z")
 
 
 class ParseError(PlanLabError):
@@ -43,6 +44,15 @@ def _lines(text: str) -> Iterator[Tuple[int, List[Tuple[int, str]]]]:
         yield lineno, [(m.start() + 1, m.group()) for m in _TOKEN_RE.finditer(raw)]
 
 
+def _number(text: str, lineno: int, col: int, token: str) -> int:
+    """int() of an ASCII digit string; Python refuses very long ones."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"number too long ({len(text)} digits)", lineno,
+                         col, token) from None
+
+
 def _decode(data: Union[str, bytes]) -> str:
     if isinstance(data, str):
         return data
@@ -59,7 +69,8 @@ def _parse_assignments(tokens, lineno, n, d, what) -> Dict[int, int]:
         if not m:
             raise ParseError(f"expected <var>=<val>, got {tok!r}",
                              lineno, col, tok)
-        v, x = int(m.group(1)), int(m.group(2))
+        v, x = (_number(m.group(1), lineno, col, tok),
+                _number(m.group(2), lineno, col, tok))
         if v >= n:
             raise ParseError(f"{what}: variable index {v} out of range "
                              f"(vars {n})", lineno, col, tok)
@@ -91,10 +102,11 @@ def parse_instance(data: Union[str, bytes]) -> Instance:
 
     def keyword_int(expect: str, least: int = 0) -> int:
         lineno, tokens = next_line(f"'{expect} <int>'")
-        if len(tokens) != 2 or tokens[0][1] != expect or not tokens[1][1].isdigit():
+        if (len(tokens) != 2 or tokens[0][1] != expect
+                or not _INT_RE.match(tokens[1][1])):
             col, tok = tokens[0] if tokens else (1, "")
             raise ParseError(f"expected '{expect} <int>'", lineno, col, tok)
-        value = int(tokens[1][1])
+        value = _number(tokens[1][1], lineno, *tokens[1])
         if value < least:
             raise ParseError(f"{expect} must be at least {least}", lineno,
                              *tokens[1])
@@ -111,10 +123,10 @@ def parse_instance(data: Union[str, bytes]) -> Instance:
         raise ParseError(f"init has {len(values)} values, expected {n}", lineno)
     init = []
     for col, tok in values:
-        if not tok.isdigit():
+        if not _INT_RE.match(tok):
             raise ParseError(f"init: expected integer, got {tok!r}",
                              lineno, col, tok)
-        x = int(tok)
+        x = _number(tok, lineno, col, tok)
         if x >= d:
             raise ParseError(f"init: value out of range (domain {d})",
                              lineno, col, tok)

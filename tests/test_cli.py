@@ -281,3 +281,47 @@ def test_budget_env(capsys, toy_file, monkeypatch, tmp_path):
     monkeypatch.delenv("PLAN_LAB_BUDGET")
     code, _ = run(capsys, "solve", toy_file, "2", "--solver", "oracle")
     assert code == 0
+
+
+def test_generate_malformed_options_are_usage_errors(capsys, tmp_path,
+                                                     toy_file):
+    out = tmp_path / "gen.sasp"
+    hitting = ["generate", "hitting-set", "--universe", "3", "--k", "1"]
+    cases = [
+        ["generate", "compose-pub", "--component", toy_file],  # no :K
+        hitting + ["--sets", "1,2"],
+        hitting + ["--sets", "{1,2},{3"],
+        ["generate", "mcc-03", "--parts", "3", "--per-part", "2",
+         "--complete"],
+        ["generate", "mcc-ubs", "--parts", "2", "--per-part", "0",
+         "--complete"],
+    ]
+    for argv in cases:
+        code = main(argv + ["--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        assert captured.err.startswith("invalid arguments"), argv
+    assert not out.exists()
+    # a well-formed request the generator cannot honour stays inapplicable
+    code = main(hitting + ["--sets", "{1,4}", "--out", str(out)])
+    assert code == 3 and capsys.readouterr().out == ""
+
+
+def test_negative_budget_is_a_usage_error(capsys, toy_file, monkeypatch):
+    code = main(["solve", toy_file, "2", "--solver", "oracle",
+                 "--budget", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("invalid arguments")
+    monkeypatch.setenv("PLAN_LAB_BUDGET", "-5")
+    code = main(["solve", toy_file, "2", "--solver", "oracle"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("invalid arguments")
+    # the flag overrides the environment, and a zero budget is a budget
+    code, out = run(capsys, "solve", toy_file, "2", "--solver", "oracle",
+                    "--budget", "100")
+    assert code == 0 and out["length"] == 2
+    code, _ = run(capsys, "solve", toy_file, "2", "--solver", "oracle",
+                  "--budget", "0")
+    assert code == 3

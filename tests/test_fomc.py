@@ -392,6 +392,112 @@ def test_universal_block_rewrite_matches_basic_random():
             (trial, formula_to_sexpr(f), rels)
 
 
+def _atoms(rel):
+    return lambda *terms: Atom(rel, terms)
+
+
+_Pn, _Qn, _En, _Rn = _atoms("P"), _atoms("Q"), _atoms("E"), _atoms("R")
+
+# Hand-checked over _EDGE: P = {0}, Q = {1, 2}, E = {},
+# R = {(0, 1), (0, 2), (1, 0)}.
+SCOPING_CASES = [
+    # the block's x shadows the prefix x: forall x P(x) fails at x = 1
+    ("block-reuses-prefix-name", Exists("x", Forall("x", _Pn("x"))), False),
+    # P(x) names the block variable, so it is not hoisted to the prefix
+    ("block-reuses-prefix-name-kept",
+     Exists("x", Forall("x", And((_Pn("x"), Or((_Qn("x"), Not(_Qn("x")))))))),
+     False),
+    ("block-reuses-prefix-name-guard",
+     Exists("x", Forall("x", Implies(_Qn("x"), Not(_Pn("x"))))), True),
+    # R has no loop, so the guarded x never meets R(x, x)
+    ("block-guard-shadowed",
+     Exists("x", Forall("x", Implies(_Qn("x"), _Rn("x", "x")))), False),
+    # P(y) is hoisted and pins y = 0; R(0, 1) and R(0, 2) hold
+    ("block-mixes-prefix-and-shadow",
+     Exists("y", Exists("x", Forall("x", And((
+         _Pn("y"), Implies(_Qn("x"), _Rn("y", "x"))))))), True),
+    ("block-mixes-prefix-and-shadow-false",
+     Exists("x", Exists("y", Forall("x", And((
+         _Qn("y"), Implies(_Qn("x"), _Rn("y", "x"))))))), False),
+    # an inner Exists re-binds x; the P(x) after it reads the prefix x again
+    ("inner-exists-rebinds",
+     Exists("x", And((_Pn("x"), Exists("x", _Qn("x")), _Pn("x")))), True),
+    # the same inside an Or, checked at run time: the last Q(x) is the
+    # prefix x (1 or 2), not the inner x = 0
+    ("inner-exists-rebinds-runtime",
+     Exists("x", And((_Qn("x"), Or((_En("x"), And((
+         Exists("x", _Pn("x")), _Qn("x")))))))), True),
+    ("inner-exists-rebinds-false",
+     Exists("x", And((_Qn("x"), Exists("x", _Rn("x", "x"))))), False),
+    # an Exists inside the universal block re-binds the prefix name a
+    ("block-body-rebinds-prefix-name",
+     Exists("a", Forall("x", Implies(_Qn("x"), Exists("a", _Rn("a", "x"))))),
+     True),
+    ("block-body-rebinds-prefix-name-false",
+     Exists("a", Forall("x", Implies(_Qn("x"), Exists("a", And((
+         _Rn("a", "x"), Not(_Pn("a")))))))), False),
+    # Or, Not and Equal under quantifiers nested below the prefix
+    ("nested-or-equal",
+     Exists("a", And((_Pn("a"), Forall("x", Or((Equal("x", "a"),
+                                                 Not(_Pn("x")))))))), True),
+    ("nested-or-equal-false",
+     Exists("a", And((_Qn("a"), Forall("x", Or((Equal("x", "a"),
+                                                 Not(_Qn("x")))))))), False),
+    ("nested-pair",
+     Exists("a", Exists("b", And((
+         _Qn("a"), _Qn("b"), Not(Equal("a", "b")),
+         Forall("x", Implies(_Qn("x"), Or((Equal("x", "a"),
+                                           Equal("x", "b"))))))))), True),
+    # a = 0 and y = 2: 2 has no R-successor
+    ("nested-not-exists",
+     Exists("a", And((Not(_Qn("a")), Exists("y", And((
+         _Rn("a", "y"), Not(Exists("z", _Rn("y", "z"))))))))), True),
+    ("nested-not-exists-false",
+     Exists("a", And((_Pn("a"), Forall("y", Implies(
+         _Rn("a", "y"), Exists("z", _Rn("y", "z"))))))), False),
+]
+
+
+@pytest.mark.parametrize("name, formula, expected", SCOPING_CASES,
+                         ids=[c[0] for c in SCOPING_CASES])
+def test_closure_scoping(name, formula, expected):
+    s = _structure(3, **_EDGE)
+    assert model_check_basic(s, formula) == expected
+    assert model_check(s, formula) == expected
+
+
+def test_closure_scoping_witness():
+    s = _structure(3, **_EDGE)
+    _, f, _ = next(c for c in SCOPING_CASES
+                   if c[0] == "block-mixes-prefix-and-shadow")
+    assert model_check_witness(s, f)[:2] == (True, {"y": 0, "x": 0})
+    _, f, _ = next(c for c in SCOPING_CASES
+                   if c[0] == "inner-exists-rebinds-runtime")
+    assert model_check_witness(s, f)[:2] == (True, {"x": 1})
+
+
+def test_sigma22_over_a_large_arity3_key_space():
+    """With 130 domain values the arity-3 relations PRE_V and EFF_V span
+    more than 2**21 packed keys; the verdicts still match the oracle."""
+    acts = (Action("raise", {}, {0: 129}),
+            Action("climb", {0: 129}, {1: 128}),
+            Action("drop", {1: 128}, {0: 0}))
+    chain = Instance(2, 130, acts, (0, 0), {0: 0, 1: 128})
+    draws = [chain] + [random_instance(3, 130, 6, seed=3100 + i)
+                       for i in range(4)]
+    for inst in draws:
+        s = build_structure(inst)
+        assert s.size ** 3 > 1 << 21
+        assert s.relations["PRE_V"] or s.relations["EFF_V"]
+        for k in (1, 2, 3):
+            expected = shortest_plan(inst, k)
+            r = solve_via_mc(inst, k, SIGMA22)
+            assert r.solvable == (expected is not None), (inst, k)
+            if r.solvable:
+                assert is_valid_plan(inst, r.plan) and len(r.plan) <= k
+    assert [solve_via_mc(chain, k).solvable for k in (2, 3)] == [False, True]
+
+
 def test_structure_debug_text(toy1):
     text = structure_to_text(build_structure(toy1))
     assert "EFF_V" in text and "dum_a" in text

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -64,6 +65,39 @@ def test_parse_errors(mangle, needle):
     with pytest.raises(ParseError) as err:
         parse_instance(mangle(TOY1_TEXT))
     assert needle in str(err.value)
+
+
+@pytest.mark.parametrize("old,new", [
+    ("vars 2", "vars \u00b2"),        # superscript two: str.isdigit() holds
+    ("domain 2", "domain \u00b3"),    # superscript three
+    ("init 0 0", "init 0 \u00b2"),
+    ("goal 0=1", "goal 0=\u0661"),    # Arabic-Indic one: int() accepts it
+    ("vars 2", "vars " + "9" * 5000),  # longer than int() converts
+    ("init 0 0", "init 0 " + "0" * 5000),
+    ("goal 0=1", "goal 0=" + "1" * 5000),
+], ids=["vars-sup2", "domain-sup3", "init-sup2", "goal-arabic-indic",
+        "vars-long", "init-long", "goal-long"])
+def test_numbers_are_ascii_digits(old, new):
+    with pytest.raises(ParseError):
+        parse_instance(TOY1_TEXT.replace(old, new, 1))
+
+
+# TOY1 split around its integers: odd pieces are the numeric tokens
+_TOY1_PIECES = re.split(r"([0-9]+)", TOY1_TEXT)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, len(_TOY1_PIECES) // 2 - 1),
+       st.one_of(st.text(max_size=12),
+                 st.text("0123456789\u00b2\u00b3\u0663\u00bd=- ",
+                         max_size=12)))
+def test_fuzz_numeric_tokens_never_crash(index, text):
+    pieces = list(_TOY1_PIECES)
+    pieces[2 * index + 1] = text
+    try:
+        parse_instance("".join(pieces))
+    except ParseError:
+        pass
 
 
 def test_parse_error_location():
