@@ -34,6 +34,10 @@ from .core import (ContractError, Instance, Plan, PlanLabError, classify,
                    diff_set, validate_plan)
 
 SIGMA1_MAX_K = 8  # the diff subset disjunction grows as 2**k
+# sigma22 nests _value_after k deep, and compiling and evaluating it take
+# about 3 Python frames per level: k = 200 needs a recursion limit of about
+# 613, and k = 330 passes the default 1000.
+SIGMA22_MAX_K = 200
 
 
 class TriviallyUnsolvable(PlanLabError):
@@ -253,14 +257,14 @@ def build_structure(instance: Instance) -> RelationalStructure:
 
 
 def build_extended_structure(instance: Instance, k: int) -> RelationalStructure:
-    """The base structure plus k dummy elements and the diff relations,
-    each action padded to exactly k DIFF_ACT rows.  DUMj holds the j-th
-    dummy alone, so that a formula can pin its j-th dummy variable."""
+    """The base structure plus k dummy elements, GOAL and the diff
+    relations, each action padded to exactly k DIFF_ACT rows.  DUMj holds
+    the j-th dummy alone, so that a formula can pin its j-th dummy
+    variable; no relation holds all the dummies."""
     lay = _layout(instance)
     universe = _base_universe(instance, lay)
     universe += [(f"dum{i}", SORT_DUMMY) for i in range(1, k + 1)]
     rels = _base_relations(instance, lay)
-    rels["DUM"] = {(lay.dummy(i),) for i in range(1, k + 1)}
     for i in range(1, k + 1):
         rels[f"DUM{i}"] = {(lay.dummy(i),)}
     rels["GOAL"] = {(lay.var(v),) for v in instance.goal}
@@ -284,7 +288,7 @@ def build_extended_structure(instance: Instance, k: int) -> RelationalStructure:
                          | {(lay.dummy(i),)
                             for i in range(1, k - len(goal_diff) + 1)})
     arities = dict(_BASE_ARITIES)
-    arities.update({"DUM": 1, "GOAL": 1, "DIFF_ACT": 2, "DIFF_GOAL": 1})
+    arities.update({"GOAL": 1, "DIFF_ACT": 2, "DIFF_GOAL": 1})
     arities.update({f"DUM{i}": 1 for i in range(1, k + 1)})
     return RelationalStructure(
         tuple(universe),
@@ -323,6 +327,10 @@ def build_sigma22_formula(k: int) -> Formula:
     length at most k exists.  Prefix: k existentials, two universals."""
     if k < 1:
         raise ValueError("k must be positive")
+    if k > SIGMA22_MAX_K:
+        raise ContractError(
+            f"the nested sigma22 formula outgrows Python's recursion limit; "
+            f"k={k} exceeds the cap of {SIGMA22_MAX_K}")
     check_pre_all = And(tuple(
         Implies(Atom("PRE_V", (f"a{i}", "v", "x")), _value_after(i - 1, "v", "x"))
         for i in range(1, k + 1)))
@@ -633,20 +641,20 @@ class _Compiler:
 class CompiledQuery:
     """A closed formula over one structure, compiled for evaluate_program.
 
-    The outer existential block is split out: prefix_slots[L] is the
-    environment slot of prefix level L, bound to prefix_names[L].
-    candidates[L] lists the elements tried for level L (pre-filtered through
-    unary guard conjuncts), const_checks are conjuncts with no prefix
-    variable, and sched[L] holds (check, conflict levels) pairs run right
-    after level L is bound; every conjunct appears exactly once across the
-    three.  When the prefix is followed by a universal block over a
-    non-empty universe, its conjuncts that mention no block variable are
-    hoisted out of it and join the prefix conjuncts (so unary ones become
-    candidate filters too), and the rest of the block's variables range only
-    over the elements passing the unary atoms of its Implies guard.
+    The outer existential block is split out: its binders take the first
+    slots, so prefix level L is environment slot L, bound to
+    prefix_names[L].  candidates[L] lists the elements tried for level L
+    (pre-filtered through unary guard conjuncts), const_checks are
+    conjuncts with no prefix variable, and sched[L] holds (check, conflict
+    levels) pairs run right after level L is bound; every conjunct appears
+    exactly once across the three.  When the prefix is followed by a
+    universal block over a non-empty universe, its conjuncts that mention no
+    block variable are hoisted out of it and join the prefix conjuncts (so
+    unary ones become candidate filters too), and the rest of the block's
+    variables range only over the elements passing the unary atoms of its
+    Implies guard.
     """
     n_slots: int
-    prefix_slots: List[int]
     prefix_names: List[str]
     candidates: List[List[int]]
     const_checks: List[Check]
@@ -656,13 +664,13 @@ class CompiledQuery:
 def compile_query(structure: RelationalStructure,
                   formula: Formula) -> CompiledQuery:
     c = _Compiler(structure)
-    prefix_slots: List[int] = []
     prefix_names: List[str] = []
     f = formula
     while isinstance(f, Exists):
-        prefix_slots.append(c.bind(f.var))
+        c.bind(f.var)  # the L-th binder takes slot L
         prefix_names.append(f.var)
         f = f.body
+    e = len(prefix_names)
 
     if isinstance(f, Forall) and c.U > 0:
         conjuncts, block = c.universal_block(f)
@@ -673,16 +681,14 @@ def compile_query(structure: RelationalStructure,
     if block is not None:
         top.append((None, *block))
 
-    level_of = {slot: i for i, slot in enumerate(prefix_slots)}
     const_checks: List[Check] = []
-    sched: List[List[Tuple[Check, Tuple[int, ...]]]] = \
-        [[] for _ in prefix_slots]
+    sched: List[List[Tuple[Check, Tuple[int, ...]]]] = [[] for _ in range(e)]
     # A conjunct that is a bare unary atom over one prefix variable acts as
     # a candidate filter for that level instead of a runtime check; this
     # preserves index order and hence the first witness.
-    candidates: Dict[int, Optional[List[int]]] = dict.fromkeys(prefix_slots)
+    candidates: Dict[int, Optional[List[int]]] = dict.fromkeys(range(e))
     for g, check, free in top:
-        levels = tuple(sorted(level_of[s] for s in free if s in level_of))
+        levels = tuple(sorted(s for s in free if s < e))
         hit = c.unary_guard(g, candidates) if levels else None
         if hit is not None:
             _narrow(candidates, *hit)
@@ -692,10 +698,9 @@ def compile_query(structure: RelationalStructure,
             sched[levels[-1]].append((check, levels))
         else:
             const_checks.append(check)
-    cands = [list(range(c.U)) if candidates[s] is None else candidates[s]
-             for s in prefix_slots]
-    return CompiledQuery(c.n_slots, prefix_slots, prefix_names, cands,
-                         const_checks, sched)
+    cands = [list(range(c.U)) if members is None else members
+             for members in candidates.values()]
+    return CompiledQuery(c.n_slots, prefix_names, cands, const_checks, sched)
 
 
 # ---------------------------------------------------------------------------
@@ -716,13 +721,12 @@ _SAT = object()  # sentinel distinct from any conflict set
 
 def _try_level(q: CompiledQuery, env: List[int], L: int, counter: List[int]):
     """Bind prefix level L..end.  Returns _SAT or the conflict level set."""
-    last = len(q.prefix_slots) - 1
-    slot = q.prefix_slots[L]
+    last = len(q.prefix_names) - 1
     checks = q.sched[L]
     conflict = set()
     for val in q.candidates[L]:
         counter[0] += 1
-        env[slot] = val
+        env[L] = val
         failed = False
         for check, levels in checks:
             if not check(env):
@@ -737,11 +741,11 @@ def _try_level(q: CompiledQuery, env: List[int], L: int, counter: List[int]):
         if res is _SAT:
             return _SAT
         if L not in res:
-            env[slot] = -1
+            env[L] = -1
             return res  # backjump: failure did not involve this level
         res.discard(L)
         conflict.update(res)
-    env[slot] = -1
+    env[L] = -1
     conflict.discard(L)
     return conflict
 
@@ -753,10 +757,11 @@ def evaluate_program(q: CompiledQuery):
     for check in q.const_checks:
         if not check(env):
             return (False, None, counter[0])
-    if not q.prefix_slots:
+    e = len(q.prefix_names)
+    if not e:
         return (True, [], counter[0])
     if _try_level(q, env, 0, counter) is _SAT:
-        return (True, [env[s] for s in q.prefix_slots], counter[0])
+        return (True, env[:e], counter[0])
     return (False, None, counter[0])
 
 
@@ -825,7 +830,9 @@ def solve_via_mc(instance: Instance, k: int, fragment: str = SIGMA22) -> McResul
         raise ContractError("the existential fragment requires a unary instance")
     if k < 0:
         raise ValueError("k must be non-negative")
-    if k == 0:
+    if k == 0 or instance.var_count == 0:
+        # With no variables the empty plan reaches the goal, while sigma1's
+        # VAR(v_i) guards would range over nothing and refute every plan.
         ok = validate_plan(instance, ()).valid
         return McResult(ok, () if ok else None, 0, fragment)
 

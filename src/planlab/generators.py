@@ -388,7 +388,6 @@ def compose_zero_two(components: Sequence[Tuple[Instance, int]]
     if len(ks) != 1:
         raise ContractError("components must share one bound k")
     k = ks.pop()
-    k1 = k * (k + 3) + 1  # the transformed bound k'
 
     transforms = []
     for idx, (inst, _) in enumerate(components):
@@ -397,11 +396,13 @@ def compose_zero_two(components: Sequence[Tuple[Instance, int]]
             raise ContractError(
                 f"component {idx} has an already-satisfied goal; the "
                 "composition presumes every component needs work")
-        if len(deltas) > k1:
+        tr = eliminate_two_effect_good_actions(inst, k)
+        if len(deltas) > tr.bound:
             raise ContractError(
                 f"component {idx} has {len(deltas)} goal deviations, more "
-                f"than k'={k1}; it cannot be solvable at k={k}")
-        transforms.append(eliminate_two_effect_good_actions(inst, k))
+                f"than k'={tr.bound}; it cannot be solvable at k={k}")
+        transforms.append(tr)
+    k1 = transforms[0].bound  # the transformed bound k'
 
     b = InstanceBuilder(domain_size=max(
         2, max(tr.instance.domain_size for tr in transforms)))
@@ -454,8 +455,7 @@ def random_instance(n: int, domain_size: int, num_actions: int, seed: int, *,
                     post_unique: bool = False, unary: bool = False,
                     single_valued: bool = False,
                     max_pre: Optional[int] = None,
-                    max_eff: Optional[int] = None,
-                    goal_vars: Optional[int] = None) -> Instance:
+                    max_eff: Optional[int] = None) -> Instance:
     """Seeded pseudo-random instance satisfying the requested restriction
     flags; identical arguments give identical instances."""
     if n < 1 or domain_size < 1 or num_actions < 0:
@@ -505,9 +505,7 @@ def random_instance(n: int, domain_size: int, num_actions: int, seed: int, *,
         actions.append(Action(f"a{i + 1}", pre, eff))
 
     init = tuple(rng.randrange(domain_size) for _ in range(n))
-    if goal_vars is None:
-        goal_vars = rng.randint(1, n)
     goal = {v: rng.randrange(domain_size)
-            for v in sorted(rng.sample(range(n), min(goal_vars, n)))}
+            for v in sorted(rng.sample(range(n), rng.randint(1, n)))}
     return Instance(var_count=n, domain_size=domain_size,
                     actions=tuple(actions), init=init, goal=goal)

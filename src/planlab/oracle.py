@@ -22,6 +22,7 @@ from typing import Optional, Tuple
 from .core import Instance, Plan, PlanLabError, validate_plan
 
 DEFAULT_BUDGET = 5_000_000
+SEQUENCE_BUDGET = 2_000_000  # enumerate_minimal_plans' cap on sequences tried
 
 
 class BudgetExhausted(PlanLabError):
@@ -116,11 +117,10 @@ def is_minimal_plan(instance: Instance, plan: Plan) -> bool:
                    for sub in _proper_subsequences(plan))
 
 
-def enumerate_minimal_plans(instance: Instance, k: int,
-                            sequence_budget: int = 2_000_000
-                            ) -> Tuple[Plan, ...]:
+def enumerate_minimal_plans(instance: Instance, k: int) -> Tuple[Plan, ...]:
     """Every valid plan of length <= k without a valid proper subsequence,
-    in length-then-lexicographic order."""
+    in length-then-lexicographic order.  Raises BudgetExhausted past
+    SEQUENCE_BUDGET sequences."""
     if k < 0:
         raise ValueError("k must be non-negative")
     m = len(instance.actions)
@@ -129,7 +129,7 @@ def enumerate_minimal_plans(instance: Instance, k: int,
     for length in range(k + 1):
         for seq in product(range(m), repeat=length):
             tried += 1
-            if tried > sequence_budget:
+            if tried > SEQUENCE_BUDGET:
                 raise BudgetExhausted(tried)
             if is_minimal_plan(instance, seq):
                 out.append(seq)

@@ -104,7 +104,10 @@ def _levels(instance: Instance, k: int) -> Iterator[Tuple[List[Plan], int]]:
     if k < 0:
         raise ValueError("k must be non-negative")
     table = _producer_table(instance)
-    label_budget = (k + 1) ** (k + 1)
+    # Past k = 14 the bound exceeds sys.maxsize (16**16 = 2**64), which no
+    # label count held in memory reaches; building it exactly would cost
+    # more than the search (seconds at k = 10**6).
+    label_budget = (k + 1) ** (k + 1) if k < 15 else float("inf")
     level = {()}
     labels = 0
     while level:

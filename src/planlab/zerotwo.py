@@ -37,7 +37,6 @@ class SteinerInstance:
 class TransformResult:
     instance: Instance
     bound: int  # k' = k*(k+3) + 1
-    chains: Dict[int, Tuple[int, ...]]  # original action id -> chain ids, a_1 first
     source_action: Dict[int, int]  # chain action id -> original action id
     g_var: int
     g_reset: int  # id of the action that clears the shared flag variable
@@ -73,6 +72,17 @@ def _has_two_effect_good_action(instance: Instance) -> bool:
                for a in range(len(instance.actions)))
 
 
+def _fresh(name: str, taken: Set[str]) -> str:
+    """name, or name.1, name.2, ... if taken; the result joins taken."""
+    base = name
+    bump = 0
+    while name in taken:
+        bump += 1
+        name = f"{base}.{bump}"
+    taken.add(name)
+    return name
+
+
 def eliminate_two_effect_good_actions(instance: Instance,
                                       k: int) -> TransformResult:
     """Replace every good and mixed action by a chain of k+3 two-effect
@@ -83,39 +93,25 @@ def eliminate_two_effect_good_actions(instance: Instance,
     if k < 0:
         raise ValueError("k must be non-negative")
 
-    n = instance.var_count
     d = max(instance.domain_size, 2)
     var_names = list(instance.var_names)
     init = list(instance.init)
     goal = dict(instance.goal)
+    var_taken = set(var_names)
+    action_taken = {a.name for a in instance.actions}
+    actions: List[Action] = []
 
     def fresh_var(name: str) -> int:
-        base = name
-        bump = 0
-        while name in var_names:
-            bump += 1
-            name = f"{base}.{bump}"
-        var_names.append(name)
+        var_names.append(_fresh(name, var_taken))
         init.append(0)
         goal[len(var_names) - 1] = 0
         return len(var_names) - 1
 
-    g_var = fresh_var("gflag")
-
-    actions: List[Action] = []
-    names = {a.name for a in instance.actions}
-
     def fresh_action(name: str, eff: Dict[int, int]) -> int:
-        base = name
-        bump = 0
-        while name in names:
-            bump += 1
-            name = f"{base}.{bump}"
-        names.add(name)
-        actions.append(Action(name, {}, eff))
+        actions.append(Action(_fresh(name, action_taken), {}, eff))
         return len(actions) - 1
 
-    chains: Dict[int, Tuple[int, ...]] = {}
+    g_var = fresh_var("gflag")
     source: Dict[int, int] = {}
 
     for aid, action in enumerate(instance.actions):
@@ -141,7 +137,6 @@ def eliminate_two_effect_good_actions(instance: Instance,
         for i, (v, x) in enumerate(payload, start=links + 1):
             chain.append(fresh_action(f"{action.name}+c{i}",
                                       {cvars[links - 1]: 1, v: x}))
-        chains[aid] = tuple(chain)
         for cid in chain:
             source[cid] = aid
 
@@ -150,8 +145,8 @@ def eliminate_two_effect_good_actions(instance: Instance,
     transformed = Instance(
         var_count=len(var_names), domain_size=d, actions=tuple(actions),
         init=tuple(init), goal=goal, var_names=tuple(var_names))
-    return TransformResult(transformed, k * (k + 3) + 1, chains, source,
-                           g_var, g_reset)
+    return TransformResult(transformed, k * (k + 3) + 1, source, g_var,
+                           g_reset)
 
 
 def build_dst(instance: Instance, bound: int) -> SteinerInstance:
@@ -183,15 +178,14 @@ def build_dst(instance: Instance, bound: int) -> SteinerInstance:
         bound=bound)
 
 
-def _bfs(adj: List[List[int]], s: int, limit: float = INF):
-    """BFS distances and predecessors from `s` over `adj`, to depth
-    `limit`.  Ties go to the first arc found, layer by layer, in arc
-    order."""
+def _bfs(adj: List[List[int]], s: int):
+    """BFS distances and predecessors from `s` over `adj`.  Ties go to the
+    first arc found, layer by layer, in arc order."""
     dist = {s: 0}
     pred: Dict[int, int] = {}
     queue = [s]
     depth = 0
-    while queue and depth < limit:
+    while queue:
         depth += 1
         new = []
         for u in queue:
@@ -222,10 +216,11 @@ def dreyfus_wagner(dst: SteinerInstance) -> Optional[DstSolution]:
     subset `mask`.  Only entries with f[mask][v] + dist(root, v) <= bound are
     kept: any tree within the bound that uses an entry also holds a root path
     to its node, so the kept entries are exact and the dropped ones are never
-    needed.  Each subset merges its splits at a common node, then relaxes
-    the merged costs backwards along the unit arcs with a Dijkstra sweep
-    (Erickson, Monma & Veinott 1987) keyed on (cost, merge node), so that
-    the smallest merge node wins ties.  Splits are tried in a fixed order
+    needed.  Each subset merges its splits at a common node (a singleton
+    starts from its terminal alone, at cost 0), then relaxes the merged
+    costs backwards along the unit arcs with a Dijkstra sweep (Erickson,
+    Monma & Veinott 1987) keyed on (cost, merge node), so that the smallest
+    merge node wins ties.  Splits are tried in a fixed order
     and only a strictly cheaper one replaces the last, so the result is the
     one the dense O(2^t n^2) table gives: same weight, same arcs."""
     terms = dst.terminals
@@ -252,18 +247,14 @@ def dreyfus_wagner(dst: SteinerInstance) -> Optional[DstSolution]:
     f: List[Dict[int, int]] = [{} for _ in range(full + 1)]
     # choice[mask][v]: (submask, via-node) for a split; (0, t) for a leaf
     choice: List[Dict[int, Tuple[int, int]]] = [{} for _ in range(full + 1)]
-    for ti, t in enumerate(terms):
-        mask = 1 << ti
-        dist_to_t, _ = _bfs(radj, t, bound)
-        f[mask] = {v: d for v, d in dist_to_t.items()
-                   if d + droot.get(v, INF) <= bound}
-        choice[mask] = {v: (0, t) for v in f[mask]}
     for mask in range(1, full + 1):
-        if mask & (mask - 1) == 0:
-            continue  # singleton, done above
         merged: Dict[int, int] = {}
         merged_choice: Dict[int, int] = {}
         low = mask & -mask
+        if mask == low:  # a singleton: its terminal, a leaf at cost 0
+            t = terms[low.bit_length() - 1]
+            if droot[t] <= bound:
+                merged[t] = merged_choice[t] = 0
         sub = (mask - 1) & mask
         while sub:
             if sub & low:  # enumerate each split once

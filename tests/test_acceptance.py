@@ -19,7 +19,8 @@ from planlab.generators import (HittingSetInput, InstanceBuilder,
 from planlab.io import ParseError, parse_instance, serialize_instance
 from planlab.oracle import (enumerate_minimal_plans, is_valid_plan,
                             shortest_plan)
-from planlab.postunique import find_required_pair, solve_postunique
+from planlab.postunique import (find_required_pair, shortest_plan_with_stats,
+                                solve_postunique)
 from planlab.zerotwo import (SteinerInstance, dreyfus_wagner,
                              eliminate_two_effect_good_actions,
                              solve_zero_two)
@@ -61,6 +62,50 @@ def test_criterion_1_cross_solver_agreement():
     assert elapsed < 300, f"agreement suite took {elapsed:.0f}s"
     report("1", f"{total} instances ({unary_checked} unary), "
                 f"0 disagreements, {elapsed:.1f}s")
+
+
+def _degenerate_instance(rng: random.Random) -> Instance:
+    """Often no variables, a one-value domain, no actions or empty effects."""
+    n = rng.choice((0, 0, 1, 2, 3))
+    d = rng.choice((1, 1, 2, 3))
+    actions = []
+    for i in range(rng.choice((0, 0, 1, 2, 3))):
+        eff_vars = rng.sample(range(n), min(n, rng.choice((0, 1, 1, 2))))
+        pre_vars = [] if rng.random() < 0.5 else \
+            rng.sample(range(n), rng.randint(0, n))
+        actions.append(Action(f"a{i}", {v: rng.randrange(d) for v in pre_vars},
+                              {v: rng.randrange(d) for v in eff_vars}))
+    init = tuple(rng.randrange(d) for _ in range(n))
+    goal = {v: rng.randrange(d)
+            for v in rng.sample(range(n), rng.randint(0, n))}
+    return Instance(n, d, tuple(actions), init, goal)
+
+
+def test_criterion_1_degenerate_inputs_on_every_route():
+    rng = random.Random(0xDE6E)
+    calls = 0
+    for i in range(300):
+        inst = _degenerate_instance(rng)
+        profile = classify(inst)
+        for k in range(5):
+            shortest = shortest_plan(inst, k)
+            answers = {SIGMA22: solve_via_mc(inst, k, SIGMA22).plan}
+            if profile.unary:
+                answers[SIGMA1] = solve_via_mc(inst, k, SIGMA1).plan
+            if profile.post_unique:
+                answers["post-unique"] = shortest_plan_with_stats(inst, k)[0]
+            if profile.max_pre == 0 and profile.max_eff <= 2:
+                answers["zero-two"] = solve_zero_two(inst, k).plan
+            for route, plan in answers.items():
+                where = (i, k, route, serialize_instance(inst))
+                assert (plan is None) == (shortest is None), where
+                if plan is not None:
+                    assert is_valid_plan(inst, plan) and len(plan) <= k, where
+                calls += 1
+            if "post-unique" in answers and shortest is not None:
+                assert len(answers["post-unique"]) == len(shortest)
+    assert calls >= 2500
+    report("1", f"{calls} degenerate route calls, 0 disagreements")
 
 
 # -- 2 ----------------------------------------------------------------------

@@ -72,6 +72,13 @@ def test_solve_inapplicable_exit(capsys, toy_file):
     assert code == 3
 
 
+def test_solve_above_fo_mc_caps_exit_3(capsys, toy_file):
+    for fragment, k in (("sigma1", "9"), ("sigma22", "400")):
+        code, out = run(capsys, "solve", toy_file, k, "--solver", "fo-mc",
+                        "--fragment", fragment)
+        assert code == 3 and out is None, fragment
+
+
 def test_solve_every_solver_agrees(capsys, toy_file):
     for solver in ("oracle", "post-unique", "fo-mc"):
         code, out = run(capsys, "solve", toy_file, "2", "--solver", solver)

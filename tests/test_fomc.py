@@ -4,8 +4,8 @@ import random
 import pytest
 
 from planlab.core import Action, ContractError, Instance, classify
-from planlab.fomc import (SIGMA1, SIGMA22, And, Atom, Equal, Exists, Forall,
-                          Implies, Not, Or, RelationalStructure,
+from planlab.fomc import (SIGMA1, SIGMA22, SIGMA22_MAX_K, And, Atom, Equal,
+                          Exists, Forall, Implies, Not, Or, RelationalStructure,
                           TriviallyUnsolvable, build_extended_structure,
                           build_sigma1_formula, build_sigma22_formula,
                           build_structure, compile_query, formula_to_sexpr,
@@ -39,7 +39,6 @@ def test_structure_empty_action_set():
 def test_extended_structure_toy1(toy1):
     s = build_extended_structure(toy1, 2)
     act, dummy = lambda a: 2 + a, lambda i: 2 + 2 + 3 + 1 + i - 1
-    assert s.relations["DUM"] == {(dummy(1),), (dummy(2),)}
     assert s.relations["DUM1"] == {(dummy(1),)}
     assert s.relations["DUM2"] == {(dummy(2),)}
     assert s.arities["DUM1"] == s.arities["DUM2"] == 1
@@ -89,6 +88,18 @@ def test_sigma1_k1_roster():
 def test_sigma1_cap():
     with pytest.raises(ContractError):
         build_sigma1_formula(9)
+
+
+def test_sigma22_cap(toy1):
+    # the cap keeps the nested formula clear of Python's recursion limit,
+    # even from inside the test runner's stack
+    r = solve_via_mc(toy1, SIGMA22_MAX_K, SIGMA22)
+    assert r.solvable and is_valid_plan(toy1, r.plan)
+    for k in (SIGMA22_MAX_K + 1, 400, 500):
+        with pytest.raises(ContractError):
+            build_sigma22_formula(k)
+        with pytest.raises(ContractError):
+            solve_via_mc(toy1, k, SIGMA22)
 
 
 def test_formula_size_depends_on_k_only(toy1, zt1):
@@ -182,6 +193,16 @@ def test_solve_via_mc_larger_k(toy1):
     # extra slots may repeat idempotent actions; the plan still validates
     r = solve_via_mc(toy1, 4, SIGMA22)
     assert r.solvable and is_valid_plan(toy1, r.plan) and len(r.plan) <= 4
+
+
+@pytest.mark.parametrize("fragment", [SIGMA1, SIGMA22])
+def test_no_variables_empty_plan(fragment):
+    # with no variables the goal holds at the start; sigma1's VAR guards
+    # range over nothing, so the route must not reach the formula
+    inst = Instance(0, 2, (), (), {})
+    for k in range(4):
+        r = solve_via_mc(inst, k, fragment)
+        assert r.solvable and r.plan == (), k
 
 
 def test_dummy_action_pads_short_plans():

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -54,6 +55,14 @@ def test_solve_toy1(toy1):
     result = solve_postunique(toy1, 2)
     assert result.plans == ((0, 1),)
     assert solve_postunique(toy1, 1).plans == ()
+
+
+def test_huge_bound_answers_at_once(toy1):
+    # the (k+1)**(k+1) label check must not build that integer for large k
+    started = time.perf_counter()
+    assert shortest_plan_with_stats(toy1, 10 ** 6) == ((0, 1), 4)
+    assert solve_postunique(toy1, 10 ** 6).plans == ((0, 1),)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_no_producer_single_failure_node():

@@ -34,10 +34,11 @@ def test_transform_counts_one_mixed_action():
     inst = Instance(2, 2, (Action("m", {}, {0: 1, 1: 0}),), (0, 0),
                     {0: 1, 1: 1})
     tr = eliminate_two_effect_good_actions(inst, 2)
-    assert len(tr.chains[0]) == 5
+    chain = [c for c, a in tr.source_action.items() if a == 0]
+    assert len(chain) == 5
     # fresh vars: flag + 4 chain vars
     assert tr.instance.var_count == inst.var_count + 1 + 4
-    flag_touchers = [a for a in tr.chains[0]
+    flag_touchers = [a for a in chain
                      if tr.g_var in tr.instance.actions[a].eff]
     assert not flag_touchers
 
