@@ -8,13 +8,15 @@ Exit codes: 0 solved/valid, 1 unsolvable/invalid, 2 parse or usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from typing import Dict, List, Optional, Tuple
 
 from . import fomc, generators, io, oracle, postunique, zerotwo
-from .core import ContractError, Instance, classify, lint_instance, validate_plan
+from .core import (ContractError, Instance, RestrictionProfile, classify,
+                   lint_instance, validate_plan)
 
 BUDGET_ENV = "PLAN_LAB_BUDGET"
 
@@ -41,8 +43,7 @@ def _load_instance(path: str) -> Instance:
     return instance
 
 
-def _route(instance: Instance) -> str:
-    profile = classify(instance)
+def _route(profile: RestrictionProfile) -> str:
     if profile.post_unique:
         return "post-unique"
     if profile.max_pre == 0 and profile.max_eff <= 2:
@@ -56,14 +57,15 @@ def cmd_classify(args) -> int:
     instance = _load_instance(args.instance)
     profile = classify(instance)
     out = profile.as_dict()
-    out["route"] = _route(instance)
+    out["route"] = _route(profile)
     print(json.dumps(out))
     return EXIT_SOLVED
 
 
 def _solve_with(instance: Instance, k: int, solver: str, fragment: Optional[str],
                 budget: int, dot_path: Optional[str] = None):
-    """Returns (solvable, plan or None, solver label, stats)."""
+    """Returns (solvable, plan or None, solver label, stats); fo-mc runs
+    the given fragment."""
     if solver == "post-unique":
         plan, labels = postunique.shortest_plan_with_stats(instance, k)
         return plan is not None, plan, solver, {"search_tree_nodes": labels}
@@ -79,10 +81,8 @@ def _solve_with(instance: Instance, k: int, solver: str, fragment: Optional[str]
                 fh.write(zerotwo.steiner_to_dot(result.dst, result.built_from))
         return result.plan is not None, result.plan, solver, stats
     if solver == "fo-mc":
-        frag = fragment or (fomc.SIGMA1 if classify(instance).unary
-                            else fomc.SIGMA22)
-        result = fomc.solve_via_mc(instance, k, frag)
-        return result.solvable, result.plan, f"fo-mc/{frag}", {
+        result = fomc.solve_via_mc(instance, k, fragment)
+        return result.solvable, result.plan, f"fo-mc/{fragment}", {
             "assignments": result.assignments}
     if solver == "oracle":
         plan, visited = oracle.shortest_plan_with_stats(instance, k, budget)
@@ -95,13 +95,19 @@ def cmd_solve(args) -> int:
         raise ValueError("k must be non-negative")
     budget = _budget(args)
     instance = _load_instance(args.instance)
-    solver = _route(instance) if args.solver == "auto" else args.solver
+    profile = classify(instance) if args.solver == "auto" else None
+    solver = _route(profile) if profile is not None else args.solver
     if args.fragment and solver != "fo-mc":
         raise ValueError(f"--fragment applies to fo-mc, not {solver}")
     if args.dot and solver != "zero-two":
         raise ValueError(f"--dot applies to zero-two, not {solver}")
+    fragment = args.fragment
+    if solver == "fo-mc" and fragment is None:
+        if profile is None:
+            profile = classify(instance)
+        fragment = fomc.SIGMA1 if profile.unary else fomc.SIGMA22
     solvable, plan, label, stats = _solve_with(
-        instance, args.k, solver, args.fragment, budget, args.dot)
+        instance, args.k, solver, fragment, budget, args.dot)
     if plan is not None:
         report = validate_plan(instance, plan)
         if not report.valid:
@@ -327,9 +333,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every `main` call in this process, built on the first
+    one (not at import): parsing leaves no state in it, and building it
+    costs tens of times as much as parsing."""
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except io.ParseError as exc:

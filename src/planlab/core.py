@@ -158,20 +158,24 @@ def apply_action(state: TotalState, action: Action) -> TotalState:
 
 
 def validate_plan(instance: Instance, plan: Plan) -> ValidationReport:
-    state = instance.init
+    """Folds apply_action over the plan, on one mutable state list: a step
+    costs its own pre and eff, not a copy of the whole state."""
+    state = list(instance.init)
+    actions = instance.actions
     for i, aid in enumerate(plan):
-        if not 0 <= aid < len(instance.actions):
+        if not 0 <= aid < len(actions):
             raise StructuralError(f"plan step {i}: action id {aid} out of range")
-        action = instance.actions[aid]
+        action = actions[aid]
         for v, x in sorted(action.pre.items()):
             if state[v] != x:
                 return ValidationReport(False, step=i, reason="precondition",
                                         variable=v)
-        state = apply_action(state, action)
+        for v, x in action.eff.items():
+            state[v] = x
     for v, x in sorted(instance.goal.items()):
         if state[v] != x:
             return ValidationReport(False, reason="goal", variable=v)
-    return ValidationReport(True, final_state=state)
+    return ValidationReport(True, final_state=tuple(state))
 
 
 def diff_set(instance: Instance, s: PartialState) -> Tuple[int, ...]:

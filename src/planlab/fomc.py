@@ -26,7 +26,7 @@ rewrite, every quantifier over the whole universe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
@@ -366,6 +366,7 @@ def _subset_cover(target_rel: str, first_term: Optional[str], k: int) -> Formula
     return Or(tuple(disjuncts))
 
 
+@lru_cache(maxsize=None)  # k alone decides it; errors are not cached
 def build_sigma1_formula(k: int) -> Formula:
     """Closed purely-existential formula over the extended vocabulary,
     equivalent to plan existence for unary instances.

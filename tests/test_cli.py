@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from planlab import io
+from planlab import cli, io
 from planlab.cli import main
 from planlab.generators import compose_pub, random_instance
 from planlab.oracle import shortest_plan
@@ -278,6 +278,74 @@ def test_generate_compose(capsys, tmp_path, toy_file):
     assert code == 0 and out["expected_bound"] == 21
     code, solved = run(capsys, "solve", str(out02), "21")
     assert code == 0 and solved["solver"] == "zero-two"
+
+
+def test_main_builds_its_parser_once(capsys, toy_file, monkeypatch):
+    cli._parser.cache_clear()
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return real_build_parser()
+
+    real_build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    for argv in (["classify", toy_file], ["solve", toy_file, "2"],
+                 ["solve", toy_file, "1", "--stats"], ["solve", toy_file]):
+        try:
+            main(argv)
+        except SystemExit:  # the last argv lacks k: a usage error
+            pass
+    capsys.readouterr()
+    assert len(built) == 1
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_repeated_generate_calls_keep_their_own_components(capsys, tmp_path,
+                                                           toy_file):
+    other = tmp_path / "other.sasp"
+    other.write_text(TOY1_TEXT.replace("a1", "b1").replace("a2", "b2"))
+    metas = []
+    for i, comps in enumerate(([f"{toy_file}:2", f"{other}:2"],
+                               [f"{other}:1", f"{other}:2"])):
+        out_path = tmp_path / f"pub{i}.sasp"
+        argv = ["generate", "compose-pub", "--out", str(out_path)]
+        for c in comps:
+            argv += ["--component", c]
+        code, _ = run(capsys, *argv)
+        assert code == 0
+        metas.append(json.loads(
+            (tmp_path / f"pub{i}.sasp.meta.json").read_text()))
+    assert metas[0]["components"] == [f"{toy_file}:2", f"{other}:2"]
+    assert metas[1]["components"] == [f"{other}:1", f"{other}:2"]
+
+
+def test_repeated_solve_calls_leak_no_option(capsys, toy_file):
+    code, out = run(capsys, "solve", toy_file, "2", "--solver", "fo-mc",
+                    "--stats", "--fragment", "sigma1")
+    assert code == 0 and out["solver"] == "fo-mc/sigma1" and out["stats"]
+    code, out = run(capsys, "solve", toy_file, "2")
+    assert code == 0
+    assert out["solver"] == "post-unique" and out["stats"] == {}
+
+
+def test_one_classify_per_call(capsys, tmp_path, monkeypatch):
+    # unary but not post-unique: auto routes to fo-mc and picks sigma1
+    path = tmp_path / "u.sasp"
+    path.write_text(TOY1_TEXT + "action a3 pre 1=1 eff 0=1\n")
+    calls = []
+    real_classify = cli.classify
+    monkeypatch.setattr(cli, "classify",
+                        lambda inst: calls.append(1) or real_classify(inst))
+    for argv, route in ((["classify", str(path)], "fo-mc"),
+                        (["solve", str(path), "2"], "fo-mc/sigma1")):
+        calls.clear()
+        code, out = run(capsys, *argv)
+        assert code == 0 and route in (out.get("route"), out.get("solver"))
+        assert len(calls) == 1, argv
 
 
 def test_budget_env(capsys, toy_file, monkeypatch, tmp_path):

@@ -3,9 +3,9 @@ import random
 import pytest
 
 from planlab.core import (Action, BAD, GOOD, Instance, MIXED, StructuralError,
-                          action_valid_in, apply_action, classify, delta_vars,
-                          diff_set, effect_polarity, lint_instance, restrict,
-                          validate_plan)
+                          ValidationReport, action_valid_in, apply_action,
+                          classify, delta_vars, diff_set, effect_polarity,
+                          lint_instance, restrict, validate_plan)
 from planlab.oracle import is_valid_plan
 
 from conftest import random_small_instance
@@ -39,6 +39,62 @@ def test_validate_plan(toy1):
 def test_validate_rejects_bad_ids(toy1):
     with pytest.raises(StructuralError):
         validate_plan(toy1, (7,))
+
+
+def _validate_stepwise(instance, plan):
+    """Reference: a new state tuple per step through apply_action."""
+    state = instance.init
+    for i, aid in enumerate(plan):
+        if not 0 <= aid < len(instance.actions):
+            raise StructuralError(f"plan step {i}: action id {aid} out of range")
+        action = instance.actions[aid]
+        for v, x in sorted(action.pre.items()):
+            if state[v] != x:
+                return ValidationReport(False, step=i, reason="precondition",
+                                        variable=v)
+        state = apply_action(state, action)
+    for v, x in sorted(instance.goal.items()):
+        if state[v] != x:
+            return ValidationReport(False, reason="goal", variable=v)
+    return ValidationReport(True, final_state=state)
+
+
+def _outcome(fn, instance, plan):
+    try:
+        return fn(instance, plan)
+    except StructuralError:
+        return StructuralError
+
+
+def test_validate_plan_matches_stepwise_reference():
+    rng = random.Random(4242)
+    seen = {"valid": 0, "precondition": 0, "goal": 0, "error": 0}
+    for _ in range(600):
+        inst = random_small_instance(rng, n_max=6, d_max=3, m_max=6)
+        m = len(inst.actions)
+        plan = []
+        state = inst.init
+        for _ in range(rng.randint(0, 8)):
+            # mostly applicable steps, so that plans get past their first
+            # step; now and then any id, an out-of-range one included
+            ok = [a for a in range(m) if action_valid_in(state, inst.actions[a])]
+            if ok and rng.random() < 0.8:
+                aid = rng.choice(ok)
+            else:
+                aid = rng.randint(0, m)
+            plan.append(aid)
+            if aid < m:
+                state = apply_action(state, inst.actions[aid])
+        got = _outcome(validate_plan, inst, tuple(plan))
+        want = _outcome(_validate_stepwise, inst, tuple(plan))
+        assert got == want, (inst, plan)
+        if got is StructuralError:
+            seen["error"] += 1
+        else:
+            seen["valid" if got.valid else got.reason] += 1
+            if got.valid:
+                assert type(got.final_state) is tuple
+    assert min(seen.values()) > 0, seen
 
 
 def test_diff_and_delta(toy1):

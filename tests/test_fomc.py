@@ -4,7 +4,7 @@ import random
 import pytest
 
 from planlab.core import Action, ContractError, Instance, classify
-from planlab.fomc import (SIGMA1, SIGMA22, SIGMA22_MAX_K, And, Atom, Equal,
+from planlab.fomc import (SIGMA1, SIGMA1_MAX_K, SIGMA22, SIGMA22_MAX_K, And, Atom, Equal,
                           Exists, Forall, Implies, Not, Or, RelationalStructure,
                           TriviallyUnsolvable, build_extended_structure,
                           build_sigma1_formula, build_sigma22_formula,
@@ -88,6 +88,16 @@ def test_sigma1_k1_roster():
 def test_sigma1_cap():
     with pytest.raises(ContractError):
         build_sigma1_formula(9)
+
+
+def test_sigma1_formula_is_built_once_per_k():
+    # solve_via_mc shares one formula per k across calls: Formula nodes are
+    # frozen and compile_query builds new nodes instead of mutating them
+    for k in range(1, SIGMA1_MAX_K + 1):
+        assert build_sigma1_formula(k) is build_sigma1_formula(k)
+    for _ in range(2):  # the refusal above the cap is not cached away
+        with pytest.raises(ContractError):
+            build_sigma1_formula(SIGMA1_MAX_K + 1)
 
 
 def test_sigma22_cap(toy1):

@@ -1,5 +1,8 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import planlab
 
@@ -13,3 +16,29 @@ def test_every_module_loads_from_source():
     for name in names:
         path = importlib.import_module(name).__file__
         assert path.endswith(".py"), path
+
+
+COUNT_PARSERS = """import argparse, sys
+sys.path.insert(0, sys.argv[1])
+built = 0
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    global built
+    built += 1
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+import planlab.cli
+at_import = built
+planlab.cli.build_parser()
+print(at_import, built)
+"""
+
+
+def test_importing_the_cli_builds_no_parser():
+    """The parser is built on the first main() call, not at import."""
+    src = os.path.dirname(os.path.dirname(planlab.__file__))
+    proc = subprocess.run([sys.executable, "-c", COUNT_PARSERS, src],
+                          stdout=subprocess.PIPE, text=True, check=True)
+    at_import, after_build = map(int, proc.stdout.split())
+    assert at_import == 0
+    assert after_build > 0  # the counter does see a parser being built

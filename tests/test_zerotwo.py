@@ -312,6 +312,16 @@ def test_solve_zero_two_examples(zt1, toy1):
         solve_zero_two(toy1, 2)  # a2 has a precondition
 
 
+def test_solve_zero_two_long_chain_revalidates():
+    # at k = 10^4 the chain transform makes 10,005 variables, and the
+    # extracted plan is re-validated over 10,004 steps of the transform
+    inst = Instance(2, 2, (Action("a", {}, {0: 1, 1: 1}),
+                           Action("b", {}, {0: 0})), (0, 0), {0: 1, 1: 1})
+    r = solve_zero_two(inst, 10 ** 4)
+    assert r.transformed and r.plan == (0,)
+    assert is_valid_plan(inst, r.plan)
+
+
 def test_solve_zero_two_goal_already_met():
     inst = Instance(1, 2, (Action("x", {}, {0: 0}),), (1,), {0: 1})
     assert solve_zero_two(inst, 0).plan == ()
