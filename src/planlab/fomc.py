@@ -9,18 +9,20 @@ its interchangeable dummy variables.  A generic evaluator then decides
 satisfaction, giving a solver route that shares no code with the state-space
 oracle or the search-tree solver.
 
-The evaluator compiles each formula node to a Python closure over one
-environment list, with every relation a frozenset of radix-packed keys.  It
-takes each quantified variable's domain from the formula's guards: a unary
-atom conjoined under the existential prefix filters that level's
-candidates, conjuncts of the following universal block that mention none
-of its variables are hoisted out of it, and the block's variables range
-only over the elements passing the unary atoms of its Implies guard.
-On the sigma22 encoding the actions then range over ACT and (v, x) over
-VAR x DOM: the prefix assignments tried no longer depend on the size of the
-declared domain, and each check visits n(d+1) pairs instead of U**2.  The
-reference evaluator model_check_basic compiles the same nodes with no
-rewrite, every quantifier over the whole universe.
+The builders state each quantifier's range as a unary guard relation:
+exists x in R phi reads as exists x (R(x) and phi), and forall x in R phi as
+forall x (R(x) -> phi).  The evaluator compiles each formula node to a
+Python closure over one environment list, with every relation a frozenset
+of radix-packed keys, and each guarded quantifier ranges over its guard's
+members alone.  compile_query cuts the formula below the existential prefix
+into conjuncts, cutting through a following universal block (forall
+distributes over and, for any universe), and checks each conjunct as soon
+as the deepest prefix variable it names is bound.  On the sigma22 encoding
+the actions range over ACT and (v, x) over VAR x DOM, and the precondition
+conjunct of step i runs as soon as a_i is bound, so a refutation backjumps
+instead of trying every action tuple.  The reference evaluator
+model_check_basic compiles the same nodes with every quantifier over the
+whole universe and its guard read as an atom.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ from .core import (ContractError, Instance, Plan, PlanLabError, classify,
                    diff_set, validate_plan)
 
 SIGMA1_MAX_K = 8  # the diff subset disjunction grows as 2**k
-# sigma22 nests _value_after k deep, and compiling and evaluating it take
-# about 3 Python frames per level: k = 200 needs a recursion limit of about
-# 613, and k = 330 passes the default 1000.
+# sigma22's goal conjunct nests _value_after k deep, and compiling and
+# evaluating it take about 3 Python frames per level: k = 200 needs a
+# recursion limit of about 612, and k = 329 still passes the default 1000.
 SIGMA22_MAX_K = 200
 
 
@@ -55,14 +57,18 @@ class Formula:
 
 @dataclass(frozen=True)
 class Exists(Formula):
+    """exists var body; with a guard R, exists var (R(var) and body)."""
     var: str
     body: Formula
+    guard: Optional[str] = None
 
 
 @dataclass(frozen=True)
 class Forall(Formula):
+    """forall var body; with a guard R, forall var (R(var) -> body)."""
     var: str
     body: Formula
+    guard: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -111,10 +117,10 @@ def node_count(f: Formula) -> int:
 
 
 def formula_to_sexpr(f: Formula) -> str:
-    if isinstance(f, Exists):
-        return f"(exists {f.var} {formula_to_sexpr(f.body)})"
-    if isinstance(f, Forall):
-        return f"(forall {f.var} {formula_to_sexpr(f.body)})"
+    if isinstance(f, (Exists, Forall)):
+        kind = "exists" if isinstance(f, Exists) else "forall"
+        var = f.var if f.guard is None else f"({f.var} {f.guard})"
+        return f"({kind} {var} {formula_to_sexpr(f.body)})"
     if isinstance(f, And):
         return "(and " + " ".join(formula_to_sexpr(p) for p in f.parts) + ")"
     if isinstance(f, Or):
@@ -331,17 +337,14 @@ def build_sigma22_formula(k: int) -> Formula:
         raise ContractError(
             f"the nested sigma22 formula outgrows Python's recursion limit; "
             f"k={k} exceeds the cap of {SIGMA22_MAX_K}")
-    check_pre_all = And(tuple(
+    check_pre = tuple(
         Implies(Atom("PRE_V", (f"a{i}", "v", "x")), _value_after(i - 1, "v", "x"))
-        for i in range(1, k + 1)))
+        for i in range(1, k + 1))
     check_goal = Implies(Atom("GOAL_V", ("v", "x")), _value_after(k, "v", "x"))
-    body: Formula = And(
-        tuple(Atom("ACT", (f"a{i}",)) for i in range(1, k + 1))
-        + (Implies(And((Atom("VAR", ("v",)), Atom("DOM", ("x",)))),
-                   And((check_pre_all, check_goal))),))
-    f: Formula = Forall("v", Forall("x", body))
+    f: Formula = Forall("v", Forall("x", And(check_pre + (check_goal,)), "DOM"),
+                        "VAR")
     for i in range(k, 0, -1):
-        f = Exists(f"a{i}", f)
+        f = Exists(f"a{i}", f, "ACT")
     return f
 
 
@@ -374,7 +377,7 @@ def build_sigma1_formula(k: int) -> Formula:
     The dummies d1..dk only need to be distinct dummy elements, and they
     occur elsewhere only in padding atoms of the DIFF relations, whose dummy
     columns are the prefix dum1..dum(k-|diff|); so d_j = dum_j satisfies the
-    formula whenever any distinct choice does.  The guard DUMj(dj) pins
+    formula whenever any distinct choice does.  The guard DUMj of dj pins
     them to that choice (a symmetry-breaking predicate in the sense of
     Crawford, Ginsberg, Luks and Roy, KR 1996), which also makes them
     distinct dummies.  They lead the prefix, so a search binds each once.
@@ -385,13 +388,6 @@ def build_sigma1_formula(k: int) -> Formula:
         raise ContractError(
             f"the existential encoding blows up as 2**k; k={k} exceeds the "
             f"cap of {SIGMA1_MAX_K}")
-
-    guards: List[Formula] = []
-    guards += [Atom("ACT", (f"a{i}",)) for i in range(1, k + 1)]
-    guards += [Atom("VAR", (f"v{i}",)) for i in range(1, k + 1)]
-    guards += [Atom("DOM", (f"x{i}_{j}",))
-               for i in range(1, k + 1) for j in range(1, k + 1)]
-    guards += [Atom(f"DUM{i}", (f"d{i}",)) for i in range(1, k + 1)]
 
     check_eff = And(tuple(
         Or((Atom("EFF", (f"a{i}", f"v{i}")), Atom("DUM_A", (f"a{i}",))))
@@ -417,18 +413,16 @@ def build_sigma1_formula(k: int) -> Formula:
             Not(Atom("GOAL", (f"v{i}",)))))
         for i in range(1, k + 1)))
 
-    body = And((And(tuple(guards)), check_eff, diff_op_all, diff_goal,
-                check_pre_all, check_goal))
-
-    roster = ([f"d{i}" for i in range(1, k + 1)]
-              + [f"a{i}" for i in range(1, k + 1)]
-              + [f"v{i}" for i in range(1, k + 1)]
-              + [f"x{i}_{j}" for i in range(1, k + 1)
+    roster = ([(f"d{i}", f"DUM{i}") for i in range(1, k + 1)]
+              + [(f"a{i}", "ACT") for i in range(1, k + 1)]
+              + [(f"v{i}", "VAR") for i in range(1, k + 1)]
+              + [(f"x{i}_{j}", "DOM") for i in range(1, k + 1)
                  for j in range(1, k + 1)]
-              + [f"xg{i}" for i in range(1, k + 1)])
-    f: Formula = body
-    for name in reversed(roster):
-        f = Exists(name, f)
+              + [(f"xg{i}", None) for i in range(1, k + 1)])
+    f: Formula = And((check_eff, diff_op_all, diff_goal, check_pre_all,
+                      check_goal))
+    for name, guard in reversed(roster):
+        f = Exists(name, f, guard)
     return f
 
 
@@ -500,38 +494,19 @@ def _conjuncts(f: Formula) -> List[Formula]:
     return [f]
 
 
-def _free_names(f: Formula) -> set:
-    if isinstance(f, Atom):
-        return set(f.terms)
-    if isinstance(f, Equal):
-        return {f.left, f.right}
-    if isinstance(f, (Exists, Forall)):
-        return _free_names(f.body) - {f.var}
-    if isinstance(f, Not):
-        return _free_names(f.part)
-    if isinstance(f, Implies):
-        return _free_names(f.left) | _free_names(f.right)
-    return set().union(*map(_free_names, f.parts))
-
-
-def _narrow(domains: Dict[int, Optional[List[int]]], slot: int,
-            members: List[int]) -> None:
-    if domains[slot] is None:
-        domains[slot] = members
-    else:
-        keep = set(members)
-        domains[slot] = [e for e in domains[slot] if e in keep]
-
-
 class _Compiler:
     """Formula nodes to closures over one structure.  Slots are allocated
-    as binders are met; scope maps each name to its stack of binding slots."""
+    as binders are met; scope maps each name to its stack of binding slots,
+    and used records every slot a name resolved to.  A guarded quantifier
+    ranges over its guard's members alone."""
 
     def __init__(self, structure: RelationalStructure):
         self.structure = structure
         self.U = structure.size
         self.keys: Dict[str, FrozenSet[int]] = {}
+        self.ordered: Dict[str, List[int]] = {}
         self.scope: Dict[str, List[int]] = {}
+        self.used: set = set()
         self.n_slots = 0
 
     def relation(self, name: str, arity: int) -> FrozenSet[int]:
@@ -547,28 +522,26 @@ class _Compiler:
                 for t in s.relations[name])
         return self.keys[name]
 
+    def members(self, guard: Optional[str]):
+        """The elements a quantifier guarded by guard ranges over, in index
+        order (a unary relation's keys are its elements)."""
+        if guard is None:
+            return range(self.U)
+        if guard not in self.ordered:
+            self.ordered[guard] = sorted(self.relation(guard, 1))
+        return self.ordered[guard]
+
     def slot(self, name: str) -> int:
         stack = self.scope.get(name)
         if not stack:
             raise ContractError(f"free variable {name!r} in formula")
+        self.used.add(stack[-1])
         return stack[-1]
-
-    def free_slots(self, f: Formula) -> set:
-        return {self.slot(name) for name in _free_names(f)}
 
     def bind(self, name: str) -> int:
         self.scope.setdefault(name, []).append(self.n_slots)
         self.n_slots += 1
         return self.n_slots - 1
-
-    def unary_guard(self, f: Formula, domains: Dict[int, object]):
-        """(slot, sorted members) if f is a unary atom over one of domains'
-        slots."""
-        if isinstance(f, Atom) and len(f.terms) == 1:
-            slot = self.slot(f.terms[0])
-            if slot in domains:
-                return slot, sorted(self.relation(f.rel, 1))
-        return None
 
     def compile(self, f: Formula) -> Check:
         if isinstance(f, Atom):
@@ -588,54 +561,24 @@ class _Compiler:
             left, right = self.compile(f.left), self.compile(f.right)
             return lambda env: not left(env) or right(env)
         if isinstance(f, (Exists, Forall)):
+            domain = self.members(f.guard)
             slot = self.bind(f.var)
             body = self.compile(f.body)
             self.scope[f.var].pop()
-            return _quantifier(isinstance(f, Exists), slot, range(self.U),
-                               body)
+            return _quantifier(isinstance(f, Exists), slot, domain, body)
         raise TypeError(f"not a formula node: {f!r}")
 
-    def universal_block(self, f: Forall):
-        """(hoisted conjuncts, (check, free slots) or None), equivalent to
-        the universal block f when U >= 1.
 
-        Conjuncts of the block's body that mention no block variable are
-        hoisted out (for U >= 1, forall x (P and Q) is P and forall x Q
-        when x is not free in P).  If a single Implies is left, each block
-        variable ranges only over the elements passing the unary atoms of
-        its antecedent, since the implication holds vacuously elsewhere.
-        """
-        block: List[str] = []
-        while isinstance(f, Forall):
-            block.append(f.var)
-            f = f.body
-        hoisted: List[Formula] = []
-        kept: List[Formula] = []
-        for g in _conjuncts(f):
-            (kept if _free_names(g).intersection(block) else hoisted).append(g)
-        if not kept:
-            return hoisted, None
-        slots = [self.bind(name) for name in block]
-        domains: Dict[int, Optional[List[int]]] = dict.fromkeys(slots)
-        body: Formula = And(tuple(kept))
-        free = _free_names(body).difference(block)
-        if len(kept) == 1 and isinstance(kept[0], Implies):
-            rest = []
-            for g in _conjuncts(kept[0].left):
-                hit = self.unary_guard(g, domains)
-                if hit is None:
-                    rest.append(g)
-                else:
-                    _narrow(domains, *hit)
-            body = Implies(And(tuple(rest)), kept[0].right) if rest \
-                else kept[0].right
-        check = self.compile(body)
-        for name in block:
-            self.scope[name].pop()
-        for slot in reversed(slots):
-            domain = range(self.U) if domains[slot] is None else domains[slot]
-            check = _quantifier(False, slot, domain, check)
-        return hoisted, (check, {self.slot(name) for name in free})
+class _Reference(_Compiler):
+    """The textbook reading: every quantifier ranges over the whole
+    universe, and a guard R joins its body as the atom R(var)."""
+
+    def compile(self, f: Formula) -> Check:
+        if isinstance(f, (Exists, Forall)) and f.guard is not None:
+            r = Atom(f.guard, (f.var,))
+            f = type(f)(f.var, And((r, f.body)) if isinstance(f, Exists)
+                        else Implies(r, f.body))
+        return super().compile(f)
 
 
 @dataclass
@@ -644,16 +587,14 @@ class CompiledQuery:
 
     The outer existential block is split out: its binders take the first
     slots, so prefix level L is environment slot L, bound to
-    prefix_names[L].  candidates[L] lists the elements tried for level L
-    (pre-filtered through unary guard conjuncts), const_checks are
-    conjuncts with no prefix variable, and sched[L] holds (check, conflict
-    levels) pairs run right after level L is bound; every conjunct appears
-    exactly once across the three.  When the prefix is followed by a
-    universal block over a non-empty universe, its conjuncts that mention no
-    block variable are hoisted out of it and join the prefix conjuncts (so
-    unary ones become candidate filters too), and the rest of the block's
-    variables range only over the elements passing the unary atoms of its
-    Implies guard.
+    prefix_names[L], and candidates[L] lists the members of that binder's
+    guard (the whole universe if it has none).  The rest is cut into
+    conjuncts; a universal block right after the prefix is cut through,
+    one copy of the block per conjunct of its body, since forall
+    distributes over and.  const_checks are the conjuncts with no prefix
+    variable, and sched[L] holds (check, conflict levels) pairs, one per
+    conjunct whose deepest prefix variable is level L, run right after
+    level L is bound.
     """
     n_slots: int
     prefix_names: List[str]
@@ -666,42 +607,33 @@ def compile_query(structure: RelationalStructure,
                   formula: Formula) -> CompiledQuery:
     c = _Compiler(structure)
     prefix_names: List[str] = []
+    candidates: List[List[int]] = []
     f = formula
     while isinstance(f, Exists):
+        candidates.append(list(c.members(f.guard)))
         c.bind(f.var)  # the L-th binder takes slot L
         prefix_names.append(f.var)
         f = f.body
-    e = len(prefix_names)
-
-    if isinstance(f, Forall) and c.U > 0:
-        conjuncts, block = c.universal_block(f)
-    else:
-        conjuncts, block = _conjuncts(f), None
-    # (conjunct or None, its check if already compiled, its free slots)
-    top = [(g, None, c.free_slots(g)) for g in conjuncts]
-    if block is not None:
-        top.append((None, *block))
+    block: List[Forall] = []
+    while isinstance(f, Forall):
+        block.append(f)
+        f = f.body
 
     const_checks: List[Check] = []
-    sched: List[List[Tuple[Check, Tuple[int, ...]]]] = [[] for _ in range(e)]
-    # A conjunct that is a bare unary atom over one prefix variable acts as
-    # a candidate filter for that level instead of a runtime check; this
-    # preserves index order and hence the first witness.
-    candidates: Dict[int, Optional[List[int]]] = dict.fromkeys(range(e))
-    for g, check, free in top:
-        levels = tuple(sorted(s for s in free if s < e))
-        hit = c.unary_guard(g, candidates) if levels else None
-        if hit is not None:
-            _narrow(candidates, *hit)
-            continue
-        check = check or c.compile(g)
+    sched: List[List[Tuple[Check, Tuple[int, ...]]]] = [
+        [] for _ in prefix_names]
+    for g in _conjuncts(f):
+        for q in reversed(block):
+            g = Forall(q.var, g, q.guard)
+        start, c.used = c.n_slots, set()
+        check = c.compile(g)
+        levels = tuple(sorted(s for s in c.used if s < start))
         if levels:
             sched[levels[-1]].append((check, levels))
         else:
             const_checks.append(check)
-    cands = [list(range(c.U)) if members is None else members
-             for members in candidates.values()]
-    return CompiledQuery(c.n_slots, prefix_names, cands, const_checks, sched)
+    return CompiledQuery(c.n_slots, prefix_names, candidates, const_checks,
+                         sched)
 
 
 # ---------------------------------------------------------------------------
@@ -710,9 +642,9 @@ def compile_query(structure: RelationalStructure,
 #
 # Two evaluators over the same node compiler.  model_check_basic is the plain
 # recursive short-circuiting definition of satisfaction: every quantifier
-# ranges over the whole universe and nothing is rewritten.  evaluate_program
-# handles the common shape here -- a closed formula with an outer
-# existential block -- and checks each top-level conjunct as soon as its
+# ranges over the whole universe, its guard read as an atom of its body.
+# evaluate_program handles the common shape here -- a closed formula with an
+# outer existential block -- and checks each conjunct as soon as its prefix
 # variables are bound, with conflict-directed backjumping over the block.
 # Both try universe elements in index order, so the first witness is
 # deterministic and the same for both.
@@ -786,7 +718,7 @@ def model_check_witness(structure: RelationalStructure, formula: Formula):
 def model_check_basic(structure: RelationalStructure, formula: Formula) -> bool:
     """Plain recursive evaluation; the reference semantics that
     model_check is tested against."""
-    c = _Compiler(structure)
+    c = _Reference(structure)
     check = c.compile(formula)
     return check([-1] * c.n_slots)
 

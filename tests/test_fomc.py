@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 
 import pytest
 
@@ -190,6 +191,30 @@ def test_sigma22_refutation_ignores_declared_domain():
     assert wide_r.assignments <= sum((m + 1) ** i for i in range(1, k + 1))
 
 
+def test_sigma22_refutation_cost_grows_linearly_in_k():
+    # both actions need v2 = 1, which nothing sets: each prefix level fails
+    # its own precondition conjunct on all m + 1 candidates, the dummy
+    # action passes, and the conflict names no level above, so the search
+    # backjumps instead of trying every action tuple
+    acts = (Action("p", {1: 1}, {0: 1}), Action("q", {1: 1}, {0: 0}))
+    inst = Instance(2, 2, acts, (0, 0), {0: 1})
+    for k in (4, 8, 12):
+        t0 = time.perf_counter()
+        r = solve_via_mc(inst, k, SIGMA22)
+        elapsed = time.perf_counter() - t0
+        assert not r.solvable
+        assert r.assignments == 3 * k, k
+    assert elapsed < 1.0
+    k = 4
+    q = compile_query(build_structure(inst), build_sigma22_formula(k))
+    assert q.const_checks == []
+    for i in range(1, k + 1):
+        # the precondition conjunct for a_i names a_1..a_i; the goal
+        # conjunct joins it at the last level
+        levels = [lv for _, lv in q.sched[i - 1]]
+        assert levels == [tuple(range(i))] * (2 if i == k else 1), i
+
+
 def test_solve_via_mc_examples(toy1):
     r = solve_via_mc(toy1, 2, SIGMA22)
     assert r.solvable and r.plan == (0, 1)
@@ -312,32 +337,32 @@ _EDGE = dict(P={(0,)}, Q={(1,), (2,)}, E=set(),
              R={(0, 1), (0, 2), (1, 0)})
 
 REWRITE_CASES = [
-    # a hoisted conjunct that is false: no a is in both P and Q
+    # a block conjunct naming no block variable is false: no a is in both
+    # P and Q
     ("hoisted-false", 3, _EDGE,
      Exists("a", Forall("x", And((_P, Atom("Q", ("a",)),
                                   Implies(_Q, _R))))), False),
-    # a closed hoisted conjunct that is false
+    # a closed block conjunct that is false
     ("hoisted-closed-false", 3, _EDGE,
      Exists("a", Forall("x", And((Exists("y", Atom("E", ("y",))),
                                   Implies(_Q, _R))))), False),
-    # the hoisted guard leaves a = 0, and Q's members are R-successors of 0
+    # the block conjunct P(a) leaves a = 0, and Q's members are
+    # R-successors of 0
     ("hoisted-guard", 3, _EDGE,
      Exists("a", Forall("x", And((_P, Implies(_Q, _R))))), True),
-    # a universal guard over an empty relation holds vacuously
+    # an implication from an empty relation holds vacuously
     ("empty-guard", 3, _EDGE,
      Exists("a", Forall("x", And((_P, Implies(
          Atom("E", ("x",)), Not(Equal("x", "x"))))))), True),
     ("empty-guard-closed", 3, _EDGE,
      Forall("x", Implies(Atom("E", ("x",)), Atom("E", ("x",)))), True),
-    # two conjuncts left after hoisting: no guard applies, and x = 0
-    # fails Q over the full universe
+    # x = 0 fails the bare block conjunct Q(x)
     ("two-left", 3, _EDGE,
      Exists("a", Forall("x", And((_P, _Q, Implies(_Q, _R))))), False),
     ("two-left-true", 3, _EDGE,
      Exists("a", Forall("x", And((_P, Implies(_Q, _R),
                                   Or((_Q, Not(_Q))))))), True),
-    # a guard with a binary atom left in the antecedent: a = 1 has no
-    # R-successor in Q
+    # an antecedent with a binary atom: a = 1 has no R-successor in Q
     ("mixed-guard", 3, _EDGE,
      Exists("a", Forall("x", Implies(And((_Q, _R)), Atom("E", ("x",))))),
      True),
@@ -353,13 +378,25 @@ REWRITE_CASES = [
     ("two-block-vars", 3, _EDGE,
      Forall("a", Forall("x", Implies(And((_Q, Atom("P", ("a",)))), _R))),
      True),
-    # an empty universe: the universal block holds vacuously, so hoisting
-    # the closed, false conjunct out of it would change the answer
+    # an empty universe: the universal block holds vacuously, so its
+    # closed, false conjunct must not be checked outside the block
     ("empty-universe", 0, dict(E=set()),
      Forall("x", And((Exists("y", Equal("y", "y")),
                       Atom("E", ("x",))))), True),
     ("empty-universe-exists", 0, dict(E=set()),
      Exists("a", Forall("x", Atom("E", ("x",)))), False),
+    # guarded quantifiers: exists over an empty guard is false, forall over
+    # one holds vacuously
+    ("exists-empty-guard", 3, _EDGE,
+     Exists("a", Forall("x", Implies(_Q, _R)), "E"), False),
+    ("forall-empty-guard", 3, _EDGE,
+     Exists("a", Forall("x", Not(Equal("x", "x")), "E"), "P"), True),
+    # a guard on a quantifier nested below the prefix: R(0, x) holds for
+    # every x in Q, and no other a has an R-successor in Q at all
+    ("nested-guard", 3, _EDGE,
+     Exists("a", And((_P, Forall("x", _R, "Q")))), True),
+    ("nested-guard-false", 3, _EDGE,
+     Exists("a", And((Not(_P), Forall("x", _R, "Q")))), False),
 ]
 
 
@@ -373,8 +410,9 @@ def test_universal_block_rewrite_edge_cases(name, size, rels, formula,
 
 
 def test_universal_block_rewrite_matches_basic_random():
-    """Random prefix-then-universal formulas over random small structures:
-    the rewritten schedule and the textbook recursion agree."""
+    """Random prefix-then-universal formulas over random small structures,
+    some quantifiers guarded: the split schedule and the textbook recursion
+    agree."""
     rng = random.Random(77)
     unary, binary = ("P", "Q", "E"), ("R", "S")
     for trial in range(400):
@@ -414,10 +452,13 @@ def test_universal_block_rewrite_matches_basic_random():
             parts.append(literal())
         rng.shuffle(parts)
         f = parts[0] if len(parts) == 1 else And(tuple(parts))
+
+        def guard():  # E is always empty
+            return rng.choice(unary) if rng.random() < 0.5 else None
         for x in reversed(fa):
-            f = Forall(x, f)
+            f = Forall(x, f, guard())
         for a in reversed(ex):
-            f = Exists(a, f)
+            f = Exists(a, f, guard())
         s = _structure(size, **rels)
         assert model_check(s, f) == model_check_basic(s, f), \
             (trial, formula_to_sexpr(f), rels)
@@ -434,7 +475,7 @@ _Pn, _Qn, _En, _Rn = _atoms("P"), _atoms("Q"), _atoms("E"), _atoms("R")
 SCOPING_CASES = [
     # the block's x shadows the prefix x: forall x P(x) fails at x = 1
     ("block-reuses-prefix-name", Exists("x", Forall("x", _Pn("x"))), False),
-    # P(x) names the block variable, so it is not hoisted to the prefix
+    # P(x) names the block variable, not the prefix x
     ("block-reuses-prefix-name-kept",
      Exists("x", Forall("x", And((_Pn("x"), Or((_Qn("x"), Not(_Qn("x")))))))),
      False),
@@ -443,7 +484,7 @@ SCOPING_CASES = [
     # R has no loop, so the guarded x never meets R(x, x)
     ("block-guard-shadowed",
      Exists("x", Forall("x", Implies(_Qn("x"), _Rn("x", "x")))), False),
-    # P(y) is hoisted and pins y = 0; R(0, 1) and R(0, 2) hold
+    # the block conjunct P(y) pins y = 0; R(0, 1) and R(0, 2) hold
     ("block-mixes-prefix-and-shadow",
      Exists("y", Exists("x", Forall("x", And((
          _Pn("y"), Implies(_Qn("x"), _Rn("y", "x"))))))), True),
@@ -537,3 +578,9 @@ def test_structure_debug_text(toy1):
 def test_sexpr_round_readable():
     f = And((Atom("VAR", ("v",)), Or((Equal("v", "v"), Not(Equal("v", "v"))))))
     assert formula_to_sexpr(Implies(f, f)).startswith("(implies")
+    assert formula_to_sexpr(Exists("v", f, "VAR")) == \
+        "(exists (v VAR) " + formula_to_sexpr(f) + ")"
+    # formulas that differ only in a guard print differently
+    texts = {formula_to_sexpr(q("v", f, guard))
+             for q in (Exists, Forall) for guard in (None, "VAR", "DOM")}
+    assert len(texts) == 6
