@@ -218,7 +218,7 @@ def _layout(instance: Instance) -> _Layout:
                    instance.domain_size)
 
 
-def _base_universe(instance: Instance, lay: _Layout):
+def _base_universe(instance: Instance):
     universe = [(name, SORT_VARIABLE) for name in instance.var_names]
     universe += [(a.name, SORT_ACTION) for a in instance.actions]
     universe += [(str(x), SORT_VALUE) for x in range(instance.domain_size)]
@@ -257,7 +257,7 @@ def build_structure(instance: Instance) -> RelationalStructure:
     lay = _layout(instance)
     rels = _base_relations(instance, lay)
     return RelationalStructure(
-        tuple(_base_universe(instance, lay)),
+        tuple(_base_universe(instance)),
         {name: frozenset(t) for name, t in rels.items()},
         dict(_BASE_ARITIES))
 
@@ -268,7 +268,7 @@ def build_extended_structure(instance: Instance, k: int) -> RelationalStructure:
     the j-th dummy alone, so that a formula can pin its j-th dummy
     variable; no relation holds all the dummies."""
     lay = _layout(instance)
-    universe = _base_universe(instance, lay)
+    universe = _base_universe(instance)
     universe += [(f"dum{i}", SORT_DUMMY) for i in range(1, k + 1)]
     rels = _base_relations(instance, lay)
     for i in range(1, k + 1):
@@ -736,7 +736,6 @@ class McResult:
     solvable: bool
     plan: Optional[Plan]
     assignments: int
-    fragment: str
 
 
 def _witness_plan(instance: Instance, witness: Dict[str, int], k: int,
@@ -767,13 +766,13 @@ def solve_via_mc(instance: Instance, k: int, fragment: str = SIGMA22) -> McResul
         # With no variables the empty plan reaches the goal, while sigma1's
         # VAR(v_i) guards would range over nothing and refute every plan.
         ok = validate_plan(instance, ()).valid
-        return McResult(ok, () if ok else None, 0, fragment)
+        return McResult(ok, () if ok else None, 0)
 
     work = instance
     action_ids = list(range(len(instance.actions)))
     if fragment == SIGMA1:
         if len(diff_set(instance, instance.goal)) > k:
-            return McResult(False, None, 0, fragment)
+            return McResult(False, None, 0)
         # An action whose precondition deviates from the initial state on
         # more than k-1 variables can never fire within k unary steps (the
         # i-th action follows at most i-1 single-variable changes); it is
@@ -785,19 +784,21 @@ def solve_via_mc(instance: Instance, k: int, fragment: str = SIGMA22) -> McResul
             instance.var_count, instance.domain_size,
             tuple(instance.actions[a] for a in action_ids),
             instance.init, dict(instance.goal), instance.var_names)
-        structure = build_extended_structure(work, k)
+        # The formula first: it refuses k above the cap before a structure
+        # with k dummy elements is built.
         formula = build_sigma1_formula(k)
+        structure = build_extended_structure(work, k)
     else:
-        structure = build_structure(work)
         formula = build_sigma22_formula(k)
+        structure = build_structure(work)
 
     sat, witness, assignments = model_check_witness(structure, formula)
     if not sat:
-        return McResult(False, None, assignments, fragment)
+        return McResult(False, None, assignments)
     plan = _witness_plan(work, witness, k, action_ids)
     report = validate_plan(instance, plan)
     if not report.valid:
         raise AssertionError(
             "model checking produced a witness that does not validate: "
             + report.message(instance))
-    return McResult(True, plan, assignments, fragment)
+    return McResult(True, plan, assignments)

@@ -236,8 +236,6 @@ def from_mcc_03(graph: MulticoloredGraph) -> Tuple[Instance, int]:
 @dataclass(frozen=True)
 class OrGadget:
     out: int
-    variables: Tuple[int, ...]
-    actions: Tuple[int, ...]
 
 
 def or2_gadget(builder: InstanceBuilder, v1: int, v2: int,
@@ -251,16 +249,14 @@ def or2_gadget(builder: InstanceBuilder, v1: int, v2: int,
     out = builder.add_variable(out_name)
     i1 = builder.add_variable(p + "i1")
     i2 = builder.add_variable(p + "i2")
-    acts = (
-        builder.add_action(p + "a_o", {o1: 1, o2: 1}, {out: 1}),
-        builder.add_action(p + "a_o1", {i1: 1, i2: 0}, {o1: 1}),
-        builder.add_action(p + "a_o2", {i1: 0, i2: 1}, {o2: 1}),
-        builder.add_action(p + "a_i1", {}, {i1: 1}),
-        builder.add_action(p + "a_i2", {}, {i2: 1}),
-        builder.add_action(p + "a_v1", {v1: 1}, {i1: 0}),
-        builder.add_action(p + "a_v2", {v2: 1}, {i2: 0}),
-    )
-    return OrGadget(out, (o1, o2, out, i1, i2), acts)
+    builder.add_action(p + "a_o", {o1: 1, o2: 1}, {out: 1})
+    builder.add_action(p + "a_o1", {i1: 1, i2: 0}, {o1: 1})
+    builder.add_action(p + "a_o2", {i1: 0, i2: 1}, {o2: 1})
+    builder.add_action(p + "a_i1", {}, {i1: 1})
+    builder.add_action(p + "a_i2", {}, {i2: 1})
+    builder.add_action(p + "a_v1", {v1: 1}, {i1: 0})
+    builder.add_action(p + "a_v2", {v2: 1}, {i2: 0})
+    return OrGadget(out)
 
 
 @dataclass(frozen=True)

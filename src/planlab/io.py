@@ -211,10 +211,3 @@ def parse_plan(data: Union[str, bytes], instance: Instance) -> Plan:
 
 def serialize_plan(plan: Plan, instance: Instance) -> str:
     return "".join(instance.actions[aid].name + "\n" for aid in plan)
-
-
-def sanitize_name(name: str) -> str:
-    """Render arbitrary generator-produced names into the format's alphabet."""
-    out = name.replace("(", ".").replace(")", "").replace(",", ".")
-    out = re.sub(r"[^A-Za-z0-9_.+-]", "_", out)
-    return out or "_"

@@ -2,7 +2,8 @@
 
 A sequence that is not yet a plan always has a required variable-value pair:
 some step's precondition (or the goal) needs (v, x) while the preceding
-window of states does not deliver it.  Post-uniqueness means at most one
+window of states does not deliver it.  The pair is the first unmet one that
+`validate_plan`'s failure report names.  Post-uniqueness means at most one
 action produces (v, x), so a sequence branches only on the insertion
 position of that producer.  Starting from the empty sequence, these
 insertions reach every minimal plan of length <= k.
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .core import ContractError, Instance, Plan, apply_action
+from .core import ContractError, Instance, Plan, validate_plan
 from .oracle import is_minimal_plan
 
 
@@ -37,43 +38,26 @@ class SearchResult:
     node_count: int  # distinct labels examined
 
 
-def _states_along(instance: Instance, seq: Plan):
-    states = [instance.init]
-    for aid in seq:
-        states.append(apply_action(states[-1], instance.actions[aid]))
-    return states
-
-
-def _window_start(states, v: int, x: int, j: int) -> int:
-    """Smallest i such that states i..j-1 all miss (v, x)."""
-    i = j - 1
-    while i > 0 and states[i - 1][v] != x:
-        i -= 1
-    return i
-
-
 def find_required_pair(instance: Instance, seq: Plan) -> Optional[RequiredPair]:
     """The required pair with smallest j, then smallest variable and value;
-    None exactly when seq is a valid plan."""
-    states = _states_along(instance, seq)
-    length = len(seq)
-    for j in range(1, length + 1):
-        action = instance.actions[seq[j - 1]]
-        best = None
-        for v in sorted(action.pre):
-            x = action.pre[v]
-            if states[j - 1][v] != x:
-                best = (v, x)
-                break
-        if best is not None:
-            v, x = best
-            return RequiredPair(v, x, _window_start(states, v, x, j), j)
-    for v in sorted(instance.goal):
-        x = instance.goal[v]
-        if states[length][v] != x:
-            return RequiredPair(v, x, _window_start(states, v, x, length + 1),
-                                length + 1)
-    return None
+    None exactly when seq is a valid plan.  validate_plan reports the first
+    unmet precondition or goal pair in this order; replaying that variable
+    alone gives the window start i, the smallest i such that states i..j-1
+    all miss (v, x)."""
+    report = validate_plan(instance, seq)
+    if report.valid:
+        return None
+    v = report.variable
+    if report.reason == "goal":
+        j, x = len(seq) + 1, instance.goal[v]
+    else:
+        j, x = report.step + 1, instance.actions[seq[report.step]].pre[v]
+    i, value = 0, instance.init[v]
+    for t, aid in enumerate(seq[:j - 1]):
+        if value == x:
+            i = t + 1
+        value = instance.actions[aid].eff.get(v, value)
+    return RequiredPair(v, x, i, j)
 
 
 def producer(instance: Instance, v: int, x: int) -> Optional[int]:

@@ -317,18 +317,13 @@ def extract_plan(instance: Instance, dst: SteinerInstance,
     heads = [head for _, head in arcs]
     if len(set(heads)) != len(heads):
         raise ContractError("arc set is not a tree: duplicate heads")
-    children: Dict[int, List[int]] = {}
+    # With one arc into each head, the arcs form a tree rooted at the root
+    # exactly when a search from the root reaches every head and no head is
+    # the root: len(arcs) + 1 nodes.
+    adj: List[List[int]] = [[] for _ in range(dst.node_count)]
     for tail, head in arcs:
-        children.setdefault(tail, []).append(head)
-    depth = {ROOT: 0}
-    queue = [ROOT]
-    while queue:
-        u = queue.pop()
-        for w in children.get(u, ()):
-            if w in depth:
-                raise ContractError("arc set is not a tree: revisits a node")
-            depth[w] = depth[u] + 1
-            queue.append(w)
+        adj[tail].append(head)
+    depth, _ = _bfs(adj, ROOT)
     if len(depth) != len(arcs) + 1:
         raise ContractError("arc set is not a tree rooted at the root node")
     layered = sorted(arcs, key=lambda arc: (-depth[arc[0]],

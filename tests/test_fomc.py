@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from planlab import fomc
 from planlab.core import Action, ContractError, Instance, classify
 from planlab.fomc import (SIGMA1, SIGMA1_MAX_K, SIGMA22, SIGMA22_MAX_K, And, Atom, Equal,
                           Exists, Forall, Implies, Not, Or, RelationalStructure,
@@ -86,9 +87,17 @@ def test_sigma1_k1_roster():
     assert e == 5  # one action, vertex, dummy, precondition and goal variable
 
 
-def test_sigma1_cap():
+def test_sigma1_cap(toy1, monkeypatch):
     with pytest.raises(ContractError):
         build_sigma1_formula(9)
+
+    # the refusal comes before a structure with k dummy elements is built
+    def no_structure(instance, k):
+        raise AssertionError("built the structure before the cap check")
+
+    monkeypatch.setattr(fomc, "build_extended_structure", no_structure)
+    with pytest.raises(ContractError):
+        solve_via_mc(toy1, SIGMA1_MAX_K + 1, SIGMA1)
 
 
 def test_sigma1_formula_is_built_once_per_k():

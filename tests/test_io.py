@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planlab.core import Action, Instance
-from planlab.io import (ParseError, parse_instance, parse_plan, sanitize_name,
+from planlab.io import (ParseError, parse_instance, parse_plan,
                         serialize_instance, serialize_plan)
 
 TOY1_TEXT = """\
@@ -164,9 +164,3 @@ def test_fuzz_mutated_canonical():
             parse_instance("".join(chars))
         except ParseError:
             pass
-
-
-def test_sanitize_name():
-    assert sanitize_name("a_i(b_j)") == "a_i.b_j"
-    assert sanitize_name("x y") == "x_y"
-    assert sanitize_name("") == "_"

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from planlab.core import Action, ContractError, Instance
+from planlab.core import Action, ContractError, Instance, apply_action
 from planlab.generators import random_instance
 from planlab.oracle import enumerate_minimal_plans, is_valid_plan, shortest_plan
 from planlab.postunique import (RequiredPair, find_required_pair, producer,
@@ -26,16 +26,66 @@ def test_required_pair_window():
     assert pair == RequiredPair(0, 1, 2, 3)
 
 
+def reference_required_pair(inst, seq):
+    """The definition in find_required_pair's docstring, spelled out: the
+    first unmet precondition or goal pair in (j, variable) order, and the
+    smallest i such that states i..j-1 all miss it."""
+    states = [inst.init]
+    for aid in seq:
+        states.append(apply_action(states[-1], inst.actions[aid]))
+    needs = [inst.actions[aid].pre for aid in seq] + [inst.goal]
+    for j, need in enumerate(needs, start=1):
+        for v in sorted(need):
+            x = need[v]
+            if states[j - 1][v] != x:
+                i = min(i for i in range(j)
+                        if all(s[v] != x for s in states[i:j]))
+                return RequiredPair(v, x, i, j)
+    return None
+
+
+def set_clear_set(rng, inst):
+    """A sequence that sets one value of a variable, clears it and sets it
+    again, with random actions around each step; a random sequence when no
+    variable has producers of two values."""
+    m = len(inst.actions)
+    v = rng.randrange(inst.var_count)
+    by_value = {}
+    for aid, action in enumerate(inst.actions):
+        if v in action.eff:
+            by_value.setdefault(action.eff[v], []).append(aid)
+    if len(by_value) < 2:
+        return tuple(rng.randrange(m) for _ in range(rng.randint(0, 5)))
+    x, y = rng.sample(sorted(by_value), 2)
+    seq = []
+    for value in (x, y, x):
+        seq += [rng.randrange(m) for _ in range(rng.randint(0, 1))]
+        seq.append(rng.choice(by_value[value]))
+    return tuple(seq)
+
+
 def test_required_pair_none_iff_valid():
     rng = random.Random(61803)
-    for _ in range(400):
-        inst = random_small_instance(rng, n_max=4, d_max=3, m_max=5)
+    late_windows = 0
+    for draw in range(800):
+        wide = draw >= 400  # domains 3-4 and set/clear/set-again sequences
+        if wide:
+            inst = random_small_instance(rng, n_max=3, d_min=3, d_max=4,
+                                         m_max=6)
+        else:
+            inst = random_small_instance(rng, n_max=4, d_max=3, m_max=5)
         if not inst.actions:
             continue
-        seq = tuple(rng.randrange(len(inst.actions))
-                    for _ in range(rng.randint(0, 5)))
-        assert (find_required_pair(inst, seq) is None) == \
-            is_valid_plan(inst, seq)
+        if wide:
+            seq = set_clear_set(rng, inst)
+        else:
+            seq = tuple(rng.randrange(len(inst.actions))
+                        for _ in range(rng.randint(0, 5)))
+        pair = find_required_pair(inst, seq)
+        assert pair == reference_required_pair(inst, seq), (inst, seq)
+        assert (pair is None) == is_valid_plan(inst, seq)
+        late_windows += wide and pair is not None and pair.i > 0
+    assert late_windows >= 20  # 45 with this seed
 
 
 def test_producer(toy1):

@@ -290,8 +290,18 @@ def test_extract_zt1(zt1):
 
 def test_extract_rejects_non_tree(zt1):
     dst = build_dst(zt1, 2)
+    for arcs in (((1, 2),),  # the root cannot reach the tail
+                 ((0, 1), (1, 2), (2, 0))):  # an arc into the root
+        with pytest.raises(ContractError):
+            extract_plan(zt1, dst, arcs)
+    # a tree below the root beside an arc whose tail the root cannot reach
+    chain = Instance(3, 2, (Action("g", {}, {0: 1}),
+                            Action("m", {}, {2: 1, 1: 0})),
+                     (0, 0, 0), {0: 1, 1: 1, 2: 1})
+    dst = build_dst(chain, 2)
+    assert set(dst.arcs) == {(0, 1), (2, 3)}
     with pytest.raises(ContractError):
-        extract_plan(zt1, dst, ((1, 2),))
+        extract_plan(chain, dst, ((0, 1), (2, 3)))
 
 
 def test_deep_chain_extraction():
