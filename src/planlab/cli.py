@@ -64,11 +64,11 @@ def cmd_classify(args) -> int:
 
 def _solve_with(instance: Instance, k: int, solver: str, fragment: Optional[str],
                 budget: int, dot_path: Optional[str] = None):
-    """Returns (solvable, plan or None, solver label, stats); fo-mc runs
-    the given fragment."""
+    """Returns (plan or None, solver label, stats); fo-mc runs the given
+    fragment."""
     if solver == "post-unique":
         plan, labels = postunique.shortest_plan_with_stats(instance, k)
-        return plan is not None, plan, solver, {"search_tree_nodes": labels}
+        return plan, solver, {"search_tree_nodes": labels}
     if solver == "zero-two":
         result = zerotwo.solve_zero_two(instance, k)
         stats = {"transformed": result.transformed,
@@ -79,14 +79,14 @@ def _solve_with(instance: Instance, k: int, solver: str, fragment: Optional[str]
         if dot_path:
             with open(dot_path, "w") as fh:
                 fh.write(zerotwo.steiner_to_dot(result.dst, result.built_from))
-        return result.plan is not None, result.plan, solver, stats
+        return result.plan, solver, stats
     if solver == "fo-mc":
         result = fomc.solve_via_mc(instance, k, fragment)
-        return result.solvable, result.plan, f"fo-mc/{fragment}", {
+        return result.plan, f"fo-mc/{fragment}", {
             "assignments": result.assignments}
     if solver == "oracle":
         plan, visited = oracle.shortest_plan_with_stats(instance, k, budget)
-        return plan is not None, plan, solver, {"visited_states": visited}
+        return plan, solver, {"visited_states": visited}
     raise ValueError(f"unknown solver {solver!r}")
 
 
@@ -106,18 +106,19 @@ def cmd_solve(args) -> int:
         if profile is None:
             profile = classify(instance)
         fragment = fomc.SIGMA1 if profile.unary else fomc.SIGMA22
-    solvable, plan, label, stats = _solve_with(
+    plan, label, stats = _solve_with(
         instance, args.k, solver, fragment, budget, args.dot)
-    if plan is not None:
+    solvable = plan is not None
+    if solvable:
         report = validate_plan(instance, plan)
         if not report.valid:
             raise AssertionError("solver returned an invalid plan: "
                                  + report.message(instance))
     result = {
         "solvable": solvable,
-        "length": len(plan) if plan is not None else None,
+        "length": len(plan) if solvable else None,
         "plan": [instance.actions[a].name for a in plan]
-                if plan is not None else None,
+                if solvable else None,
         "solver": label,
         "stats": stats if args.stats else {},
     }
@@ -146,19 +147,15 @@ def cmd_validate(args) -> int:
 
 
 def _parse_sets(text: str) -> Tuple[Tuple[int, ...], ...]:
-    """'{1,2},{2,3}' -> ((1,2),(2,3)); '{}' makes an empty subset."""
-    text = text.strip()
+    """'{1,2},{2,3}' -> ((1,2),(2,3)); '{}' makes an empty subset, and
+    whitespace is ignored."""
+    text = "".join(text.split())
     if not text:
         return ()
     if not (text.startswith("{") and text.endswith("}")):
         raise ValueError("subsets must look like {1,2},{2,3}")
-    groups = text[1:-1].split("},{")
-    out = []
-    for g in groups:
-        g = g.strip()
-        out.append(tuple(sorted(int(x) for x in g.split(",") if x.strip()))
-                   if g else ())
-    return tuple(out)
+    return tuple(tuple(sorted(int(x) for x in g.split(",") if x))
+                 for g in text[1:-1].split("},{"))
 
 
 def _parse_edges(text: str) -> Tuple[Tuple[generators.Vertex,
@@ -244,6 +241,8 @@ def cmd_generate(args) -> int:
         meta = {"generator": kind, "components": list(args.component),
                 "k": args.k}
     elif kind == "random":
+        if args.k < 0:
+            raise ValueError("k must be non-negative")
         instance = generators.random_instance(
             args.n, args.domain, args.actions, args.seed,
             post_unique=args.post_unique, unary=args.unary,

@@ -5,9 +5,12 @@ encoded as a closed formula whose size depends on k alone.  The general
 encoding needs one existential block followed by two universal quantifiers;
 for unary instances an extended structure with dummy padding elements makes
 a purely existential formula possible, and one-element relations DUMj pin
-its interchangeable dummy variables.  A generic evaluator then decides
-satisfaction, giving a solver route that shares no code with the state-space
-oracle or the search-tree solver.
+its interchangeable dummy variables.  There ACT holds the dummy action and
+only the actions that can fire within k unary steps, those whose
+precondition deviates from the initial state on fewer than k variables; the
+others stay universe elements that no quantifier ranges over.  A generic
+evaluator then decides satisfaction, giving a solver route that shares no
+code with the state-space oracle or the search-tree solver.
 
 The builders state each quantifier's range as a unary guard relation:
 exists x in R phi reads as exists x (R(x) and phi), and forall x in R phi as
@@ -43,7 +46,8 @@ SIGMA22_MAX_K = 200
 
 
 class TriviallyUnsolvable(PlanLabError):
-    """A diff set exceeds k, so no plan of length <= k can exist (unary case)."""
+    """The goal deviates from the initial state on more than k variables, so
+    no plan of length <= k can exist (unary case)."""
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +268,20 @@ def build_structure(instance: Instance) -> RelationalStructure:
 
 def build_extended_structure(instance: Instance, k: int) -> RelationalStructure:
     """The base structure plus k dummy elements, GOAL and the diff
-    relations, each action padded to exactly k DIFF_ACT rows.  DUMj holds
-    the j-th dummy alone, so that a formula can pin its j-th dummy
-    variable; no relation holds all the dummies."""
+    relations.  ACT holds dum_a and only the actions whose precondition
+    deviates from the initial state on fewer than k variables: the i-th
+    action of a unary plan follows at most i-1 single-variable changes, so
+    no other action can fire within k steps.  Each action in ACT is padded
+    to exactly k DIFF_ACT rows; the others stay universe elements with no
+    ACT or DIFF_ACT row.  DUMj holds the j-th dummy alone, so that a formula
+    can pin its j-th dummy variable; no relation holds all the dummies.
+    Raises TriviallyUnsolvable when the goal deviates on more than k
+    variables."""
+    goal_diff = diff_set(instance, instance.goal)
+    if len(goal_diff) > k:
+        raise TriviallyUnsolvable(
+            f"goal deviates from the initial state on {len(goal_diff)} > k "
+            "variables")
     lay = _layout(instance)
     universe = _base_universe(instance)
     universe += [(f"dum{i}", SORT_DUMMY) for i in range(1, k + 1)]
@@ -274,22 +289,15 @@ def build_extended_structure(instance: Instance, k: int) -> RelationalStructure:
     for i in range(1, k + 1):
         rels[f"DUM{i}"] = {(lay.dummy(i),)}
     rels["GOAL"] = {(lay.var(v),) for v in instance.goal}
-    diff_act = set()
+    rels["ACT"] = {(lay.dum_a,)}
+    rels["DIFF_ACT"] = set()
     for a, action in enumerate(instance.actions):
         diff = diff_set(instance, action.pre)
-        if len(diff) > k:
-            raise TriviallyUnsolvable(
-                f"action {action.name!r} deviates from the initial state on "
-                f"{len(diff)} > k variables")
-        diff_act |= {(lay.act(a), lay.var(v)) for v in diff}
-        diff_act |= {(lay.act(a), lay.dummy(i))
-                     for i in range(1, k - len(diff) + 1)}
-    rels["DIFF_ACT"] = diff_act
-    goal_diff = diff_set(instance, instance.goal)
-    if len(goal_diff) > k:
-        raise TriviallyUnsolvable(
-            f"goal deviates from the initial state on {len(goal_diff)} > k "
-            "variables")
+        if len(diff) < k:
+            rels["ACT"].add((lay.act(a),))
+            rels["DIFF_ACT"] |= {(lay.act(a), lay.var(v)) for v in diff}
+            rels["DIFF_ACT"] |= {(lay.act(a), lay.dummy(i))
+                                 for i in range(1, k - len(diff) + 1)}
     rels["DIFF_GOAL"] = ({(lay.var(v),) for v in goal_diff}
                          | {(lay.dummy(i),)
                             for i in range(1, k - len(goal_diff) + 1)})
@@ -418,7 +426,7 @@ def build_sigma1_formula(k: int) -> Formula:
               + [(f"v{i}", "VAR") for i in range(1, k + 1)]
               + [(f"x{i}_{j}", "DOM") for i in range(1, k + 1)
                  for j in range(1, k + 1)]
-              + [(f"xg{i}", None) for i in range(1, k + 1)])
+              + [(f"xg{i}", "DOM") for i in range(1, k + 1)])
     f: Formula = And((check_eff, diff_op_all, diff_goal, check_pre_all,
                       check_goal))
     for name, guard in reversed(roster):
@@ -738,8 +746,7 @@ class McResult:
     assignments: int
 
 
-def _witness_plan(instance: Instance, witness: Dict[str, int], k: int,
-                  action_ids: List[int]) -> Plan:
+def _witness_plan(instance: Instance, witness: Dict[str, int], k: int) -> Plan:
     lay = _layout(instance)
     plan = []
     for i in range(1, k + 1):
@@ -749,7 +756,7 @@ def _witness_plan(instance: Instance, witness: Dict[str, int], k: int,
         if not lay.n <= e < lay.n + lay.m:
             raise AssertionError("witness bound an action variable to a "
                                  "non-action element")
-        plan.append(action_ids[e - lay.n])
+        plan.append(e - lay.n)
     return tuple(plan)
 
 
@@ -768,34 +775,22 @@ def solve_via_mc(instance: Instance, k: int, fragment: str = SIGMA22) -> McResul
         ok = validate_plan(instance, ()).valid
         return McResult(ok, () if ok else None, 0)
 
-    work = instance
-    action_ids = list(range(len(instance.actions)))
     if fragment == SIGMA1:
-        if len(diff_set(instance, instance.goal)) > k:
-            return McResult(False, None, 0)
-        # An action whose precondition deviates from the initial state on
-        # more than k-1 variables can never fire within k unary steps (the
-        # i-th action follows at most i-1 single-variable changes); it is
-        # dropped so the padded diff relations stay well-formed.
-        action_ids = [a for a in action_ids
-                      if len(diff_set(instance,
-                                      instance.actions[a].pre)) < k]
-        work = Instance(
-            instance.var_count, instance.domain_size,
-            tuple(instance.actions[a] for a in action_ids),
-            instance.init, dict(instance.goal), instance.var_names)
         # The formula first: it refuses k above the cap before a structure
         # with k dummy elements is built.
         formula = build_sigma1_formula(k)
-        structure = build_extended_structure(work, k)
+        try:
+            structure = build_extended_structure(instance, k)
+        except TriviallyUnsolvable:
+            return McResult(False, None, 0)
     else:
         formula = build_sigma22_formula(k)
-        structure = build_structure(work)
+        structure = build_structure(instance)
 
     sat, witness, assignments = model_check_witness(structure, formula)
     if not sat:
         return McResult(False, None, assignments)
-    plan = _witness_plan(work, witness, k, action_ids)
+    plan = _witness_plan(instance, witness, k)
     report = validate_plan(instance, plan)
     if not report.valid:
         raise AssertionError(

@@ -27,6 +27,8 @@ class HittingSetInput:
     def __post_init__(self):
         if self.bound < 0:
             raise ContractError("bound must be non-negative")
+        if self.universe_size < 0:
+            raise ContractError("universe size must be non-negative")
         for c in self.subsets:
             for s in c:
                 if not 1 <= s <= self.universe_size:
@@ -40,6 +42,8 @@ class MulticoloredGraph:
     edges: Tuple[Tuple[Vertex, Vertex], ...]
 
     def __post_init__(self):
+        if min(self.parts, self.part_size) < 0:
+            raise ContractError("negative part count or part size")
         seen = set()
         for (i, a), (j, b) in self.edges:
             if i == j:

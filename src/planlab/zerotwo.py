@@ -333,8 +333,9 @@ def extract_plan(instance: Instance, dst: SteinerInstance,
 
 def solve_zero_two(instance: Instance, k: int) -> ZeroTwoResult:
     """The full pipeline.  The transform is skipped when the input already
-    has no two-effect good action, keeping the Steiner bound at k."""
-    _require_zero_two(instance)
+    has no two-effect good action, keeping the Steiner bound at k.  The
+    first stage that runs, the transform or build_dst, checks the (0,2)
+    contract."""
     if k < 0:
         raise ValueError("k must be non-negative")
 

@@ -232,6 +232,14 @@ def test_generate_hitting_set(capsys, tmp_path):
     solve_code, solved = run(capsys, "solve", str(out_path), "1")
     assert solve_code == 0 and solved["plan"] == ["a2"]
 
+    # whitespace anywhere in --sets is ignored
+    spaced_path = tmp_path / "hs-spaced.sasp"
+    code, _ = run(capsys, "generate", "hitting-set", "--universe", "3",
+                  "--sets", " {1, 2}, { 2,3 } ", "--k", "1",
+                  "--out", str(spaced_path))
+    assert code == 0
+    assert spaced_path.read_bytes() == out_path.read_bytes()
+
 
 def test_generate_or2(capsys, tmp_path):
     out_path = tmp_path / "or2.sasp"
@@ -370,6 +378,8 @@ def test_generate_malformed_options_are_usage_errors(capsys, tmp_path,
          "--complete"],
         ["generate", "mcc-ubs", "--parts", "2", "--per-part", "0",
          "--complete"],
+        ["generate", "random", "--n", "3", "--actions", "3", "--seed", "1",
+         "--k", "-1"],
     ]
     for argv in cases:
         code = main(argv + ["--out", str(out)])
@@ -377,9 +387,26 @@ def test_generate_malformed_options_are_usage_errors(capsys, tmp_path,
         assert code == 2 and captured.out == "", argv
         assert captured.err.startswith("invalid arguments"), argv
     assert not out.exists()
-    # a well-formed request the generator cannot honour stays inapplicable
-    code = main(hitting + ["--sets", "{1,4}", "--out", str(out)])
-    assert code == 3 and capsys.readouterr().out == ""
+    # a well-formed request the generator cannot honour stays inapplicable,
+    # and so do negative sizes
+    refused = [
+        hitting + ["--sets", "{1,4}"],
+        ["generate", "hitting-set", "--universe", "-2", "--sets", "",
+         "--k", "1"],
+        ["generate", "mcc-ubs", "--parts", "-1", "--complete"],
+        ["generate", "mcc-03", "--parts", "2", "--per-part", "-1"],
+    ]
+    for argv in refused:
+        code = main(argv + ["--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "", argv
+        assert captured.err.startswith("inapplicable"), argv
+    assert not out.exists()
+    # no parts is a consistent request: bound 0 and an empty instance
+    code, meta = run(capsys, "generate", "mcc-ubs", "--parts", "0",
+                     "--complete", "--out", str(out))
+    assert code == 0
+    assert (meta["expected_bound"], meta["vars"], meta["actions"]) == (0, 0, 0)
 
 
 def test_negative_budget_is_a_usage_error(capsys, toy_file, monkeypatch):

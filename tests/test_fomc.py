@@ -60,13 +60,45 @@ def test_extended_structure_toy1(toy1):
 
 
 def test_extended_structure_rejects_large_diffs():
+    # an action deviating on k or more variables cannot fire within k unary
+    # steps: it stays an element outside ACT and DIFF_ACT, and the empty
+    # plan still solves the empty goal
     inst = Instance(3, 2, (Action("a", {0: 1, 1: 1, 2: 1}, {0: 0}),),
                     (0, 0, 0), {})
-    with pytest.raises(TriviallyUnsolvable):
-        build_extended_structure(inst, 2)
+    act = 3
+    for k in (2, 3):
+        s = build_extended_structure(inst, k)
+        assert s.universe[act] == ("a", "action")
+        assert (act,) not in s.relations["ACT"]
+        assert all(row[0] != act for row in s.relations["DIFF_ACT"])
+        assert model_check(s, build_sigma1_formula(k))
+        assert solve_via_mc(inst, k, SIGMA1).plan == ()
     goal_heavy = Instance(3, 2, (), (0, 0, 0), {0: 1, 1: 1, 2: 1})
     with pytest.raises(TriviallyUnsolvable):
         build_extended_structure(goal_heavy, 2)
+
+
+def _quantifiers(f):
+    if isinstance(f, (Exists, Forall)):
+        yield f
+        yield from _quantifiers(f.body)
+    elif isinstance(f, (And, Or)):
+        for p in f.parts:
+            yield from _quantifiers(p)
+    elif isinstance(f, Not):
+        yield from _quantifiers(f.part)
+    elif isinstance(f, Implies):
+        yield from _quantifiers(f.left)
+        yield from _quantifiers(f.right)
+
+
+def test_every_quantifier_states_its_range():
+    formulas = ([build_sigma1_formula(k) for k in range(1, SIGMA1_MAX_K + 1)]
+                + [build_sigma22_formula(k) for k in range(1, 5)])
+    for f in formulas:
+        quantifiers = list(_quantifiers(f))
+        assert quantifiers
+        assert [q.var for q in quantifiers if q.guard is None] == []
 
 
 def test_sigma22_shape():
@@ -273,6 +305,14 @@ def test_sigma1_heavy_precondition_action_is_ignored():
     assert r.solvable and r.plan == (0,)
 
 
+def test_sigma1_unfireable_action_keeps_action_ids():
+    # "stuck" deviates on 2 > k variables, so it is outside ACT; the
+    # witness element of "go" still names action 1
+    acts = (Action("stuck", {0: 1, 1: 1}, {2: 1}), Action("go", {}, {2: 1}))
+    inst = Instance(3, 2, acts, (0, 0, 0), {2: 1})
+    assert solve_via_mc(inst, 1, SIGMA1).plan == (1,)
+
+
 def test_k0_short_circuit(toy1):
     assert not solve_via_mc(toy1, 0, SIGMA22).solvable
     done = Instance(1, 2, (), (1,), {0: 1})
@@ -325,6 +365,35 @@ def test_program_evaluator_matches_basic():
             assert model_check(se, f) == model_check_basic(se, f), i
             sigma1_checked += 1
     assert sigma1_checked > 0
+
+
+def test_sigma1_evaluators_agree_beside_an_unfireable_action():
+    """At k = 1 an action deviating on 2 variables has no ACT row; both
+    evaluators and the oracle still agree on the extended structure."""
+    rng = random.Random(17)
+    f = build_sigma1_formula(1)
+    answers = set()
+    for i in range(8):
+        n = rng.randint(2, 3)
+        init = tuple(rng.randrange(2) for _ in range(n))
+        acts = [Action(f"a{j}", {u: rng.randrange(2)
+                                 for u in rng.sample(range(n),
+                                                     rng.randint(0, 1))},
+                       {rng.randrange(n): rng.randrange(2)})
+                for j in range(rng.randint(0, 2))]
+        v, w = rng.sample(range(n), 2)
+        acts.insert(rng.randint(0, len(acts)),
+                    Action("stuck", {v: 1 - init[v], w: 1 - init[w]},
+                           {rng.randrange(n): rng.randrange(2)}))
+        goal = {u: rng.randrange(2) for u in rng.sample(range(n),
+                                                         rng.randint(0, 1))}
+        inst = Instance(n, 2, tuple(acts), init, goal)
+        s = build_extended_structure(inst, 1)
+        expected = model_check_basic(s, f)
+        assert model_check(s, f) == expected, i
+        assert expected == (shortest_plan(inst, 1) is not None), i
+        answers.add(expected)
+    assert answers == {True, False}
 
 
 _ARITY = {"P": 1, "Q": 1, "E": 1, "R": 2, "S": 2}

@@ -63,6 +63,13 @@ def test_hitting_set_empty_collection():
     assert is_valid_plan(inst, ())
 
 
+def test_hitting_set_rejects_negative_sizes():
+    with pytest.raises(ContractError):
+        HittingSetInput(-2, (), 1)
+    with pytest.raises(ContractError):
+        HittingSetInput(3, ((1,),), -1)
+
+
 def test_hitting_set_k0_unsolvable():
     inst, k = from_hitting_set(HittingSetInput(1, ((1,),), 0))
     assert shortest_plan(inst, k) is None
@@ -151,6 +158,13 @@ def test_mcc_validation():
         MulticoloredGraph(2, 1, (((1, 0), (1, 0)),))  # intra-part edge
     with pytest.raises(ContractError):
         MulticoloredGraph(2, 1, (((2, 0), (1, 0)),))  # not normalized
+    for parts, part_size in ((-1, 1), (2, -1)):
+        with pytest.raises(ContractError):
+            MulticoloredGraph(parts, part_size, ())
+    # no parts: bound 0 and an empty instance
+    for fn in (from_mcc_ubs, from_mcc_03):
+        inst, k = fn(MulticoloredGraph(0, 1, ()))
+        assert (k, inst.var_count, len(inst.actions)) == (0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
