@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from typing import Dict, List, Optional, Tuple
 
@@ -160,16 +161,16 @@ def _parse_sets(text: str) -> Tuple[Tuple[int, ...], ...]:
 
 def _parse_edges(text: str) -> Tuple[Tuple[generators.Vertex,
                                            generators.Vertex], ...]:
-    """'1.0-2.0,1.0-3.1' -> (((1,0),(2,0)), ((1,0),(3,1)))."""
+    """'1.0-2.0,1.0-3.1' -> (((1,0),(2,0)), ((1,0),(3,1))); whitespace is
+    ignored."""
+    text = "".join(text.split())
     edges = []
-    if not text.strip():
-        return ()
-    for chunk in text.split(","):
-        left, right = chunk.strip().split("-")
-        pi, a = left.split(".")
-        pj, c = right.split(".")
-        edges.append(generators.normalize_edge(
-            (int(pi), int(a)), (int(pj), int(c))))
+    for chunk in text.split(",") if text else ():
+        match = re.fullmatch(r"(\d+)\.(\d+)-(\d+)\.(\d+)", chunk)
+        if match is None:
+            raise ValueError("edges must look like 1.0-2.0,1.0-3.1")
+        pi, a, pj, c = map(int, match.groups())
+        edges.append(generators.normalize_edge((pi, a), (pj, c)))
     return tuple(edges)
 
 
@@ -203,6 +204,8 @@ def _write_generated(args, instance: Instance, bound: int,
 
 def cmd_generate(args) -> int:
     kind = args.generator
+    if getattr(args, "k", 0) < 0:
+        raise ValueError("k must be non-negative")
     if kind == "hitting-set":
         inp = generators.HittingSetInput(args.universe,
                                          _parse_sets(args.sets), args.k)
@@ -227,12 +230,11 @@ def cmd_generate(args) -> int:
         instance, bound = b.build(), 6
         meta = {"generator": kind, "v1": args.v1, "v2": args.v2}
     elif kind == "compose-pub":
-        comps = []
-        for spec_text in args.component:
-            path, _, ktext = spec_text.rpartition(":")
-            if not path:
-                raise ValueError("--component takes PATH:K")
-            comps.append((_load_instance(path), int(ktext)))
+        specs = [spec.rpartition(":") for spec in args.component]
+        if not all(path and int(ktext) >= 0 for path, _, ktext in specs):
+            raise ValueError("--component takes PATH:K with K >= 0")
+        comps = [(_load_instance(path), int(ktext))
+                 for path, _, ktext in specs]
         instance, bound = generators.compose_pub(comps)
         meta = {"generator": kind, "components": list(args.component)}
     elif kind == "compose-02":
@@ -241,8 +243,6 @@ def cmd_generate(args) -> int:
         meta = {"generator": kind, "components": list(args.component),
                 "k": args.k}
     elif kind == "random":
-        if args.k < 0:
-            raise ValueError("k must be non-negative")
         instance = generators.random_instance(
             args.n, args.domain, args.actions, args.seed,
             post_unique=args.post_unique, unary=args.unary,

@@ -108,16 +108,20 @@ class Equal(Formula):
     right: str
 
 
-def node_count(f: Formula) -> int:
+def _children(f: Formula) -> Tuple[Formula, ...]:
     if isinstance(f, (Exists, Forall)):
-        return 1 + node_count(f.body)
+        return (f.body,)
     if isinstance(f, (And, Or)):
-        return 1 + sum(node_count(p) for p in f.parts)
+        return f.parts
     if isinstance(f, Not):
-        return 1 + node_count(f.part)
+        return (f.part,)
     if isinstance(f, Implies):
-        return 1 + node_count(f.left) + node_count(f.right)
-    return 1
+        return (f.left, f.right)
+    return ()
+
+
+def node_count(f: Formula) -> int:
+    return 1 + sum(node_count(c) for c in _children(f))
 
 
 def formula_to_sexpr(f: Formula) -> str:
@@ -156,15 +160,8 @@ def prefix_shape(f: Formula) -> Tuple[int, int, bool]:
 
 
 def _quantifier_free(f: Formula) -> bool:
-    if isinstance(f, (Exists, Forall)):
-        return False
-    if isinstance(f, (And, Or)):
-        return all(_quantifier_free(p) for p in f.parts)
-    if isinstance(f, Not):
-        return _quantifier_free(f.part)
-    if isinstance(f, Implies):
-        return _quantifier_free(f.left) and _quantifier_free(f.right)
-    return True
+    return (not isinstance(f, (Exists, Forall))
+            and all(_quantifier_free(c) for c in _children(f)))
 
 
 # ---------------------------------------------------------------------------

@@ -462,6 +462,8 @@ def random_instance(n: int, domain_size: int, num_actions: int, seed: int, *,
         raise ContractError("sizes must be positive")
     if max_pre is None:
         max_pre = n
+    if max_pre < 0:
+        raise ContractError("max_pre must be non-negative")
     if max_eff is None:
         max_eff = 1 if unary else n
     if unary and max_eff != 1:

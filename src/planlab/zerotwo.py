@@ -178,11 +178,9 @@ def build_dst(instance: Instance, bound: int) -> SteinerInstance:
         bound=bound)
 
 
-def _bfs(adj: List[List[int]], s: int):
-    """BFS distances and predecessors from `s` over `adj`.  Ties go to the
-    first arc found, layer by layer, in arc order."""
+def _bfs(adj: List[List[int]], s: int) -> Dict[int, int]:
+    """BFS distances from `s` over `adj`; unreachable nodes are absent."""
     dist = {s: 0}
-    pred: Dict[int, int] = {}
     queue = [s]
     depth = 0
     while queue:
@@ -192,20 +190,9 @@ def _bfs(adj: List[List[int]], s: int):
             for w in adj[u]:
                 if w not in dist:
                     dist[w] = depth
-                    pred[w] = u
                     new.append(w)
         queue = new
-    return dist, pred
-
-
-def _path_arcs(pred: Dict[int, int], s: int, t: int
-               ) -> List[Tuple[int, int]]:
-    arcs = []
-    while t != s:
-        p = pred[t]
-        arcs.append((p, t))
-        t = p
-    return arcs
+    return dist
 
 
 def dreyfus_wagner(dst: SteinerInstance) -> Optional[DstSolution]:
@@ -219,10 +206,13 @@ def dreyfus_wagner(dst: SteinerInstance) -> Optional[DstSolution]:
     needed.  Each subset merges its splits at a common node (a singleton
     starts from its terminal alone, at cost 0), then relaxes the merged
     costs backwards along the unit arcs with a Dijkstra sweep (Erickson,
-    Monma & Veinott 1987) keyed on (cost, merge node), so that the smallest
-    merge node wins ties.  Splits are tried in a fixed order
-    and only a strictly cheaper one replaces the last, so the result is the
-    one the dense O(2^t n^2) table gives: same weight, same arcs."""
+    Monma & Veinott 1987) keyed on (cost, merge node, node, next hop), and
+    records each node's merge node and next hop toward it.  The tree is
+    read back from those next hops.  Ties go to the smallest merge node,
+    then to the smallest next hop, so each path segment of the tree is the
+    lexicographically smallest shortest path to its merge node, whatever the
+    order of dst.arcs.  Splits are tried in a fixed order and only a
+    strictly cheaper one replaces the last."""
     terms = dst.terminals
     t_count = len(terms)
     if t_count > MAX_TERMINALS:
@@ -237,7 +227,7 @@ def dreyfus_wagner(dst: SteinerInstance) -> Optional[DstSolution]:
     for tail, head in dst.arcs:
         adj[tail].append(head)
         radj[head].append(tail)
-    droot, _ = _bfs(adj, ROOT)
+    droot = _bfs(adj, ROOT)
     if any(t not in droot for t in terms):
         return None
     if len(set(terms) - {ROOT}) > bound:
@@ -245,8 +235,10 @@ def dreyfus_wagner(dst: SteinerInstance) -> Optional[DstSolution]:
 
     full = (1 << t_count) - 1
     f: List[Dict[int, int]] = [{} for _ in range(full + 1)]
-    # choice[mask][v]: (submask, via-node) for a split; (0, t) for a leaf
-    choice: List[Dict[int, Tuple[int, int]]] = [{} for _ in range(full + 1)]
+    # choice[mask][v]: (submask, merge node, next hop toward it); the submask
+    # is 0 for a leaf, and a merge node is its own next hop
+    choice: List[Dict[int, Tuple[int, int, int]]] = [
+        {} for _ in range(full + 1)]
     for mask in range(1, full + 1):
         merged: Dict[int, int] = {}
         merged_choice: Dict[int, int] = {}
@@ -271,31 +263,30 @@ def dreyfus_wagner(dst: SteinerInstance) -> Optional[DstSolution]:
                         merged[u] = cost
                         merged_choice[u] = sub
             sub = (sub - 1) & mask
-        heap = [(cost, u, u) for u, cost in merged.items()]
+        heap = [(cost, u, u, u) for u, cost in merged.items()]
         heapq.heapify(heap)
         fm, cm = f[mask], choice[mask]
         while heap:
-            cost, u, v = heapq.heappop(heap)
-            if v in fm:
+            cost, u, w, hop = heapq.heappop(heap)
+            if w in fm:
                 continue
-            fm[v] = cost
-            cm[v] = (merged_choice[u], u)
+            fm[w] = cost
+            cm[w] = (merged_choice[u], u, hop)
             cost += 1
-            for w in radj[v]:
-                if w not in fm and cost + droot.get(w, INF) <= bound:
-                    heapq.heappush(heap, (cost, u, w))
+            for x in radj[w]:
+                if x not in fm and cost + droot.get(x, INF) <= bound:
+                    heapq.heappush(heap, (cost, u, x, w))
 
     if ROOT not in f[full]:
         return None
 
-    preds: Dict[int, Dict[int, int]] = {}
     arcs: Set[Tuple[int, int]] = set()
 
     def collect(mask: int, v: int) -> None:
-        sub, u = choice[mask][v]
-        if v not in preds:
-            preds[v] = _bfs(adj, v)[1]
-        arcs.update(_path_arcs(preds[v], v, u))
+        sub, u, hop = choice[mask][v]
+        while v != u:
+            arcs.add((v, hop))
+            v, hop = hop, choice[mask][hop][2]
         if sub:
             collect(sub, u)
             collect(mask ^ sub, u)
@@ -323,7 +314,7 @@ def extract_plan(instance: Instance, dst: SteinerInstance,
     adj: List[List[int]] = [[] for _ in range(dst.node_count)]
     for tail, head in arcs:
         adj[tail].append(head)
-    depth, _ = _bfs(adj, ROOT)
+    depth = _bfs(adj, ROOT)
     if len(depth) != len(arcs) + 1:
         raise ContractError("arc set is not a tree rooted at the root node")
     layered = sorted(arcs, key=lambda arc: (-depth[arc[0]],

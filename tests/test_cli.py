@@ -5,7 +5,8 @@ import pytest
 
 from planlab import cli, io
 from planlab.cli import main
-from planlab.generators import compose_pub, random_instance
+from planlab.generators import (MulticoloredGraph, compose_pub, from_mcc_03,
+                                random_instance)
 from planlab.oracle import shortest_plan
 
 TOY1_TEXT = """\
@@ -65,6 +66,16 @@ def test_solve_auto(capsys, toy_file):
 def test_solve_unsolvable_exit(capsys, toy_file):
     code, out = run(capsys, "solve", toy_file, "1")
     assert code == 1 and not out["solvable"] and out["plan"] is None
+
+
+def test_solve_prints_lint_warnings(capsys, tmp_path):
+    path = tmp_path / "idle.sasp"
+    path.write_text(TOY1_TEXT + "action idle pre eff\n")
+    code = main(["solve", str(path), "2"])
+    captured = capsys.readouterr()
+    assert code == 0 and json.loads(captured.out)["length"] == 2
+    assert ("lint: action 'idle' has an empty effect set"
+            in captured.err.splitlines())
 
 
 def test_solve_inapplicable_exit(capsys, toy_file):
@@ -269,6 +280,21 @@ def test_generate_mcc(capsys, tmp_path):
     assert code == 0 and solved["length"] == 6
 
 
+def test_generate_mcc_from_edges(capsys, tmp_path):
+    out_path = tmp_path / "edges.sasp"
+    code, out = run(capsys, "generate", "mcc-03", "--parts", "3",
+                    "--per-part", "2", "--edges", "2.1-1.0, 1.0-3.1,2.0-3.1",
+                    "--out", str(out_path))
+    assert code == 0
+    graph = MulticoloredGraph(3, 2, (((1, 0), (2, 1)), ((1, 0), (3, 1)),
+                                     ((2, 0), (3, 1))))
+    instance, bound = from_mcc_03(graph)
+    assert out_path.read_text() == io.serialize_instance(instance)
+    meta = json.loads((tmp_path / "edges.sasp.meta.json").read_text())
+    assert meta["edges"] == ["1.0-2.1", "1.0-3.1", "2.0-3.1"]
+    assert meta["expected_bound"] == out["expected_bound"] == bound
+
+
 def test_generate_compose(capsys, tmp_path, toy_file):
     out_path = tmp_path / "pub.sasp"
     code, out = run(capsys, "generate", "compose-pub",
@@ -380,7 +406,14 @@ def test_generate_malformed_options_are_usage_errors(capsys, tmp_path,
          "--complete"],
         ["generate", "random", "--n", "3", "--actions", "3", "--seed", "1",
          "--k", "-1"],
-    ]
+        ["generate", "hitting-set", "--universe", "3", "--sets", "{1}",
+         "--k", "-1"],
+        ["generate", "compose-pub", "--component", f"{toy_file}:2",
+         "--component", f"{toy_file}:-1"],
+        ["generate", "compose-02", "--component", toy_file, "--k", "-1"],
+    ] + [["generate", "mcc-03", "--parts", "3", "--edges", edges]
+         for edges in ("1.0-2", "1.0-2.0,", "1.0-2.0-3.0", "a.0-2.0",
+                       "1.0:2.0", "1.0-2.0,-1.0-3.0")]
     for argv in cases:
         code = main(argv + ["--out", str(out)])
         captured = capsys.readouterr()
@@ -395,6 +428,8 @@ def test_generate_malformed_options_are_usage_errors(capsys, tmp_path,
          "--k", "1"],
         ["generate", "mcc-ubs", "--parts", "-1", "--complete"],
         ["generate", "mcc-03", "--parts", "2", "--per-part", "-1"],
+        ["generate", "random", "--n", "3", "--actions", "3", "--seed", "1",
+         "--max-pre", "-1"],
     ]
     for argv in refused:
         code = main(argv + ["--out", str(out)])

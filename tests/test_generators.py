@@ -459,3 +459,5 @@ def test_random_unsatisfiable_combo():
         random_instance(1, 2, 9, seed=0, post_unique=True)
     with pytest.raises(ContractError):
         random_instance(2, 2, 2, seed=0, unary=True, max_eff=2)
+    with pytest.raises(ContractError, match="max_pre"):
+        random_instance(3, 2, 3, seed=0, max_pre=-1)

@@ -57,6 +57,23 @@ def test_transform_postconditions(zt1):
             assert not (pol.action == GOOD and len(out.actions[aid].eff) == 2)
 
 
+def test_transform_names_dodge_taken_names():
+    # "a"'s first link would be called "a+c1" and its first chain variable
+    # "a+x1"; both names are taken, so they get a numeric suffix
+    inst = Instance(2, 2, (Action("a", {}, {0: 1, 1: 1}),
+                           Action("a+c1", {}, {0: 1, 1: 1})),
+                    (0, 0), {0: 1, 1: 1}, var_names=("a+x1", "y"))
+    tr = eliminate_two_effect_good_actions(inst, 1)
+    names = [a.name for a in tr.instance.actions]
+    assert len(set(names)) == len(names)
+    assert "a+c1.1" in names and "a+c1+c1" in names
+    assert "a+x1.1" in tr.instance.var_names
+    # solve_zero_two re-validates its plan on the transformed instance
+    result = solve_zero_two(inst, 1)
+    assert result.transformed and result.built_from == tr.instance
+    assert result.plan == (0,) and is_valid_plan(inst, result.plan)
+
+
 def test_transform_contract():
     inst = Instance(1, 2, (Action("p", {0: 0}, {0: 1}),), (0,), {0: 1})
     with pytest.raises(ContractError):
@@ -190,6 +207,39 @@ def test_dw_bound_exceeded():
 def test_dw_no_terminals():
     dst = SteinerInstance(2, ((0, 1),), {(0, 1): 0}, (), 0)
     assert dreyfus_wagner(dst).weight == 0
+
+
+def test_dw_diamond_takes_the_smallest_path():
+    # two shortest paths to terminal 3; the one through node 1 is the
+    # lexicographically smaller, in either arc order
+    arcs = ((0, 1), (0, 2), (1, 3), (2, 3))
+    for order in (arcs, arcs[::-1]):
+        dst = SteinerInstance(4, order, {a: i for i, a in enumerate(arcs)},
+                              (3,), 2)
+        sol = dreyfus_wagner(dst)
+        assert (sol.weight, sol.arcs) == (2, ((0, 1), (1, 3)))
+
+
+def test_dw_ignores_arc_order():
+    rng = random.Random(1414)
+    solved = 0
+    for _ in range(300):
+        n = rng.randint(3, 10)
+        arcs = sorted({(rng.randrange(n), rng.randrange(1, n))
+                       for _ in range(rng.randint(2, 3 * n))})
+        arcs = [a for a in arcs if a[0] != a[1]]
+        terminals = tuple(sorted(rng.sample(range(1, n),
+                                            rng.randint(1, min(5, n - 1)))))
+        action = {a: i for i, a in enumerate(arcs)}
+        dst = SteinerInstance(n, tuple(arcs), action, terminals, n)
+        sol = dreyfus_wagner(dst)
+        solved += sol is not None
+        orders = [arcs[::-1]] + [rng.sample(arcs, len(arcs))
+                                 for _ in range(4)]
+        for order in orders:
+            shuffled = SteinerInstance(n, tuple(order), action, terminals, n)
+            assert dreyfus_wagner(shuffled) == sol, shuffled
+    assert solved >= 100
 
 
 def test_dw_matches_brute_force_random_graphs():
