@@ -153,10 +153,19 @@ def _parse_sets(text: str) -> Tuple[Tuple[int, ...], ...]:
     text = "".join(text.split())
     if not text:
         return ()
+    usage = "subsets must look like {1,2},{2,3}"
     if not (text.startswith("{") and text.endswith("}")):
-        raise ValueError("subsets must look like {1,2},{2,3}")
-    return tuple(tuple(sorted(int(x) for x in g.split(",") if x))
+        raise ValueError(usage)
+    return tuple(tuple(sorted(_number(x, usage) for x in g.split(",") if x))
                  for g in text[1:-1].split("},{"))
+
+
+def _number(text: str, usage: str) -> int:
+    """int(text); text that int() refuses raises ValueError(usage)."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(usage) from None
 
 
 def _parse_edges(text: str) -> Tuple[Tuple[generators.Vertex,
@@ -230,11 +239,12 @@ def cmd_generate(args) -> int:
         instance, bound = b.build(), 6
         meta = {"generator": kind, "v1": args.v1, "v2": args.v2}
     elif kind == "compose-pub":
-        specs = [spec.rpartition(":") for spec in args.component]
-        if not all(path and int(ktext) >= 0 for path, _, ktext in specs):
-            raise ValueError("--component takes PATH:K with K >= 0")
-        comps = [(_load_instance(path), int(ktext))
-                 for path, _, ktext in specs]
+        usage = "--component takes PATH:K with K >= 0"
+        specs = [(path, _number(ktext, usage)) for path, _, ktext in
+                 (spec.rpartition(":") for spec in args.component)]
+        if not all(path and ki >= 0 for path, ki in specs):
+            raise ValueError(usage)
+        comps = [(_load_instance(path), ki) for path, ki in specs]
         instance, bound = generators.compose_pub(comps)
         meta = {"generator": kind, "components": list(args.component)}
     elif kind == "compose-02":

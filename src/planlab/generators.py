@@ -68,28 +68,24 @@ def normalize_edge(u: Vertex, v: Vertex) -> Tuple[Vertex, Vertex]:
 
 
 class InstanceBuilder:
-    """Incremental construction with name-keyed variables and actions."""
+    """Incremental construction.  add_variable and add_action return the new
+    id; callers keep the ids they need, since names are only checked for
+    duplicates."""
 
     def __init__(self, domain_size: int = 2):
         self.domain_size = domain_size
-        self._var_names: List[str] = []
-        self._var_ids: Dict[str, int] = {}
-        self._init: List[int] = []
+        # variable name -> initial value, in id order
+        self._init: Dict[str, int] = {}
         self._actions: List[Action] = []
         self._action_names: Set[str] = set()
         self.goal: Dict[int, int] = {}
         self._prefix_counter = 0
 
     def add_variable(self, name: str, init: int = 0) -> int:
-        if name in self._var_ids:
+        if name in self._init:
             raise ContractError(f"variable {name!r} already exists")
-        self._var_ids[name] = len(self._var_names)
-        self._var_names.append(name)
-        self._init.append(init)
-        return self._var_ids[name]
-
-    def var(self, name: str) -> int:
-        return self._var_ids[name]
+        self._init[name] = init
+        return len(self._init) - 1
 
     def add_action(self, name: str, pre: Dict[int, int],
                    eff: Dict[int, int]) -> int:
@@ -109,12 +105,12 @@ class InstanceBuilder:
 
     def build(self) -> Instance:
         return Instance(
-            var_count=len(self._var_names),
+            var_count=len(self._init),
             domain_size=self.domain_size,
             actions=tuple(self._actions),
-            init=tuple(self._init),
+            init=tuple(self._init.values()),
             goal=dict(self.goal),
-            var_names=tuple(self._var_names))
+            var_names=tuple(self._init))
 
 
 # ---------------------------------------------------------------------------
@@ -126,14 +122,17 @@ def from_hitting_set(inp: HittingSetInput) -> Tuple[Instance, int]:
     element setting every subset it hits; hitting set of size <= k iff plan
     of length <= k."""
     b = InstanceBuilder(domain_size=2)
-    for ci in range(len(inp.subsets)):
-        v = b.add_variable(f"c{ci + 1}")
-        b.set_goal(v, 1)
+    xs = [b.add_variable(f"c{ci}") for ci in range(1, len(inp.subsets) + 1)]
+    for x in xs:
+        b.set_goal(x, 1)
     for s in range(1, inp.universe_size + 1):
-        eff = {b.var(f"c{ci + 1}"): 1
-               for ci, c in enumerate(inp.subsets) if s in c}
-        b.add_action(f"a{s}", {}, eff)
+        b.add_action(f"a{s}", {}, {x: 1 for x, c in zip(xs, inp.subsets)
+                                   if s in c})
     return b.build(), inp.bound
+
+
+def _vname(v: Vertex) -> str:
+    return f"{v[0]}.{v[1]}"
 
 
 def from_mcc_ubs(graph: MulticoloredGraph) -> Tuple[Instance, int]:
@@ -141,68 +140,40 @@ def from_mcc_ubs(graph: MulticoloredGraph) -> Tuple[Instance, int]:
     most one precondition per action; k-clique iff plan of length
     7*C(k,2) + k."""
     k = graph.parts
-    k2 = k * (k - 1) // 2
     b = InstanceBuilder(domain_size=2)
-
-    def vname(v: Vertex) -> str:
-        return f"{v[0]}.{v[1]}"
-
-    def ename(e: Tuple[Vertex, Vertex]) -> str:
-        return f"{vname(e[0])}+{vname(e[1])}"
-
     edges = sorted(graph.edges)
-    for e in edges:
-        b.add_variable(f"xe.{ename(e)}")
-    for v in graph.vertices():
-        i = v[0]
-        for j in range(1, k + 1):
-            if j != i:
-                b.add_variable(f"xv.{vname(v)}.{j}")
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            if j != i:
-                vid = b.add_variable(f"xc.{i}.{j}")
-                b.set_goal(vid, 1)
-    for v in graph.vertices():
-        b.add_variable(f"xu.{vname(v)}")
-    for v in graph.vertices():
-        i = v[0]
-        for j in range(1, k + 1):
-            if j != i:
-                b.set_goal(b.var(f"xv.{vname(v)}.{j}"), 0)
+    vertices = graph.vertices()
+    # (vertex, other part): one connection each vertex must witness
+    links = [(v, j) for v in vertices for j in range(1, k + 1) if j != v[0]]
+    ename = {e: f"{_vname(e[0])}+{_vname(e[1])}" for e in edges}
+    xe = {e: b.add_variable(f"xe.{ename[e]}") for e in edges}
+    xv = {(v, j): b.add_variable(f"xv.{_vname(v)}.{j}") for v, j in links}
+    xc = {(i, j): b.add_variable(f"xc.{i}.{j}")
+          for i in range(1, k + 1) for j in range(1, k + 1) if j != i}
+    xu = {v: b.add_variable(f"xu.{_vname(v)}") for v in vertices}
+    for x in xc.values():
+        b.set_goal(x, 1)
+    for x in xv.values():
+        b.set_goal(x, 0)
 
     # A1: select an edge.
     for e in edges:
-        b.add_action(f"ae.{ename(e)}", {}, {b.var(f"xe.{ename(e)}"): 1})
+        b.add_action(f"ae.{ename[e]}", {}, {xe[e]: 1})
     # A2: record, per endpoint, the connection the edge witnesses.
     for e in edges:
-        (i, a), (j, c) = e
-        b.add_action(f"ae.{ename(e)}.{i}",
-                     {b.var(f"xe.{ename(e)}"): 1},
-                     {b.var(f"xv.{i}.{a}.{j}"): 1})
-        b.add_action(f"ae.{ename(e)}.{j}",
-                     {b.var(f"xe.{ename(e)}"): 1},
-                     {b.var(f"xv.{j}.{c}.{i}"): 1})
+        u, w = e
+        b.add_action(f"ae.{ename[e]}.{u[0]}", {xe[e]: 1}, {xv[u, w[0]]: 1})
+        b.add_action(f"ae.{ename[e]}.{w[0]}", {xe[e]: 1}, {xv[w, u[0]]: 1})
     # A3: check a connection.
-    for v in graph.vertices():
-        i = v[0]
-        for j in range(1, k + 1):
-            if j != i:
-                b.add_action(f"av.{vname(v)}.{j}",
-                             {b.var(f"xv.{vname(v)}.{j}"): 1},
-                             {b.var(f"xc.{i}.{j}"): 1})
+    for v, j in links:
+        b.add_action(f"av.{_vname(v)}.{j}", {xv[v, j]: 1}, {xc[v[0], j]: 1})
     # A4: arm a cleaner.
-    for v in graph.vertices():
-        b.add_action(f"ac.{vname(v)}", {}, {b.var(f"xu.{vname(v)}"): 1})
+    for v in vertices:
+        b.add_action(f"ac.{_vname(v)}", {}, {xu[v]: 1})
     # A5: clean a vertex variable.
-    for v in graph.vertices():
-        i = v[0]
-        for j in range(1, k + 1):
-            if j != i:
-                b.add_action(f"ar.{vname(v)}.{j}",
-                             {b.var(f"xu.{vname(v)}"): 1},
-                             {b.var(f"xv.{vname(v)}.{j}"): 0})
-    return b.build(), 7 * k2 + k
+    for v, j in links:
+        b.add_action(f"ar.{_vname(v)}.{j}", {xu[v]: 1}, {xv[v, j]: 0})
+    return b.build(), 7 * (len(xc) // 2) + k
 
 
 def from_mcc_03(graph: MulticoloredGraph) -> Tuple[Instance, int]:
@@ -210,27 +181,19 @@ def from_mcc_03(graph: MulticoloredGraph) -> Tuple[Instance, int]:
     k-clique iff plan of length C(k,2) + k."""
     k = graph.parts
     b = InstanceBuilder(domain_size=2)
-
-    def vname(v: Vertex) -> str:
-        return f"{v[0]}.{v[1]}"
-
-    for v in graph.vertices():
-        vid = b.add_variable(f"v.{vname(v)}")
-        b.set_goal(vid, 0)
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            vid = b.add_variable(f"p.{i}.{j}")
-            b.set_goal(vid, 1)
-    for v in graph.vertices():
-        b.add_action(f"a.{vname(v)}", {}, {b.var(f"v.{vname(v)}"): 0})
-    for e in sorted(graph.edges):
-        (i, a), (j, c) = e
-        b.add_action(f"ae.{vname(e[0])}+{vname(e[1])}", {}, {
-            b.var(f"v.{vname(e[0])}"): 1,
-            b.var(f"v.{vname(e[1])}"): 1,
-            b.var(f"p.{i}.{j}"): 1,
-        })
-    return b.build(), k * (k - 1) // 2 + k
+    xv = {v: b.add_variable(f"v.{_vname(v)}") for v in graph.vertices()}
+    xp = {(i, j): b.add_variable(f"p.{i}.{j}")
+          for i in range(1, k + 1) for j in range(i + 1, k + 1)}
+    for x in xv.values():
+        b.set_goal(x, 0)
+    for x in xp.values():
+        b.set_goal(x, 1)
+    for v, x in xv.items():
+        b.add_action(f"a.{_vname(v)}", {}, {x: 0})
+    for u, w in sorted(graph.edges):
+        b.add_action(f"ae.{_vname(u)}+{_vname(w)}", {},
+                     {xv[u]: 1, xv[w]: 1, xp[u[0], w[0]]: 1})
+    return b.build(), len(xp) + k
 
 
 # ---------------------------------------------------------------------------

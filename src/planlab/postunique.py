@@ -13,6 +13,11 @@ adds one step, so the search runs level by level over sets of distinct
 sequences ("labels"): a label reached along two insertion orders is
 examined once.  `solve_postunique` drains every level and keeps the minimal
 plans; `shortest_plan_with_stats` stops at the first level holding a plan.
+
+Minimality needs no further search.  A plan with a valid proper subsequence
+has a minimal one, of smaller length, which the search has already reached.
+So a plan is minimal exactly when no minimal plan of a shorter level is a
+subsequence of it.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .core import ContractError, Instance, Plan, validate_plan
-from .oracle import is_minimal_plan
 
 
 @dataclass(frozen=True)
@@ -116,13 +120,21 @@ def _levels(instance: Instance, k: int) -> Iterator[Tuple[List[Plan], int]]:
         level = successors
 
 
+def _within(sub: Plan, seq: Plan) -> bool:
+    """Whether sub is a subsequence of seq."""
+    steps = iter(seq)
+    return all(aid in steps for aid in sub)
+
+
 def solve_postunique(instance: Instance, k: int) -> SearchResult:
     """All minimal plans of length <= k, shortest first, then
-    lexicographically; and the number of labels examined."""
+    lexicographically; and the number of labels examined.  A plan is kept
+    when no minimal plan of a shorter level is a subsequence of it."""
     minimal: List[Plan] = []
     labels = 0
     for plans, labels in _levels(instance, k):
-        minimal.extend(sorted(p for p in plans if is_minimal_plan(instance, p)))
+        minimal.extend(sorted(p for p in plans
+                              if not any(_within(m, p) for m in minimal)))
     return SearchResult(tuple(minimal), labels)
 
 

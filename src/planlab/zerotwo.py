@@ -300,7 +300,7 @@ def dreyfus_wagner(dst: SteinerInstance) -> Optional[DstSolution]:
                        sum(len(fm) for fm in f))
 
 
-def extract_plan(instance: Instance, dst: SteinerInstance,
+def extract_plan(dst: SteinerInstance,
                  arcs: Tuple[Tuple[int, int], ...]) -> Plan:
     """Order the arc actions by strictly decreasing tail distance from the
     root, the root layer (good actions) last; declaration order within a
@@ -341,7 +341,7 @@ def solve_zero_two(instance: Instance, k: int) -> ZeroTwoResult:
     if solution is None:
         return ZeroTwoResult(None, transform is not None, work, dst, None)
 
-    plan = extract_plan(work, dst, solution.arcs)
+    plan = extract_plan(dst, solution.arcs)
     report = validate_plan(work, plan)
     if not report.valid:
         raise AssertionError("extracted plan does not validate: "

@@ -218,6 +218,16 @@ def test_validate(capsys, toy_file, tmp_path):
     assert code == 2
 
 
+def test_validate_goal_miss(capsys, toy_file, tmp_path):
+    short = tmp_path / "short.plan"
+    short.write_text("a1\n")
+    code = main(["validate", toy_file, str(short)])
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert code == 1 and not out["valid"] and out["reason"] == "goal"
+    assert captured.err.strip() == "goal-miss v1"
+
+
 def test_missing_file(capsys, tmp_path):
     code, _ = run(capsys, "classify", "/nonexistent/x.sasp")
     assert code == 2
@@ -411,6 +421,9 @@ def test_generate_malformed_options_are_usage_errors(capsys, tmp_path,
         ["generate", "compose-pub", "--component", f"{toy_file}:2",
          "--component", f"{toy_file}:-1"],
         ["generate", "compose-02", "--component", toy_file, "--k", "-1"],
+        hitting + ["--sets", "{1,a}"],
+        ["generate", "compose-pub", "--component", f"{toy_file}:2",
+         "--component", f"{toy_file}:x"],
     ] + [["generate", "mcc-03", "--parts", "3", "--edges", edges]
          for edges in ("1.0-2", "1.0-2.0,", "1.0-2.0-3.0", "a.0-2.0",
                        "1.0:2.0", "1.0-2.0,-1.0-3.0")]
@@ -419,6 +432,8 @@ def test_generate_malformed_options_are_usage_errors(capsys, tmp_path,
         captured = capsys.readouterr()
         assert code == 2 and captured.out == "", argv
         assert captured.err.startswith("invalid arguments"), argv
+        # the message names the option's format, not int()'s complaint
+        assert "invalid literal" not in captured.err, argv
     assert not out.exists()
     # a well-formed request the generator cannot honour stays inapplicable,
     # and so do negative sizes

@@ -41,6 +41,12 @@ def test_validate_rejects_bad_ids(toy1):
         validate_plan(toy1, (7,))
 
 
+def test_action_id(toy1):
+    assert toy1.action_id("a2") == 1
+    with pytest.raises(KeyError):
+        toy1.action_id("a9")
+
+
 def _validate_stepwise(instance, plan):
     """Reference: a new state tuple per step through apply_action."""
     state = instance.init

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -158,6 +159,12 @@ def test_mcc_validation():
         MulticoloredGraph(2, 1, (((1, 0), (1, 0)),))  # intra-part edge
     with pytest.raises(ContractError):
         MulticoloredGraph(2, 1, (((2, 0), (1, 0)),))  # not normalized
+    with pytest.raises(ContractError, match="outside the partition"):
+        MulticoloredGraph(2, 1, (((1, 0), (3, 0)),))
+    with pytest.raises(ContractError, match="index out of range"):
+        MulticoloredGraph(2, 1, (((1, 0), (2, 1)),))
+    with pytest.raises(ContractError, match="duplicate edge"):
+        MulticoloredGraph(2, 1, (((1, 0), (2, 0)),) * 2)
     for parts, part_size in ((-1, 1), (2, -1)):
         with pytest.raises(ContractError):
             MulticoloredGraph(parts, part_size, ())
@@ -165,6 +172,40 @@ def test_mcc_validation():
     for fn in (from_mcc_ubs, from_mcc_03):
         inst, k = fn(MulticoloredGraph(0, 1, ()))
         assert (k, inst.var_count, len(inst.actions)) == (0, 0, 0)
+
+
+# Digest of the reductions' output in test_reductions_are_pinned.  The
+# benchmark corpora are built by the same functions, so a change that
+# renames, reorders or drops a variable, goal or action shows here.
+PINNED_DIGEST = \
+    "55451cebeb95e9abbd51a01ecc613b778ad96e3e5db0512c3b7f9c97a97bc23d"
+
+
+def test_reductions_are_pinned():
+    sparse = MulticoloredGraph(3, 2, tuple(
+        ((i, a), (j, c)) for i, j in combinations(range(1, 4), 2)
+        for a in range(2) for c in range(2) if (i + j + a + c) % 3))
+    graphs = (triangle(), sparse, MulticoloredGraph(3, 2, ()))
+    calls = [fn(g) for g in graphs for fn in (from_mcc_ubs, from_mcc_03)]
+    calls.append(from_hitting_set(HittingSetInput(3, ((1, 2), (2, 3)), 1)))
+    digest = hashlib.sha256()
+    for inst, bound in calls:
+        digest.update(repr((serialize_instance(inst), inst.var_names,
+                            list(inst.goal.items()), bound)).encode())
+    assert digest.hexdigest() == PINNED_DIGEST
+
+
+def test_builder_refuses_duplicate_names():
+    b = InstanceBuilder(2)
+    assert (b.add_variable("x"), b.add_variable("y", init=1)) == (0, 1)
+    with pytest.raises(ContractError, match="variable 'x' already exists"):
+        b.add_variable("x")
+    assert b.add_action("a", {}, {0: 1}) == 0
+    with pytest.raises(ContractError, match="action 'a' already exists"):
+        b.add_action("a", {1: 1}, {0: 0})
+    inst = b.build()
+    assert (inst.var_names, inst.init, len(inst.actions)) == \
+        (("x", "y"), (0, 1), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,8 @@ def test_comments_and_blank_lines():
     (lambda t: t.replace("1=1\n", "5=1\n"), "out of range"),
     (lambda t: t.replace(" pre eff 0=1", " pre 0=1"), "missing 'eff'"),
     (lambda t: t.replace("action a1", "action a|1"), "illegal"),
+    (lambda t: t.replace("action a1 pre eff 0=1", "action"),
+     "action line is missing a name"),
 ])
 def test_parse_errors(mangle, needle):
     with pytest.raises(ParseError) as err:

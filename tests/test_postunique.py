@@ -4,6 +4,7 @@ import time
 import pytest
 
 from planlab.core import Action, ContractError, Instance, apply_action
+from planlab import oracle, postunique
 from planlab.generators import random_instance
 from planlab.oracle import enumerate_minimal_plans, is_valid_plan, shortest_plan
 from planlab.postunique import (RequiredPair, find_required_pair, producer,
@@ -213,3 +214,26 @@ def test_plans_with_repeated_actions_are_found():
     assert (0, 1, 0, 2) in result.plans
     for plan in result.plans:
         assert is_valid_plan(inst, plan)
+
+
+def test_minimality_needs_no_subsequence_check(monkeypatch):
+    # Each instance reaches a plan with a valid proper subsequence; the
+    # search drops it without the oracle's subsequence enumeration.
+    cases = []
+    for seed in (61, 144, 151, 228):
+        rng = random.Random(seed)
+        n, d = rng.randint(1, 4), rng.randint(2, 3)
+        m = rng.randint(1, min(5, n * d))
+        inst = random_instance(n, d, m, seed=seed, post_unique=True,
+                               max_pre=1)
+        cases.append((inst, enumerate_minimal_plans(inst, 4)))
+
+    def refuse(*args):
+        raise AssertionError("post-unique borrowed the oracle's test")
+
+    monkeypatch.setattr(oracle, "is_minimal_plan", refuse)
+    monkeypatch.setattr(postunique, "is_minimal_plan", refuse, raising=False)
+    for inst, expected in cases:
+        reached = sum(len(plans) for plans, _ in postunique._levels(inst, 4))
+        assert solve_postunique(inst, 4).plans == expected
+        assert reached > len(expected)

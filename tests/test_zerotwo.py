@@ -332,7 +332,7 @@ def test_dw_terminal_cap_checked_before_early_exits():
 def test_extract_zt1(zt1):
     dst = build_dst(zt1, 2)
     sol = dreyfus_wagner(dst)
-    plan = extract_plan(zt1, dst, sol.arcs)
+    plan = extract_plan(dst, sol.arcs)
     assert plan == (1, 0)  # mixed action first, good action last
     assert is_valid_plan(zt1, plan)
     assert not is_valid_plan(zt1, (0, 1))  # the other order clobbers x
@@ -343,7 +343,7 @@ def test_extract_rejects_non_tree(zt1):
     for arcs in (((1, 2),),  # the root cannot reach the tail
                  ((0, 1), (1, 2), (2, 0))):  # an arc into the root
         with pytest.raises(ContractError):
-            extract_plan(zt1, dst, arcs)
+            extract_plan(dst, arcs)
     # a tree below the root beside an arc whose tail the root cannot reach
     chain = Instance(3, 2, (Action("g", {}, {0: 1}),
                             Action("m", {}, {2: 1, 1: 0})),
@@ -351,7 +351,13 @@ def test_extract_rejects_non_tree(zt1):
     dst = build_dst(chain, 2)
     assert set(dst.arcs) == {(0, 1), (2, 3)}
     with pytest.raises(ContractError):
-        extract_plan(chain, dst, ((0, 1), (2, 3)))
+        extract_plan(dst, ((0, 1), (2, 3)))
+
+
+def test_extract_rejects_duplicate_heads(zt1):
+    dst = build_dst(zt1, 2)
+    with pytest.raises(ContractError, match="duplicate heads"):
+        extract_plan(dst, ((0, 1), (0, 1)))
 
 
 def test_deep_chain_extraction():
