@@ -2,7 +2,8 @@
 
 Machine-readable JSON goes to stdout, human-readable notes to stderr.
 Exit codes: 0 solved/valid, 1 unsolvable/invalid, 2 parse or usage error,
-3 solver inapplicable to the instance.
+3 solver inapplicable to the instance, search budget exhausted, or a
+generator refusing its input.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import os
 import re
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import fomc, generators, io, oracle, postunique, zerotwo
 from .core import (ContractError, Instance, RestrictionProfile, classify,
@@ -26,11 +27,15 @@ EXIT_UNSOLVED = 1
 EXIT_PARSE = 2
 EXIT_INAPPLICABLE = 3
 
+# What a route's runner returns: the plan or None, the solver label, stats.
+Solved = Tuple[Optional[List[int]], str, Dict[str, object]]
+
 
 def _budget(args) -> int:
     budget = args.budget
     if budget is None:
-        budget = int(os.environ.get(BUDGET_ENV, oracle.DEFAULT_BUDGET))
+        raw = os.environ.get(BUDGET_ENV, str(oracle.DEFAULT_BUDGET))
+        budget = _number(raw, f"{BUDGET_ENV} must be an integer, got {raw!r}")
     if budget < 0:
         raise ValueError(f"the budget must be non-negative, got {budget}")
     return budget
@@ -44,51 +49,65 @@ def _load_instance(path: str) -> Instance:
     return instance
 
 
-def _route(profile: RestrictionProfile) -> str:
-    if profile.post_unique:
-        return "post-unique"
-    if profile.max_pre == 0 and profile.max_eff <= 2:
-        return "zero-two"
-    if profile.unary:
-        return "fo-mc"
-    return "oracle"
+def _post_unique(instance: Instance, args, budget: int, profile) -> Solved:
+    plan, labels = postunique.shortest_plan_with_stats(instance, args.k)
+    return plan, "post-unique", {"search_tree_nodes": labels}
+
+
+def _zero_two(instance: Instance, args, budget: int, profile) -> Solved:
+    result = zerotwo.solve_zero_two(instance, args.k)
+    stats = {"transformed": result.transformed,
+             "steiner_nodes": result.dst.node_count,
+             "steiner_arcs": len(result.dst.arcs)}
+    if result.solution is not None:
+        stats["dp_cells"] = result.solution.cells
+    if args.dot:
+        with open(args.dot, "w") as fh:
+            fh.write(zerotwo.steiner_to_dot(result.dst, result.built_from))
+    return result.plan, "zero-two", stats
+
+
+def _fo_mc(instance: Instance, args, budget: int, profile) -> Solved:
+    fragment = args.fragment or (fomc.SIGMA1 if profile().unary
+                                 else fomc.SIGMA22)
+    result = fomc.solve_via_mc(instance, args.k, fragment)
+    return result.plan, f"fo-mc/{fragment}", {
+        "assignments": result.assignments}
+
+
+def _oracle(instance: Instance, args, budget: int, profile) -> Solved:
+    plan, visited = oracle.shortest_plan_with_stats(instance, args.k, budget)
+    return plan, "oracle", {"visited_states": visited}
+
+
+class Route(NamedTuple):
+    """A solver route: the profiles `auto` sends to it, its runner, called as
+    run(instance, args, budget, profile) with profile() classifying the
+    instance on first use, and the one `solve` option only it reads."""
+    name: str
+    applies: Callable[[RestrictionProfile], bool]
+    run: Callable[..., Solved]
+    option: Optional[str]
+
+
+# In the order `--solver auto` tries them: the first route that applies runs.
+ROUTES = (
+    Route("post-unique", lambda p: p.post_unique, _post_unique, None),
+    Route("zero-two", lambda p: p.max_pre == 0 and p.max_eff <= 2,
+          _zero_two, "dot"),
+    Route("fo-mc", lambda p: p.unary, _fo_mc, "fragment"),
+    Route("oracle", lambda p: True, _oracle, None),
+)
+
+
+def _route(profile: RestrictionProfile) -> Route:
+    return next(route for route in ROUTES if route.applies(profile))
 
 
 def cmd_classify(args) -> int:
-    instance = _load_instance(args.instance)
-    profile = classify(instance)
-    out = profile.as_dict()
-    out["route"] = _route(profile)
-    print(json.dumps(out))
+    profile = classify(_load_instance(args.instance))
+    print(json.dumps({**profile.as_dict(), "route": _route(profile).name}))
     return EXIT_SOLVED
-
-
-def _solve_with(instance: Instance, k: int, solver: str, fragment: Optional[str],
-                budget: int, dot_path: Optional[str] = None):
-    """Returns (plan or None, solver label, stats); fo-mc runs the given
-    fragment."""
-    if solver == "post-unique":
-        plan, labels = postunique.shortest_plan_with_stats(instance, k)
-        return plan, solver, {"search_tree_nodes": labels}
-    if solver == "zero-two":
-        result = zerotwo.solve_zero_two(instance, k)
-        stats = {"transformed": result.transformed,
-                 "steiner_nodes": result.dst.node_count,
-                 "steiner_arcs": len(result.dst.arcs)}
-        if result.solution is not None:
-            stats["dp_cells"] = result.solution.cells
-        if dot_path:
-            with open(dot_path, "w") as fh:
-                fh.write(zerotwo.steiner_to_dot(result.dst, result.built_from))
-        return result.plan, solver, stats
-    if solver == "fo-mc":
-        result = fomc.solve_via_mc(instance, k, fragment)
-        return result.plan, f"fo-mc/{fragment}", {
-            "assignments": result.assignments}
-    if solver == "oracle":
-        plan, visited = oracle.shortest_plan_with_stats(instance, k, budget)
-        return plan, solver, {"visited_states": visited}
-    raise ValueError(f"unknown solver {solver!r}")
 
 
 def cmd_solve(args) -> int:
@@ -96,19 +115,14 @@ def cmd_solve(args) -> int:
         raise ValueError("k must be non-negative")
     budget = _budget(args)
     instance = _load_instance(args.instance)
-    profile = classify(instance) if args.solver == "auto" else None
-    solver = _route(profile) if profile is not None else args.solver
-    if args.fragment and solver != "fo-mc":
-        raise ValueError(f"--fragment applies to fo-mc, not {solver}")
-    if args.dot and solver != "zero-two":
-        raise ValueError(f"--dot applies to zero-two, not {solver}")
-    fragment = args.fragment
-    if solver == "fo-mc" and fragment is None:
-        if profile is None:
-            profile = classify(instance)
-        fragment = fomc.SIGMA1 if profile.unary else fomc.SIGMA22
-    plan, label, stats = _solve_with(
-        instance, args.k, solver, fragment, budget, args.dot)
+    profile = functools.cache(lambda: classify(instance))
+    route = (_route(profile()) if args.solver == "auto" else
+             next(r for r in ROUTES if r.name == args.solver))
+    for other in ROUTES:
+        if other.option and other is not route and getattr(args, other.option):
+            raise ValueError(f"--{other.option} applies to {other.name}, "
+                             f"not {route.name}")
+    plan, label, stats = route.run(instance, args, budget, profile)
     solvable = plan is not None
     if solvable:
         report = validate_plan(instance, plan)
@@ -149,15 +163,15 @@ def cmd_validate(args) -> int:
 
 def _parse_sets(text: str) -> Tuple[Tuple[int, ...], ...]:
     """'{1,2},{2,3}' -> ((1,2),(2,3)); '{}' makes an empty subset, and
-    whitespace is ignored."""
+    whitespace is ignored. Every field of a nonempty subset is a number."""
     text = "".join(text.split())
     if not text:
         return ()
     usage = "subsets must look like {1,2},{2,3}"
     if not (text.startswith("{") and text.endswith("}")):
         raise ValueError(usage)
-    return tuple(tuple(sorted(_number(x, usage) for x in g.split(",") if x))
-                 for g in text[1:-1].split("},{"))
+    return tuple(tuple(sorted(_number(x, usage) for x in g.split(",")))
+                 if g else () for g in text[1:-1].split("},{"))
 
 
 def _number(text: str, usage: str) -> int:
@@ -252,7 +266,7 @@ def cmd_generate(args) -> int:
         instance, bound = generators.compose_zero_two(comps)
         meta = {"generator": kind, "components": list(args.component),
                 "k": args.k}
-    elif kind == "random":
+    else:  # random
         instance = generators.random_instance(
             args.n, args.domain, args.actions, args.seed,
             post_unique=args.post_unique, unary=args.unary,
@@ -261,8 +275,6 @@ def cmd_generate(args) -> int:
         bound = args.k
         meta = {"generator": kind, "seed": args.seed, "n": args.n,
                 "domain": args.domain, "actions": args.actions}
-    else:
-        raise ContractError(f"unknown generator {kind!r}")
     return _write_generated(args, instance, bound, meta)
 
 
@@ -280,8 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("k", type=int)
     p.add_argument("--solver", default="auto",
-                   choices=["auto", "oracle", "post-unique", "zero-two",
-                            "fo-mc"])
+                   choices=["auto", *(route.name for route in ROUTES)])
     p.add_argument("--fragment", choices=[fomc.SIGMA1, fomc.SIGMA22],
                    help="force a model-checking fragment")
     p.add_argument("--stats", action="store_true")

@@ -49,6 +49,28 @@ def test_classify_zero_two_route(capsys, tmp_path):
     assert code == 0 and out["route"] == "zero-two"
 
 
+@pytest.mark.parametrize("actions, route", [
+    # P and (0,2) at once: post-unique comes first
+    ("action a pre eff 0=1\n", "post-unique"),
+    # (0,2) and unary, two producers of 0=1
+    ("action a pre eff 0=1\naction b pre eff 0=1\n", "zero-two"),
+    # unary, two producers of 0=1, one with a precondition
+    ("action a pre eff 0=1\naction b pre 1=1 eff 0=1\n", "fo-mc"),
+    # two effects after a precondition, two producers of 0=1
+    ("action a pre eff 0=1\naction b pre 1=1 eff 0=1 1=0\n", "oracle"),
+])
+def test_auto_tries_the_routes_in_table_order(capsys, tmp_path, actions,
+                                              route):
+    path = tmp_path / "i.sasp"
+    path.write_text("SASP 1\nvars 2\ndomain 2\ninit 0 0\ngoal 0=1\n"
+                    + actions)
+    code, out = run(capsys, "classify", str(path))
+    assert code == 0 and out["route"] == route
+    code, out = run(capsys, "solve", str(path), "1")
+    assert code == 0 and out["plan"] == ["a"]
+    assert out["solver"].split("/")[0] == route
+
+
 def test_classify_parse_error(capsys, tmp_path):
     path = tmp_path / "broken.sasp"
     path.write_text("SASP 9000\n")
@@ -422,6 +444,8 @@ def test_generate_malformed_options_are_usage_errors(capsys, tmp_path,
          "--component", f"{toy_file}:-1"],
         ["generate", "compose-02", "--component", toy_file, "--k", "-1"],
         hitting + ["--sets", "{1,a}"],
+        *(hitting + ["--sets", sets]
+          for sets in ("{1,,2}", "{1,}", "{,1}", "{,}", "{1},{,}")),
         ["generate", "compose-pub", "--component", f"{toy_file}:2",
          "--component", f"{toy_file}:x"],
     ] + [["generate", "mcc-03", "--parts", "3", "--edges", edges]
@@ -470,6 +494,15 @@ def test_negative_budget_is_a_usage_error(capsys, toy_file, monkeypatch):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("invalid arguments")
+    # a budget that is not an integer names the variable, not int()
+    for text in ("abc", "", "1.5"):
+        monkeypatch.setenv("PLAN_LAB_BUDGET", text)
+        code = main(["solve", toy_file, "2", "--solver", "oracle"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", text
+        assert captured.err == ("invalid arguments: PLAN_LAB_BUDGET must be "
+                                f"an integer, got {text!r}\n"), text
+    monkeypatch.setenv("PLAN_LAB_BUDGET", "-5")
     # the flag overrides the environment, and a zero budget is a budget
     code, out = run(capsys, "solve", toy_file, "2", "--solver", "oracle",
                     "--budget", "100")
