@@ -12,6 +12,17 @@ condition is then one (field mask, value bits) pair, tested as
 Actions are expanded in declaration order and the frontier is FIFO, so the
 first goal state reached has the lexicographically smallest among the
 shortest action-id sequences.
+
+Two actions commute when neither writes a field the other reads and both
+write the same value to every field they both write.  From a state whose
+recorded last action is a, the search tries neither a again (it would leave
+the state as it is) nor an action b < a that commutes with a.  Such a b
+would reach the state that the path with a and b swapped reaches, a path of
+the same length that is lexicographically smaller, so that state is
+already recorded.  Every first discovery thus survives: the recorded
+parents, the frontier order, the visited count, the point at which the
+budget runs out and the plan are those of the search that tries every
+action.
 """
 
 from __future__ import annotations
@@ -56,10 +67,19 @@ def shortest_plan_with_stats(instance: Instance, k: int,
         return (), 1
     parent = {init: (0, -1)}
     frontier = [init]
+    # the actions to try after each last action, each list built on first use
+    tries = {-1: list(enumerate(acts))}
     for _depth in range(k):
         next_frontier = []
         for s in frontier:
-            for aid, (pm, pb, em, eb) in enumerate(acts):
+            last = parent[s][1]
+            after = tries.get(last)
+            if after is None:
+                a = acts[last]
+                after = tries[last] = [
+                    (b, act) for b, act in tries[-1]
+                    if b > last or b < last and not _commute(a, act)]
+            for aid, (pm, pb, em, eb) in after:
                 if s & pm != pb:
                     continue
                 t = (s & ~em) | eb
@@ -75,6 +95,17 @@ def shortest_plan_with_stats(instance: Instance, k: int,
             break
         frontier = next_frontier
     return None, len(parent)
+
+
+def _commute(a, b) -> bool:
+    """Whether the packed actions a and b, each (pre mask, pre bits, eff
+    mask, eff bits), commute: wherever one order of the two applies, so
+    does the other, and both reach the same state."""
+    pre_a, _, eff_a, set_a = a
+    pre_b, _, eff_b, set_b = b
+    both = eff_a & eff_b
+    return (not (eff_a & pre_b or eff_b & pre_a)
+            and set_a & both == set_b & both)
 
 
 def _reconstruct(parent, state) -> Plan:

@@ -327,6 +327,36 @@ def test_generate_mcc_from_edges(capsys, tmp_path):
     assert meta["expected_bound"] == out["expected_bound"] == bound
 
 
+# `--solver oracle` returns the lexicographically smallest shortest plan;
+# these pins hold its plans and visited counts on two clique reductions.
+MCC_03_4X2_EDGES = ("1.1-2.0,1.1-3.1,1.1-4.0,2.0-3.1,2.0-4.0,3.1-4.0,"
+                    "1.0-2.1,1.0-3.0,2.1-4.1,3.0-4.1,2.1-3.0")
+
+
+@pytest.mark.parametrize("generate, plan, visited", [
+    (["mcc-03", "--parts", "4", "--per-part", "2",
+      "--edges", MCC_03_4X2_EDGES],
+     ["ae.1.1+2.0", "ae.1.1+3.1", "ae.1.1+4.0", "a.1.1", "ae.2.0+3.1",
+      "ae.2.0+4.0", "a.2.0", "ae.3.1+4.0", "a.3.1", "a.4.0"], 10257),
+    (["mcc-ubs", "--parts", "3", "--complete"],
+     ["ae.1.0+2.0", "ae.1.0+3.0", "ae.2.0+3.0", "ae.1.0+2.0.1",
+      "ae.1.0+2.0.2", "ae.1.0+3.0.1", "ae.1.0+3.0.3", "ae.2.0+3.0.2",
+      "ae.2.0+3.0.3", "av.1.0.2", "av.1.0.3", "av.2.0.1", "av.2.0.3",
+      "av.3.0.1", "av.3.0.2", "ac.1.0", "ac.2.0", "ac.3.0", "ar.1.0.2",
+      "ar.1.0.3", "ar.2.0.1", "ar.2.0.3", "ar.3.0.1", "ar.3.0.2"], 19602),
+])
+def test_oracle_plan_and_visited_pinned(capsys, tmp_path, generate, plan,
+                                        visited):
+    path = str(tmp_path / "clique.sasp")
+    code, out = run(capsys, "generate", *generate, "--out", path)
+    assert code == 0
+    code, solved = run(capsys, "solve", path, str(out["expected_bound"]),
+                       "--solver", "oracle", "--stats")
+    assert code == 0
+    assert solved["plan"] == plan
+    assert solved["stats"] == {"visited_states": visited}
+
+
 def test_generate_compose(capsys, tmp_path, toy_file):
     out_path = tmp_path / "pub.sasp"
     code, out = run(capsys, "generate", "compose-pub",

@@ -5,9 +5,12 @@ import pytest
 
 from planlab.core import Action, Instance
 from planlab import oracle
-from planlab.generators import HittingSetInput, from_hitting_set
-from planlab.oracle import (BudgetExhausted, enumerate_minimal_plans,
-                            is_valid_plan, shortest_plan)
+from planlab.generators import (HittingSetInput, MulticoloredGraph,
+                                from_hitting_set, from_mcc_03, from_mcc_ubs,
+                                random_instance)
+from planlab.oracle import (DEFAULT_BUDGET, BudgetExhausted,
+                            enumerate_minimal_plans, is_valid_plan,
+                            shortest_plan)
 
 from conftest import random_small_instance
 
@@ -143,3 +146,140 @@ def test_binary_path_beyond_64_variables():
     # the same instance over a ternary domain: 2-bit fields, 144-bit states
     ternary = Instance(n, 3, acts, init, {64: 1, 0: 0, 70: 1})
     assert oracle.shortest_plan_with_stats(ternary, 4) == ((0, 1, 4), 12)
+
+
+def _reference_bfs(inst, k, budget):
+    """Breadth-first search over plain state tuples that tries every action,
+    in id order, from every state: (plan or None, visited), or
+    ("exhausted", visited) once more than `budget` states are visited."""
+    def holds(state, cond):
+        return all(state[v] == x for v, x in cond.items())
+
+    init = tuple(inst.init)
+    if holds(init, inst.goal):
+        return (), 1
+    parent = {init: None}
+    frontier = [init]
+    for _ in range(k):
+        next_frontier = []
+        for s in frontier:
+            for aid, act in enumerate(inst.actions):
+                if not holds(s, act.pre):
+                    continue
+                t = list(s)
+                for v, x in act.eff.items():
+                    t[v] = x
+                t = tuple(t)
+                if t in parent:
+                    continue
+                parent[t] = (s, aid)
+                if len(parent) > budget:
+                    return "exhausted", len(parent)
+                if holds(t, inst.goal):
+                    plan = []
+                    while parent[t] is not None:
+                        t, aid = parent[t]
+                        plan.append(aid)
+                    return tuple(reversed(plan)), len(parent)
+                next_frontier.append(t)
+        if not next_frontier:
+            break
+        frontier = next_frontier
+    return None, len(parent)
+
+
+def _oracle_outcome(inst, k, budget):
+    try:
+        return oracle.shortest_plan_with_stats(inst, k, budget)
+    except BudgetExhausted as err:
+        return "exhausted", err.visited
+
+
+def _random_class_instance(rng):
+    """A random instance of one restriction class, d from 1 to 4."""
+    n, d = rng.randint(1, 5), rng.randint(1, 4)
+    flags = rng.choice([{}, {"unary": True}, {"post_unique": True},
+                        {"max_pre": 0, "max_eff": 2},
+                        {"max_pre": 0, "max_eff": 3}])
+    m = rng.randint(0, n * d if flags.get("post_unique") else 8)
+    return random_instance(n, d, m, rng.randrange(10 ** 6), **flags)
+
+
+def _random_graph(rng, parts, per_part):
+    vertices = [(i, a) for i in range(1, parts + 1) for a in range(per_part)]
+    p = rng.choice([0.5, 0.8, 1.0])
+    edges = tuple((u, w) for u in vertices for w in vertices
+                  if u < w and u[0] != w[0] and rng.random() < p)
+    return MulticoloredGraph(parts, per_part, edges)
+
+
+def test_matches_a_plain_bfs_that_tries_every_action():
+    # the pruned search keeps the plain search's plan, visited count and
+    # budget-exhaustion point, with and without preconditions
+    rng = random.Random(20260417)
+    exhausted = 0
+    for _ in range(600):
+        inst = _random_class_instance(rng)
+        k = rng.randint(0, 6)
+        budget = rng.choice([1, 3, 8, 20, 60, DEFAULT_BUDGET])
+        want = _reference_bfs(inst, k, budget)
+        assert _oracle_outcome(inst, k, budget) == want, (inst, k, budget)
+        exhausted += want[0] == "exhausted"
+    for reduce, parts, per_part in [(from_mcc_03, 3, 1), (from_mcc_03, 3, 2),
+                                    (from_mcc_03, 4, 2), (from_mcc_ubs, 3, 1),
+                                    (from_mcc_ubs, 3, 2), (from_mcc_ubs, 4, 2)]:
+        for _ in range(3):
+            inst, bound = reduce(_random_graph(rng, parts, per_part))
+            for k, budget in [(bound, 4000), (bound - 1, 4000),
+                              (bound, rng.randint(10, 400))]:
+                want = _reference_bfs(inst, k, budget)
+                assert _oracle_outcome(inst, k, budget) == want, (
+                    reduce.__name__, parts, per_part, k, budget)
+                exhausted += want[0] == "exhausted"
+    assert exhausted >= 30
+
+
+def _packed(pre, eff, width=1):
+    return oracle._masks(pre, width) + oracle._masks(eff, width)
+
+
+def test_commute_on_hand_cases():
+    commute = oracle._commute
+    sets_x = _packed({}, {0: 1})
+    reads_x = _packed({0: 1}, {1: 1})
+    # a read-write conflict, in either direction and either argument order
+    assert not commute(sets_x, reads_x)
+    assert not commute(reads_x, sets_x)
+    assert not commute(_packed({1: 0}, {0: 1}), _packed({}, {1: 1}))
+    # two writes of different values to one field, and of the same value
+    assert not commute(_packed({}, {0: 1, 1: 1}), _packed({}, {0: 0}))
+    assert commute(_packed({}, {0: 1, 1: 1}), _packed({}, {0: 1, 2: 0}))
+    # an action with no effect commutes with any action that leaves what
+    # it reads alone
+    noop = _packed({0: 1}, {})
+    assert commute(noop, _packed({}, {1: 0}))
+    assert not commute(noop, _packed({}, {0: 0}))
+    # 2-bit fields: values 1 and 3 share a bit but differ, and a field's
+    # neighbour is a different variable
+    assert not commute(_packed({}, {0: 1}, 2), _packed({}, {0: 3}, 2))
+    assert commute(_packed({}, {0: 3}, 2), _packed({}, {0: 3, 1: 2}, 2))
+    assert commute(_packed({}, {0: 3}, 2), _packed({1: 0}, {2: 1}, 2))
+    assert not commute(_packed({}, {1: 2}, 2), _packed({1: 0}, {2: 1}, 2))
+
+
+def test_successor_lists_are_built_per_last_action(monkeypatch):
+    # 300 actions, of which only the last three apply anywhere: the lists
+    # cost at most m tests per distinct last action, not an m x m table
+    m = 300
+    acts = tuple(Action(f"gate{i}", {i: 1}, {i: 0}) for i in range(m - 3)) + \
+        tuple(Action(f"free{i}", {}, {i: 1}) for i in range(m - 3, m))
+    inst = Instance(m, 2, acts, (0,) * m, {0: 1})
+    calls = []
+    real = oracle._commute
+    monkeypatch.setattr(oracle, "_commute",
+                        lambda a, b: calls.append(a) or real(a, b))
+    assert oracle.shortest_plan_with_stats(inst, 1) == (None, 4)
+    assert calls == []
+    assert oracle.shortest_plan_with_stats(inst, 2) == (None, 7)
+    last_actions = 3  # free297, free298 and free299 each reach one state
+    assert 0 < len(calls) <= m * last_actions
