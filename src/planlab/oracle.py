@@ -14,15 +14,39 @@ first goal state reached has the lexicographically smallest among the
 shortest action-id sequences.
 
 Two actions commute when neither writes a field the other reads and both
-write the same value to every field they both write.  From a state whose
-recorded last action is a, the search tries neither a again (it would leave
-the state as it is) nor an action b < a that commutes with a.  Such a b
-would reach the state that the path with a and b swapped reaches, a path of
-the same length that is lexicographically smaller, so that state is
-already recorded.  Every first discovery thus survives: the recorded
-parents, the frontier order, the visited count, the point at which the
-budget runs out and the plan are those of the search that tries every
-action.
+write the same value to every field they both write; wherever one order of
+the two applies, so does the other, and both reach the same state.  An
+action b overwrites a when b writes every field a writes and reads none of
+them; then s.a.b = s.b for every state s where a applies.
+
+The search skips successors whose state is already recorded.  Each state t
+has a skip mask: a set of action ids, stored as a bitmask, not tried from
+t.  The initial state skips nothing; a state first reached as s.a gets
+
+    skip(t) = (skip(s) & comm[a]) | base[a]
+
+where comm[a] holds the actions that commute with a, and base[a] holds a
+itself, every b < a that commutes with a and every b that overwrites a.
+Both are built in one pass over the actions the first time a is the
+recorded last action of an expanded state, and each distinct mask keeps
+its own list of the actions it lets through.  Beside each frontier state
+the search keeps the mask of the state it was first reached from and the
+action that reached it, as one pair shared by every state reached the
+same way.  The parent map keeps only each state's parent: the action
+recorded from a parent is the lowest id that leads from it to the child,
+and _reconstruct finds it again.
+
+Invariant: b is in skip(t) only if, on t's recorded path P, there is a
+position j such that b commutes with every action after P[j] and either
+b < P[j] and b commutes with P[j], or b = P[j], or b overwrites P[j].
+Moving b back to just after P[j] then gives a path to t.b of the same
+length; swapping it with P[j] gives a lexicographically smaller path of
+the same length, and dropping the second P[j] (a repeat leaves a state as
+it is) or P[j] itself (b overwrites it) gives a shorter path.  Either way
+t.b is recorded before the search tries b from t, so every first discovery
+survives: the recorded parents, the frontier order, the visited count,
+the point at which the budget runs out and the plan are those of the
+search that tries every action.
 """
 
 from __future__ import annotations
@@ -65,36 +89,68 @@ def shortest_plan_with_stats(instance: Instance, k: int,
     goal_mask, goal_bits = _masks(instance.goal, width)
     if init & goal_mask == goal_bits:
         return (), 1
-    parent = {init: (0, -1)}
-    frontier = [init]
-    # the actions to try after each last action, each list built on first use
-    tries = {-1: list(enumerate(acts))}
+    # each state's parent; the action taken from it is found again by
+    # _reconstruct
+    parent = {init: None}
+    # (comm[a], base[a]) per last action a, built on first use; the
+    # initial state (last action -1) skips nothing
+    rules = {-1: (0, 0)}
+    # per distinct skip mask: for every action b it lets through, (the
+    # mask, b) and b's packed action
+    tries = {}
+    # beside each frontier state, (the skip mask of the state it was first
+    # reached from, the action that reached it), one shared pair per
+    # distinct pair; its own mask is worked out when it is expanded, so the
+    # states of the last level cost nothing
+    frontier, reached = [init], [(0, -1)]
     for _depth in range(k):
-        next_frontier = []
-        for s in frontier:
-            last = parent[s][1]
-            after = tries.get(last)
+        next_frontier, next_reached = [], []
+        for s, (held, last) in zip(frontier, reached):
+            rule = rules.get(last)
+            if rule is None:
+                rule = rules[last] = _skip_rule(acts, last)
+            skip = held & rule[0] | rule[1]
+            after = tries.get(skip)
             if after is None:
-                a = acts[last]
-                after = tries[last] = [
-                    (b, act) for b, act in tries[-1]
-                    if b > last or b < last and not _commute(a, act)]
-            for aid, (pm, pb, em, eb) in after:
+                after = tries[skip] = [((skip, b), act)
+                                       for b, act in enumerate(acts)
+                                       if not skip >> b & 1]
+            for how, (pm, pb, em, eb) in after:
                 if s & pm != pb:
                     continue
                 t = (s & ~em) | eb
                 if t in parent:
                     continue
-                parent[t] = (s, aid)
+                parent[t] = s
                 if len(parent) > budget:
                     raise BudgetExhausted(len(parent))
                 if t & goal_mask == goal_bits:
-                    return _reconstruct(parent, t), len(parent)
+                    return _reconstruct(parent, acts, t), len(parent)
                 next_frontier.append(t)
+                next_reached.append(how)
         if not next_frontier:
             break
-        frontier = next_frontier
+        frontier, reached = next_frontier, next_reached
     return None, len(parent)
+
+
+def _skip_rule(acts, a):
+    """(comm[a], base[a]) as bitmasks over action ids: the actions that
+    commute with a, and the actions never tried from a state whose recorded
+    last action is a (the lower-id ones that commute with a, a itself, and
+    those that overwrite a)."""
+    act_a = acts[a]
+    eff_a = act_a[2]
+    comm, base = 0, 1 << a
+    for b, act_b in enumerate(acts):
+        if _commute(act_a, act_b):
+            comm |= 1 << b
+            if b < a:
+                base |= 1 << b
+        # b writes every field a writes and reads none of them
+        if not (eff_a & ~act_b[2] or eff_a & act_b[0]):
+            base |= 1 << b
+    return comm, base
 
 
 def _commute(a, b) -> bool:
@@ -108,13 +164,18 @@ def _commute(a, b) -> bool:
             and set_a & both == set_b & both)
 
 
-def _reconstruct(parent, state) -> Plan:
+def _reconstruct(parent, acts, state) -> Plan:
+    """The recorded path to state.  The action recorded from a parent s is
+    the lowest id that leads from s to the child: a lower one would have
+    been tried first, unless s skips it, and then the state it leads to
+    was recorded before the search tried it from s."""
     plan = []
     while True:
-        prev, aid = parent[state]
-        if aid < 0:
+        prev = parent[state]
+        if prev is None:
             break
-        plan.append(aid)
+        plan.append(next(b for b, (pm, pb, em, eb) in enumerate(acts)
+                         if prev & pm == pb and (prev & ~em) | eb == state))
         state = prev
     plan.reverse()
     return tuple(plan)

@@ -239,6 +239,52 @@ def test_matches_a_plain_bfs_that_tries_every_action():
     assert exhausted >= 30
 
 
+def test_skip_mask_hand_cases():
+    # each instance's plan needs a successor that a looser skip rule would
+    # drop; the search must agree with the plain one at every bound
+    x, y, z = 0, 1, 2
+    cases = [
+        # b writes every field a writes but reads one of them: s.a.b is no
+        # state that b reaches alone
+        (Instance(2, 2, (Action("a", {}, {x: 1}),
+                         Action("b", {x: 1}, {x: 0, y: 1})),
+                  (0, 0), {y: 1}), (0, 1)),
+        # b reads nothing a writes but overwrites only one of a's fields
+        (Instance(2, 2, (Action("a", {}, {x: 1, y: 1}),
+                         Action("b", {}, {x: 0})),
+                  (0, 0), {x: 0, y: 1}), (0, 1)),
+        # b (id 0) commutes with a1 but not with a2, which reaches the
+        # state after a1: b is skipped after a1 and must be tried after a2
+        (Instance(3, 2, (Action("b", {y: 1}, {z: 1}),
+                         Action("a1", {}, {x: 1}),
+                         Action("a2", {}, {y: 1})),
+                  (0, 0, 0), {x: 1, z: 1}), (1, 2, 0)),
+        # 2-bit fields: b overwrites a's write of value 0 and is skipped
+        # after a; c commutes with a and, with a higher id, is tried
+        (Instance(2, 3, (Action("a", {}, {x: 0}),
+                         Action("b", {}, {x: 1, y: 2}),
+                         Action("c", {}, {y: 2})),
+                  (2, 0), {x: 0, y: 2}), (0, 2)),
+    ]
+    for inst, plan in cases:
+        assert shortest_plan(inst, len(plan)) == plan
+        for k in range(len(plan) + 2):
+            for budget in (1, 2, 3, 4, DEFAULT_BUDGET):
+                assert _oracle_outcome(inst, k, budget) == _reference_bfs(
+                    inst, k, budget), (inst, k, budget)
+
+
+def test_plan_names_the_lowest_action_between_two_states():
+    # the parent map keeps no action ids: of two actions that lead from one
+    # recorded state to the next, the plan names the lower id, which the
+    # search that tries actions in id order records
+    acts = (Action("a", {}, {0: 1}), Action("b", {0: 1}, {1: 1}),
+            Action("c", {0: 1}, {1: 1}))
+    inst = Instance(2, 2, acts, (0, 0), {1: 1})
+    assert oracle.shortest_plan_with_stats(inst, 2) == ((0, 1), 3)
+    assert _reference_bfs(inst, 2, DEFAULT_BUDGET) == ((0, 1), 3)
+
+
 def _packed(pre, eff, width=1):
     return oracle._masks(pre, width) + oracle._masks(eff, width)
 
@@ -268,8 +314,10 @@ def test_commute_on_hand_cases():
 
 
 def test_successor_lists_are_built_per_last_action(monkeypatch):
-    # 300 actions, of which only the last three apply anywhere: the lists
-    # cost at most m tests per distinct last action, not an m x m table
+    # 300 actions, of which only the last three apply anywhere: comm[a] and
+    # base[a] are built in one pass of m tests the first time a is a state's
+    # last action, not as an m x m table, and never for the states of the
+    # last level, which are not expanded
     m = 300
     acts = tuple(Action(f"gate{i}", {i: 1}, {i: 0}) for i in range(m - 3)) + \
         tuple(Action(f"free{i}", {}, {i: 1}) for i in range(m - 3, m))
