@@ -267,14 +267,14 @@ def cmd_generate(args) -> int:
         meta = {"generator": kind, "components": list(args.component),
                 "k": args.k}
     else:  # random
+        flags = {"post_unique": args.post_unique, "unary": args.unary,
+                 "single_valued": args.single_valued,
+                 "max_pre": args.max_pre, "max_eff": args.max_eff}
         instance = generators.random_instance(
-            args.n, args.domain, args.actions, args.seed,
-            post_unique=args.post_unique, unary=args.unary,
-            single_valued=args.single_valued, max_pre=args.max_pre,
-            max_eff=args.max_eff)
+            args.n, args.domain, args.actions, args.seed, **flags)
         bound = args.k
         meta = {"generator": kind, "seed": args.seed, "n": args.n,
-                "domain": args.domain, "actions": args.actions}
+                "domain": args.domain, "actions": args.actions, **flags}
     return _write_generated(args, instance, bound, meta)
 
 

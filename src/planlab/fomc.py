@@ -167,6 +167,11 @@ def _quantifier_free(f: Formula) -> bool:
 # ---------------------------------------------------------------------------
 # Structures
 # ---------------------------------------------------------------------------
+#
+# One builder, _structure, lays out the elements of both structures and
+# builds each relation once, beside its arity; build_structure and
+# build_extended_structure are one call into it each, and _witness_plan
+# decodes a witness through the universe it laid out.
 
 SORT_VARIABLE = "variable"
 SORT_ACTION = "action"
@@ -186,81 +191,60 @@ class RelationalStructure:
         return len(self.universe)
 
 
-@dataclass(frozen=True)
-class _Layout:
-    """Index arithmetic for instance-derived universes."""
-    n: int
-    m: int
-    d: int
+def _structure(instance: Instance,
+               k: Optional[int] = None) -> RelationalStructure:
+    """The base structure, or with a bound k the extended one.  The elements
+    are laid out in index order: variables, actions, domain values, u,
+    dum_a, then dum1..dumk when k is given."""
+    n, d, actions = instance.var_count, instance.domain_size, instance.actions
+    act, val = n, n + len(actions)  # action a is act + a, value x is val + x
+    dum_a = val + d + 1             # u is val + d, the j-th dummy dum_a + j
+    universe = ([(name, SORT_VARIABLE) for name in instance.var_names]
+                + [(a.name, SORT_ACTION) for a in actions]
+                + [(str(x), SORT_VALUE) for x in range(d)]
+                + [("u", SORT_VALUE), ("dum_a", SORT_DUMMY_ACTION)])
+    pre = [(act + a, v, val + x) for a, action in enumerate(actions)
+           for v, x in action.pre.items()]
+    eff = [(act + a, v, val + x) for a, action in enumerate(actions)
+           for v, x in action.eff.items()]
+    rels = {"VAR": (1, [(v,) for v in range(n)]),
+            "DOM": (1, [(val + x,) for x in range(d + 1)]),
+            "DUM_A": (1, [(dum_a,)]),
+            "INIT_V": (2, [(v, val + x) for v, x in enumerate(instance.init)]),
+            "GOAL_V": (2, [(v, val + x) for v, x in instance.goal.items()]),
+            "PRE": (2, [t[:2] for t in pre]), "PRE_V": (3, pre),
+            "EFF": (2, [t[:2] for t in eff]), "EFF_V": (3, eff)}
+    if k is None:
+        rels["ACT"] = (1, [(act + a,) for a in range(len(actions))]
+                       + [(dum_a,)])
+    else:
+        goal_diff = diff_set(instance, instance.goal)
+        if len(goal_diff) > k:
+            raise TriviallyUnsolvable(
+                f"goal deviates from the initial state on {len(goal_diff)} "
+                "> k variables")
+        universe += [(f"dum{j}", SORT_DUMMY) for j in range(1, k + 1)]
 
-    def var(self, v: int) -> int:
-        return v
+        def cover(diff):  # diff's variables padded to k with leading dummies
+            return [*diff, *range(dum_a + 1, dum_a + k - len(diff) + 1)]
 
-    def act(self, a: int) -> int:
-        return self.n + a
-
-    def val(self, x: int) -> int:
-        return self.n + self.m + x
-
-    @property
-    def undef(self) -> int:
-        return self.n + self.m + self.d
-
-    @property
-    def dum_a(self) -> int:
-        return self.n + self.m + self.d + 1
-
-    def dummy(self, i: int) -> int:  # i is 1-based
-        return self.n + self.m + self.d + 1 + i
-
-
-def _layout(instance: Instance) -> _Layout:
-    return _Layout(instance.var_count, len(instance.actions),
-                   instance.domain_size)
-
-
-def _base_universe(instance: Instance):
-    universe = [(name, SORT_VARIABLE) for name in instance.var_names]
-    universe += [(a.name, SORT_ACTION) for a in instance.actions]
-    universe += [(str(x), SORT_VALUE) for x in range(instance.domain_size)]
-    universe.append(("u", SORT_VALUE))
-    universe.append(("dum_a", SORT_DUMMY_ACTION))
-    return universe
-
-
-def _base_relations(instance: Instance, lay: _Layout):
-    rels: Dict[str, set] = {
-        "VAR": {(lay.var(v),) for v in range(lay.n)},
-        "ACT": {(lay.act(a),) for a in range(lay.m)} | {(lay.dum_a,)},
-        "DOM": {(lay.val(x),) for x in range(lay.d)} | {(lay.undef,)},
-        "DUM_A": {(lay.dum_a,)},
-        "INIT_V": {(lay.var(v), lay.val(x))
-                   for v, x in enumerate(instance.init)},
-        "GOAL_V": {(lay.var(v), lay.val(x))
-                   for v, x in instance.goal.items()},
-        "PRE": set(), "EFF": set(), "PRE_V": set(), "EFF_V": set(),
-    }
-    for a, action in enumerate(instance.actions):
-        for v, x in action.pre.items():
-            rels["PRE"].add((lay.act(a), lay.var(v)))
-            rels["PRE_V"].add((lay.act(a), lay.var(v), lay.val(x)))
-        for v, x in action.eff.items():
-            rels["EFF"].add((lay.act(a), lay.var(v)))
-            rels["EFF_V"].add((lay.act(a), lay.var(v), lay.val(x)))
-    return rels
-
-
-_BASE_ARITIES = {"VAR": 1, "ACT": 1, "DOM": 1, "DUM_A": 1, "INIT_V": 2,
-                 "GOAL_V": 2, "PRE": 2, "EFF": 2, "PRE_V": 3, "EFF_V": 3}
+        diffs = [diff_set(instance, action.pre) for action in actions]
+        fireable = [(act + a, diff) for a, diff in enumerate(diffs)
+                    if len(diff) < k]
+        rels.update({f"DUM{j}": (1, [(dum_a + j,)]) for j in range(1, k + 1)})
+        rels.update({
+            "ACT": (1, [(e,) for e, _ in fireable] + [(dum_a,)]),
+            "GOAL": (1, [(v,) for v in instance.goal]),
+            "DIFF_ACT": (2, [(e, x) for e, diff in fireable
+                             for x in cover(diff)]),
+            "DIFF_GOAL": (1, [(x,) for x in cover(goal_diff)])})
+    return RelationalStructure(
+        tuple(universe), {r: frozenset(rows) for r, (_, rows) in rels.items()},
+        {r: arity for r, (arity, _) in rels.items()})
 
 
 def build_structure(instance: Instance) -> RelationalStructure:
-    lay = _layout(instance)
-    rels = _base_relations(instance, lay)
-    return RelationalStructure(
-        tuple(_base_universe(instance)),
-        {name: frozenset(t) for name, t in rels.items()},
-        dict(_BASE_ARITIES))
+    return _structure(instance)
 
 
 def build_extended_structure(instance: Instance, k: int) -> RelationalStructure:
@@ -274,37 +258,7 @@ def build_extended_structure(instance: Instance, k: int) -> RelationalStructure:
     can pin its j-th dummy variable; no relation holds all the dummies.
     Raises TriviallyUnsolvable when the goal deviates on more than k
     variables."""
-    goal_diff = diff_set(instance, instance.goal)
-    if len(goal_diff) > k:
-        raise TriviallyUnsolvable(
-            f"goal deviates from the initial state on {len(goal_diff)} > k "
-            "variables")
-    lay = _layout(instance)
-    universe = _base_universe(instance)
-    universe += [(f"dum{i}", SORT_DUMMY) for i in range(1, k + 1)]
-    rels = _base_relations(instance, lay)
-    for i in range(1, k + 1):
-        rels[f"DUM{i}"] = {(lay.dummy(i),)}
-    rels["GOAL"] = {(lay.var(v),) for v in instance.goal}
-    rels["ACT"] = {(lay.dum_a,)}
-    rels["DIFF_ACT"] = set()
-    for a, action in enumerate(instance.actions):
-        diff = diff_set(instance, action.pre)
-        if len(diff) < k:
-            rels["ACT"].add((lay.act(a),))
-            rels["DIFF_ACT"] |= {(lay.act(a), lay.var(v)) for v in diff}
-            rels["DIFF_ACT"] |= {(lay.act(a), lay.dummy(i))
-                                 for i in range(1, k - len(diff) + 1)}
-    rels["DIFF_GOAL"] = ({(lay.var(v),) for v in goal_diff}
-                         | {(lay.dummy(i),)
-                            for i in range(1, k - len(goal_diff) + 1)})
-    arities = dict(_BASE_ARITIES)
-    arities.update({"GOAL": 1, "DIFF_ACT": 2, "DIFF_GOAL": 1})
-    arities.update({f"DUM{i}": 1 for i in range(1, k + 1)})
-    return RelationalStructure(
-        tuple(universe),
-        {name: frozenset(t) for name, t in rels.items()},
-        arities)
+    return _structure(instance, k)
 
 
 def structure_to_text(structure: RelationalStructure) -> str:
@@ -743,17 +697,19 @@ class McResult:
     assignments: int
 
 
-def _witness_plan(instance: Instance, witness: Dict[str, int], k: int) -> Plan:
-    lay = _layout(instance)
+def _witness_plan(structure: RelationalStructure, witness: Dict[str, int],
+                  k: int) -> Plan:
+    """The actions a1..ak are bound to, read off the structure's universe;
+    the dummy action pads a plan shorter than k."""
+    sorts = [sort for _, sort in structure.universe]
     plan = []
     for i in range(1, k + 1):
         e = witness[f"a{i}"]
-        if e == lay.dum_a:
-            continue
-        if not lay.n <= e < lay.n + lay.m:
+        if sorts[e] == SORT_ACTION:
+            plan.append(e - sorts.index(SORT_ACTION))
+        elif sorts[e] != SORT_DUMMY_ACTION:
             raise AssertionError("witness bound an action variable to a "
                                  "non-action element")
-        plan.append(e - lay.n)
     return tuple(plan)
 
 
@@ -787,7 +743,7 @@ def solve_via_mc(instance: Instance, k: int, fragment: str = SIGMA22) -> McResul
     sat, witness, assignments = model_check_witness(structure, formula)
     if not sat:
         return McResult(False, None, assignments)
-    plan = _witness_plan(instance, witness, k)
+    plan = _witness_plan(structure, witness, k)
     report = validate_plan(instance, plan)
     if not report.valid:
         raise AssertionError(

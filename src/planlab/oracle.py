@@ -79,9 +79,12 @@ def shortest_plan(instance: Instance, k: int,
 def shortest_plan_with_stats(instance: Instance, k: int,
                              budget: int = DEFAULT_BUDGET):
     """(shortest plan or None, states visited).  Raises BudgetExhausted once
-    more than `budget` states have been visited."""
+    more than `budget` states have been visited, the initial state
+    included."""
     if k < 0:
         raise ValueError("k must be non-negative")
+    if budget < 1:
+        raise BudgetExhausted(1)
     width = (instance.domain_size - 1).bit_length()
     _, init = _masks(dict(enumerate(instance.init)), width)
     acts = [_masks(a.pre, width) + _masks(a.eff, width)

@@ -234,10 +234,12 @@ def test_validate(capsys, toy_file, tmp_path):
     assert code == 1 and out["reason"] == "precondition"
     assert out["variable"] == "v0" and out["step"] == 0
 
-    unknown = tmp_path / "unknown.plan"
-    unknown.write_text("a9\n")
-    code, _ = run(capsys, "validate", toy_file, str(unknown))
-    assert code == 2
+    # an unknown name and a line holding two names are parse errors
+    for text in ("a9\n", "a1 a2\n"):
+        malformed = tmp_path / "malformed.plan"
+        malformed.write_text(text)
+        code, _ = run(capsys, "validate", toy_file, str(malformed))
+        assert code == 2, text
 
 
 def test_validate_goal_miss(capsys, toy_file, tmp_path):
@@ -301,6 +303,25 @@ def test_generate_deterministic(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
     assert (tmp_path / "a.sasp.meta.json").read_bytes() == \
         (tmp_path / "b.sasp.meta.json").read_bytes()
+
+
+def test_generate_random_sidecar_records_the_source(capsys, tmp_path):
+    flags = ("post_unique", "unary", "single_valued", "max_pre", "max_eff")
+    sidecars = []
+    for i, extra in enumerate(([], ["--post-unique", "--max-pre", "1"],
+                               ["--unary", "--single-valued",
+                                "--max-eff", "1"])):
+        path = tmp_path / f"r{i}.sasp"
+        code, _ = run(capsys, "generate", "random", "--n", "4", "--actions",
+                      "5", "--seed", "7", *extra, "--out", str(path))
+        assert code == 0
+        sidecar = (tmp_path / f"r{i}.sasp.meta.json").read_text()
+        meta = json.loads(sidecar)
+        rebuilt = random_instance(meta["n"], meta["domain"], meta["actions"],
+                                  meta["seed"], **{f: meta[f] for f in flags})
+        assert path.read_text() == io.serialize_instance(rebuilt), extra
+        sidecars.append(sidecar)
+    assert len(set(sidecars)) == 3
 
 
 def test_generate_mcc(capsys, tmp_path):
@@ -490,7 +511,12 @@ def test_generate_malformed_options_are_usage_errors(capsys, tmp_path,
         assert "invalid literal" not in captured.err, argv
     assert not out.exists()
     # a well-formed request the generator cannot honour stays inapplicable,
-    # and so do negative sizes
+    # and so do negative sizes; the component has two goal deviations,
+    # more than compose-02 allows at k = 0
+    two = tmp_path / "two.sasp"
+    two.write_text("SASP 1\nvars 2\ndomain 2\ninit 0 0\ngoal 0=1 1=1\n"
+                   "action a pre eff 0=1\naction b pre eff 1=1\n")
+    rand = ["generate", "random", "--seed", "1"]
     refused = [
         hitting + ["--sets", "{1,4}"],
         ["generate", "hitting-set", "--universe", "-2", "--sets", "",
@@ -499,6 +525,12 @@ def test_generate_malformed_options_are_usage_errors(capsys, tmp_path,
         ["generate", "mcc-03", "--parts", "2", "--per-part", "-1"],
         ["generate", "random", "--n", "3", "--actions", "3", "--seed", "1",
          "--max-pre", "-1"],
+        rand + ["--n", "0", "--actions", "3"],
+        rand + ["--n", "3", "--domain", "0", "--actions", "3"],
+        rand + ["--n", "3", "--actions", "-1"],
+        rand + ["--n", "3", "--actions", "3", "--max-eff", "0"],
+        ["generate", "compose-02", "--component", str(two),
+         "--component", str(two), "--k", "0"],
     ]
     for argv in refused:
         code = main(argv + ["--out", str(out)])
@@ -506,6 +538,7 @@ def test_generate_malformed_options_are_usage_errors(capsys, tmp_path,
         assert code == 3 and captured.out == "", argv
         assert captured.err.startswith("inapplicable"), argv
     assert not out.exists()
+    assert "more than k'=1" in captured.err  # compose-02, refused last
     # no parts is a consistent request: bound 0 and an empty instance
     code, meta = run(capsys, "generate", "mcc-ubs", "--parts", "0",
                      "--complete", "--out", str(out))

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 import time
 
@@ -396,7 +397,7 @@ def test_sigma1_evaluators_agree_beside_an_unfireable_action():
     assert answers == {True, False}
 
 
-_ARITY = {"P": 1, "Q": 1, "E": 1, "R": 2, "S": 2}
+_ARITY = {"P": 1, "Q": 1, "E": 1, "R": 2, "S": 2, "F": 4, "Z": 0}
 
 
 def _structure(size, **rels):
@@ -475,6 +476,23 @@ REWRITE_CASES = [
      Exists("a", And((_P, Forall("x", _R, "Q")))), True),
     ("nested-guard-false", 3, _EDGE,
      Exists("a", And((Not(_P), Forall("x", _R, "Q")))), False),
+    # a 4-ary atom: the row (0, 1, 2, 0) has a distinct first and second
+    # column and equal first and last; no row has equal middle columns
+    # and distinct first and second
+    ("arity-4", 3, dict(F={(0, 1, 2, 0), (1, 1, 1, 1)}),
+     Exists("a", Exists("x", Exists("y", And((
+         Atom("F", ("a", "x", "y", "a")), Not(Equal("a", "x"))))))), True),
+    ("arity-4-false", 3, dict(F={(0, 1, 2, 0), (1, 1, 1, 1)}),
+     Exists("a", Exists("x", And((Atom("F", ("x", "a", "a", "x")),
+                                  Not(Equal("a", "x")))))), False),
+    # a 0-ary atom is true iff its relation holds the empty row
+    ("arity-0", 3, dict(P={(0,)}, Z={()}),
+     Exists("a", And((_P, Atom("Z", ()))), "P"), True),
+    ("arity-0-false", 3, dict(P={(0,)}, Z=set()),
+     Exists("a", And((_P, Atom("Z", ())))), False),
+    # a one-part disjunction is its part: 0 is in P, 0 is not in Q
+    ("one-part-or", 3, _EDGE, Exists("a", Or((_P,))), True),
+    ("one-part-or-false", 3, _EDGE, Forall("x", Or((_Q,))), False),
 ]
 
 
@@ -651,6 +669,38 @@ def test_sigma22_over_a_large_arity3_key_space():
 def test_structure_debug_text(toy1):
     text = structure_to_text(build_structure(toy1))
     assert "EFF_V" in text and "dum_a" in text
+
+
+# Digest of the structures in test_structures_are_pinned.  A change to the
+# element order, a relation's rows, an arity or the TriviallyUnsolvable
+# refusals shows here.
+STRUCTURE_DIGEST = \
+    "3041c54b576570d30c421acff34dff52cf24b82e32bc55cc7383f567e9d6091c"
+
+_CLASSES = ({}, {"unary": True}, {"post_unique": True},
+            {"single_valued": True}, {"max_pre": 0, "max_eff": 2},
+            {"post_unique": True, "unary": True})
+
+
+def test_structures_are_pinned():
+    rng = random.Random(19)
+    digest = hashlib.sha256()
+    for i in range(120):
+        n, d = rng.randint(1, 5), rng.randint(1, 4)
+        m = rng.randint(0, min(7, n * d))
+        inst = random_instance(n, d, m, seed=19_000 + i,
+                               **_CLASSES[i % len(_CLASSES)])
+        structures = [build_structure(inst)]
+        for k in range(1, 5):
+            try:
+                structures.append(build_extended_structure(inst, k))
+            except TriviallyUnsolvable as e:
+                structures.append(f"TriviallyUnsolvable: {e}")
+        for s in structures:
+            if isinstance(s, RelationalStructure):
+                s = structure_to_text(s) + repr(sorted(s.arities.items()))
+            digest.update(s.encode())
+    assert digest.hexdigest() == STRUCTURE_DIGEST
 
 
 def test_sexpr_round_readable():

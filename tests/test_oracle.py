@@ -109,6 +109,16 @@ def test_budget_exhaustion_is_distinct():
             shortest_plan(inst, 3, budget=budget)
         assert err.value.visited == budget + 1
     assert shortest_plan(inst, 3) == (1, 3, 5)
+    # the initial state counts: a budget of 0 runs out on it, at k = 0 too
+    # and when it already meets the goal, where a budget of 1 answers
+    met = Instance(3, 3, acts, (2, 2, 2), {v: 2 for v in range(3)})
+    for case, k, answer in ((inst, 3, None), (inst, 0, (None, 1)),
+                            (met, 0, ((), 1)), (met, 3, ((), 1))):
+        with pytest.raises(BudgetExhausted) as err:
+            shortest_plan(case, k, budget=0)
+        assert err.value.visited == 1
+        if answer:
+            assert oracle.shortest_plan_with_stats(case, k, 1) == answer
 
 
 def test_empty_plan_when_goal_holds():
@@ -151,10 +161,13 @@ def test_binary_path_beyond_64_variables():
 def _reference_bfs(inst, k, budget):
     """Breadth-first search over plain state tuples that tries every action,
     in id order, from every state: (plan or None, visited), or
-    ("exhausted", visited) once more than `budget` states are visited."""
+    ("exhausted", visited) once more than `budget` states are visited, the
+    initial state included."""
     def holds(state, cond):
         return all(state[v] == x for v, x in cond.items())
 
+    if budget < 1:
+        return "exhausted", 1
     init = tuple(inst.init)
     if holds(init, inst.goal):
         return (), 1
@@ -269,7 +282,7 @@ def test_skip_mask_hand_cases():
     for inst, plan in cases:
         assert shortest_plan(inst, len(plan)) == plan
         for k in range(len(plan) + 2):
-            for budget in (1, 2, 3, 4, DEFAULT_BUDGET):
+            for budget in (0, 1, 2, 3, 4, DEFAULT_BUDGET):
                 assert _oracle_outcome(inst, k, budget) == _reference_bfs(
                     inst, k, budget), (inst, k, budget)
 
