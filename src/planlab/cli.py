@@ -201,6 +201,8 @@ def _graph_from_args(args) -> generators.MulticoloredGraph:
     if args.complete:
         if args.per_part != 1:
             raise ValueError("--complete is defined for --per-part 1")
+        if args.edges is not None:
+            raise ValueError("--complete and --edges exclude each other")
         edges = tuple(generators.normalize_edge((i, 0), (j, 0))
                       for i in range(1, args.parts + 1)
                       for j in range(i + 1, args.parts + 1))

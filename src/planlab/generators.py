@@ -421,8 +421,10 @@ def random_instance(n: int, domain_size: int, num_actions: int, seed: int, *,
                     max_eff: Optional[int] = None) -> Instance:
     """Seeded pseudo-random instance satisfying the requested restriction
     flags; identical arguments give identical instances."""
-    if n < 1 or domain_size < 1 or num_actions < 0:
+    if n < 1 or domain_size < 1:
         raise ContractError("sizes must be positive")
+    if num_actions < 0:
+        raise ContractError("num_actions must be non-negative")
     if max_pre is None:
         max_pre = n
     if max_pre < 0:

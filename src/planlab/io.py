@@ -11,7 +11,8 @@ start with '#'):
     action <name> pre [<var>=<val> ...] eff [<var>=<val> ...]
 
 Variables are referenced by 0-based index.  Parsing arbitrary bytes never
-raises anything but ParseError.
+raises anything but ParseError, and every ParseError names its line, column
+and offending token (column 1 and no token when no one token is at fault).
 """
 
 from __future__ import annotations
@@ -35,22 +36,28 @@ class ParseError(PlanLabError):
         super().__init__(f"line {line}, column {column}: {message}")
 
 
-def _lines(text: str) -> Iterator[Tuple[int, List[Tuple[int, str]]]]:
-    """Yield (line number, [(column, token), ...]) for non-comment lines."""
+def _lines(text: str) -> Iterator[Tuple[int, str, List[str]]]:
+    """Yield (line number, line, tokens) for non-comment lines."""
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield lineno, [(m.start() + 1, m.group()) for m in _TOKEN_RE.finditer(raw)]
+        tokens = raw.split()
+        if tokens and not tokens[0].startswith("#"):
+            yield lineno, raw, tokens
 
 
-def _number(text: str, lineno: int, col: int, token: str) -> int:
+def _error(message: str, lineno: int, raw: str, index: int) -> ParseError:
+    """ParseError at token `index` of line `raw`.  Its column is worked out
+    only here: re's \\S+ and str.split() agree on what whitespace is."""
+    token = list(_TOKEN_RE.finditer(raw))[index]
+    return ParseError(message, lineno, token.start() + 1, token.group())
+
+
+def _number(text: str, lineno: int, raw: str, index: int) -> int:
     """int() of an ASCII digit string; Python refuses very long ones."""
     try:
         return int(text)
     except ValueError:
-        raise ParseError(f"number too long ({len(text)} digits)", lineno,
-                         col, token) from None
+        raise _error(f"number too long ({len(text)} digits)", lineno, raw,
+                     index) from None
 
 
 def _decode(data: Union[str, bytes]) -> str:
@@ -62,24 +69,24 @@ def _decode(data: Union[str, bytes]) -> str:
         raise ParseError(f"not valid UTF-8: {exc.reason}", line=1) from None
 
 
-def _parse_assignments(tokens, lineno, n, d, what) -> Dict[int, int]:
+def _parse_assignments(tokens, first, lineno, raw, n, d,
+                       what) -> Dict[int, int]:
+    """<var>=<val> tokens, the first of them token `first` of line `raw`."""
     out: Dict[int, int] = {}
-    for col, tok in tokens:
+    for i, tok in enumerate(tokens, first):
         m = _ASSIGN_RE.match(tok)
         if not m:
-            raise ParseError(f"expected <var>=<val>, got {tok!r}",
-                             lineno, col, tok)
-        v, x = (_number(m.group(1), lineno, col, tok),
-                _number(m.group(2), lineno, col, tok))
+            raise _error(f"expected <var>=<val>, got {tok!r}", lineno, raw, i)
+        v, x = (_number(m.group(1), lineno, raw, i),
+                _number(m.group(2), lineno, raw, i))
         if v >= n:
-            raise ParseError(f"{what}: variable index {v} out of range "
-                             f"(vars {n})", lineno, col, tok)
+            raise _error(f"{what}: variable index {v} out of range "
+                         f"(vars {n})", lineno, raw, i)
         if x >= d:
-            raise ParseError(f"{what}: value out of range (domain {d})",
-                             lineno, col, tok)
+            raise _error(f"{what}: value out of range (domain {d})",
+                         lineno, raw, i)
         if v in out:
-            raise ParseError(f"{what}: variable {v} assigned twice",
-                             lineno, col, tok)
+            raise _error(f"{what}: variable {v} assigned twice", lineno, raw, i)
         out[v] = x
     return out
 
@@ -89,81 +96,73 @@ def parse_instance(data: Union[str, bytes]) -> Instance:
     lines = _lines(text)
 
     def next_line(expect: str):
-        for lineno, tokens in lines:
-            return lineno, tokens
+        for line in lines:
+            return line
         raise ParseError(f"unexpected end of file, expected {expect}",
                          line=text.count("\n") + 1)
 
-    lineno, tokens = next_line("header 'SASP 1'")
-    if [t for _, t in tokens] != ["SASP", "1"]:
-        raise ParseError("missing header 'SASP 1'", lineno,
-                         tokens[0][0] if tokens else 1,
-                         tokens[0][1] if tokens else "")
+    lineno, raw, tokens = next_line("header 'SASP 1'")
+    if tokens != ["SASP", "1"]:
+        raise _error("missing header 'SASP 1'", lineno, raw, 0)
 
     def keyword_int(expect: str, least: int = 0) -> int:
-        lineno, tokens = next_line(f"'{expect} <int>'")
-        if (len(tokens) != 2 or tokens[0][1] != expect
-                or not _INT_RE.match(tokens[1][1])):
-            col, tok = tokens[0] if tokens else (1, "")
-            raise ParseError(f"expected '{expect} <int>'", lineno, col, tok)
-        value = _number(tokens[1][1], lineno, *tokens[1])
+        lineno, raw, tokens = next_line(f"'{expect} <int>'")
+        if (len(tokens) != 2 or tokens[0] != expect
+                or not _INT_RE.match(tokens[1])):
+            raise _error(f"expected '{expect} <int>'", lineno, raw, 0)
+        value = _number(tokens[1], lineno, raw, 1)
         if value < least:
-            raise ParseError(f"{expect} must be at least {least}", lineno,
-                             *tokens[1])
+            raise _error(f"{expect} must be at least {least}", lineno, raw, 1)
         return value
 
     n = keyword_int("vars")
     d = keyword_int("domain", least=1)
 
-    lineno, tokens = next_line("'init ...'")
-    if not tokens or tokens[0][1] != "init":
-        raise ParseError("expected 'init' line", lineno, tokens[0][0], tokens[0][1])
-    values = tokens[1:]
-    if len(values) != n:
-        raise ParseError(f"init has {len(values)} values, expected {n}", lineno)
+    lineno, raw, tokens = next_line("'init ...'")
+    if tokens[0] != "init":
+        raise _error("expected 'init' line", lineno, raw, 0)
+    if len(tokens) != n + 1:
+        raise ParseError(f"init has {len(tokens) - 1} values, expected {n}",
+                         lineno)
     init = []
-    for col, tok in values:
+    for i, tok in enumerate(tokens[1:], 1):
         if not _INT_RE.match(tok):
-            raise ParseError(f"init: expected integer, got {tok!r}",
-                             lineno, col, tok)
-        x = _number(tok, lineno, col, tok)
+            raise _error(f"init: expected integer, got {tok!r}", lineno, raw, i)
+        x = _number(tok, lineno, raw, i)
         if x >= d:
-            raise ParseError(f"init: value out of range (domain {d})",
-                             lineno, col, tok)
+            raise _error(f"init: value out of range (domain {d})",
+                         lineno, raw, i)
         init.append(x)
 
-    lineno, tokens = next_line("'goal ...'")
-    if not tokens or tokens[0][1] != "goal":
-        raise ParseError("expected 'goal' line", lineno, tokens[0][0], tokens[0][1])
-    goal = _parse_assignments(tokens[1:], lineno, n, d, "goal")
+    lineno, raw, tokens = next_line("'goal ...'")
+    if tokens[0] != "goal":
+        raise _error("expected 'goal' line", lineno, raw, 0)
+    goal = _parse_assignments(tokens[1:], 1, lineno, raw, n, d, "goal")
 
     actions = []
     names = set()
-    for lineno, tokens in lines:
-        if tokens[0][1] != "action":
-            raise ParseError(f"expected 'action', got {tokens[0][1]!r}",
-                             lineno, tokens[0][0], tokens[0][1])
+    for lineno, raw, tokens in lines:
+        if tokens[0] != "action":
+            raise _error(f"expected 'action', got {tokens[0]!r}",
+                         lineno, raw, 0)
         if len(tokens) < 2:
             raise ParseError("action line is missing a name", lineno)
-        name_col, name = tokens[1]
+        name = tokens[1]
         if not NAME_RE.match(name):
-            raise ParseError(f"illegal action name {name!r}", lineno,
-                             name_col, name)
+            raise _error(f"illegal action name {name!r}", lineno, raw, 1)
         if name in names:
-            raise ParseError(f"duplicate action name {name!r}", lineno,
-                             name_col, name)
+            raise _error(f"duplicate action name {name!r}", lineno, raw, 1)
         names.add(name)
-        rest = tokens[2:]
-        if not rest or rest[0][1] != "pre":
-            col, tok = rest[0] if rest else (name_col, name)
-            raise ParseError("expected 'pre' after action name", lineno, col, tok)
-        try:
-            eff_at = [t for _, t in rest].index("eff")
-        except ValueError:
-            raise ParseError("action line is missing 'eff'", lineno,
-                             rest[0][0], "pre") from None
-        pre = _parse_assignments(rest[1:eff_at], lineno, n, d, f"pre({name})")
-        eff = _parse_assignments(rest[eff_at + 1:], lineno, n, d, f"eff({name})")
+        if tokens[2:3] != ["pre"]:  # points at the name when nothing follows
+            raise _error("expected 'pre' after action name", lineno, raw,
+                         min(2, len(tokens) - 1))
+        if "eff" not in tokens[3:]:  # the name itself may be "eff"
+            raise _error("action line is missing 'eff'", lineno, raw, 2)
+        eff_at = tokens.index("eff", 3)
+        pre = _parse_assignments(tokens[3:eff_at], 3, lineno, raw, n, d,
+                                 f"pre({name})")
+        eff = _parse_assignments(tokens[eff_at + 1:], eff_at + 1, lineno,
+                                 raw, n, d, f"eff({name})")
         actions.append(Action(name, pre, eff))
 
     try:
@@ -198,13 +197,12 @@ def parse_plan(data: Union[str, bytes], instance: Instance) -> Plan:
     text = _decode(data)
     ids = {a.name: i for i, a in enumerate(instance.actions)}
     steps = []
-    for lineno, tokens in _lines(text):
+    for lineno, raw, tokens in _lines(text):
         if len(tokens) != 1:
-            raise ParseError("expected one action name per line", lineno,
-                             tokens[1][0], tokens[1][1])
-        col, name = tokens[0]
+            raise _error("expected one action name per line", lineno, raw, 1)
+        name = tokens[0]
         if name not in ids:
-            raise ParseError(f"unknown action name {name!r}", lineno, col, name)
+            raise _error(f"unknown action name {name!r}", lineno, raw, 0)
         steps.append(ids[name])
     return tuple(steps)
 

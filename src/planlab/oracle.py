@@ -1,8 +1,12 @@
 """Exhaustive reference solvers: ground truth for every other solver.
 
-shortest_plan runs breadth-first search over total states;
-enumerate_minimal_plans brute-forces every action sequence up to the bound.
-Both are deliberately simple and only meant for desk-scale instances.
+shortest_plan runs breadth-first search over total states under a budget of
+visited states.  It answers `--solver oracle`, it is the route `--solver
+auto` falls back to when no other applies, and every other route is
+checked against it.  enumerate_minimal_plans brute-forces every action
+sequence up to the bound, capped at SEQUENCE_BUDGET sequences; it is the
+reference for the minimal plans that post-unique enumerates, and is meant
+for desk-scale instances only.
 
 The search packs each state into one integer of bit fields: variable v
 holds bits v*w .. v*w + w - 1, w = (d - 1).bit_length(), so a binary

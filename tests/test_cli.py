@@ -487,6 +487,8 @@ def test_generate_malformed_options_are_usage_errors(capsys, tmp_path,
          "--complete"],
         ["generate", "mcc-ubs", "--parts", "2", "--per-part", "0",
          "--complete"],
+        *(["generate", kind, "--parts", "2", "--complete", "--edges",
+           "1.0-2.0"] for kind in ("mcc-ubs", "mcc-03")),
         ["generate", "random", "--n", "3", "--actions", "3", "--seed", "1",
          "--k", "-1"],
         ["generate", "hitting-set", "--universe", "3", "--sets", "{1}",
@@ -517,6 +519,7 @@ def test_generate_malformed_options_are_usage_errors(capsys, tmp_path,
     two.write_text("SASP 1\nvars 2\ndomain 2\ninit 0 0\ngoal 0=1 1=1\n"
                    "action a pre eff 0=1\naction b pre eff 1=1\n")
     rand = ["generate", "random", "--seed", "1"]
+    negative_actions = rand + ["--n", "3", "--actions", "-1"]
     refused = [
         hitting + ["--sets", "{1,4}"],
         ["generate", "hitting-set", "--universe", "-2", "--sets", "",
@@ -527,7 +530,7 @@ def test_generate_malformed_options_are_usage_errors(capsys, tmp_path,
          "--max-pre", "-1"],
         rand + ["--n", "0", "--actions", "3"],
         rand + ["--n", "3", "--domain", "0", "--actions", "3"],
-        rand + ["--n", "3", "--actions", "-1"],
+        negative_actions,
         rand + ["--n", "3", "--actions", "3", "--max-eff", "0"],
         ["generate", "compose-02", "--component", str(two),
          "--component", str(two), "--k", "0"],
@@ -537,6 +540,8 @@ def test_generate_malformed_options_are_usage_errors(capsys, tmp_path,
         captured = capsys.readouterr()
         assert code == 3 and captured.out == "", argv
         assert captured.err.startswith("inapplicable"), argv
+        if argv == negative_actions:  # not "sizes must be positive"
+            assert "num_actions must be non-negative" in captured.err
     assert not out.exists()
     assert "more than k'=1" in captured.err  # compose-02, refused last
     # no parts is a consistent request: bound 0 and an empty instance

@@ -502,3 +502,14 @@ def test_random_unsatisfiable_combo():
         random_instance(2, 2, 2, seed=0, unary=True, max_eff=2)
     with pytest.raises(ContractError, match="max_pre"):
         random_instance(3, 2, 3, seed=0, max_pre=-1)
+
+
+def test_random_sizes_name_their_bound():
+    with pytest.raises(ContractError, match="sizes must be positive"):
+        random_instance(0, 2, 3, seed=0)
+    with pytest.raises(ContractError, match="sizes must be positive"):
+        random_instance(3, 0, 3, seed=0)
+    with pytest.raises(ContractError,
+                       match="num_actions must be non-negative"):
+        random_instance(3, 2, -1, seed=0)
+    assert random_instance(3, 2, 0, seed=0).actions == ()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planlab.core import Action, Instance
+from planlab.core import Action, Instance, StructuralError
 from planlab.io import (ParseError, parse_instance, parse_plan,
                         serialize_instance, serialize_plan)
 
@@ -113,6 +113,139 @@ def test_parse_error_location():
     assert err.value.token == "0"
 
 
+def _toy1(old, new):
+    return TOY1_TEXT.replace(old, new, 1)
+
+
+_LONG = "9" * 5000  # longer than int() converts
+
+# (input, message, line, column, token) for every raise site of
+# parse_instance; a column is 1-based and counts a tab as one character
+INSTANCE_ERRORS = {
+    "bad-utf8": (b"SASP 1\n\xff\n", "not valid UTF-8: invalid start byte",
+                 1, 1, ""),
+    "empty": ("", "unexpected end of file, expected header 'SASP 1'",
+              1, 1, ""),
+    "eof-vars": ("SASP 1\n", "unexpected end of file, expected 'vars <int>'",
+                 2, 1, ""),
+    "eof-goal": ("SASP 1\nvars 2\ndomain 2\ninit 0 0\n# no goal\n",
+                 "unexpected end of file, expected 'goal ...'", 6, 1, ""),
+    "header": (_toy1("SASP 1", "  SASP 2"), "missing header 'SASP 1'",
+               1, 3, "SASP"),
+    "vars-keyword": (_toy1("vars 2", "\tvar 2"), "expected 'vars <int>'",
+                     2, 2, "var"),
+    "vars-extra": (_toy1("vars 2", " vars 2 3"), "expected 'vars <int>'",
+                   2, 2, "vars"),
+    "vars-sup2": (_toy1("vars 2", "vars \u00b2"), "expected 'vars <int>'",
+                  2, 1, "vars"),
+    "vars-long": (_toy1("vars 2", "vars  " + _LONG),
+                  "number too long (5000 digits)", 2, 7, _LONG),
+    "domain-least": (_toy1("domain 2", "domain \t0"),
+                     "domain must be at least 1", 3, 9, "0"),
+    "init-keyword": (_toy1("init 0 0", "  inits 0 0"),
+                     "expected 'init' line", 4, 3, "inits"),
+    "init-count": (_toy1("init 0 0", "  init 0"),
+                   "init has 1 values, expected 2", 4, 1, ""),
+    "init-integer": (_toy1("init 0 0", "init 0  x"),
+                     "init: expected integer, got 'x'", 4, 9, "x"),
+    "init-long": (_toy1("init 0 0", "init 0 " + _LONG),
+                  "number too long (5000 digits)", 4, 8, _LONG),
+    "init-range": (_toy1("init 0 0", "init 0\t2"),
+                   "init: value out of range (domain 2)", 4, 8, "2"),
+    "goal-keyword": (_toy1("goal 0=1", " goals 0=1"),
+                     "expected 'goal' line", 5, 2, "goals"),
+    "goal-syntax": (_toy1("goal 0=1 1=1", "goal 0=1 1:1"),
+                    "expected <var>=<val>, got '1:1'", 5, 10, "1:1"),
+    "goal-long": (_toy1("goal 0=1 1=1", "goal 0=1 1=" + _LONG),
+                  "number too long (5000 digits)", 5, 10, "1=" + _LONG),
+    "goal-variable": (_toy1("goal 0=1 1=1", "goal 0=1 5=1"),
+                      "goal: variable index 5 out of range (vars 2)",
+                      5, 10, "5=1"),
+    "goal-value": (_toy1("goal 0=1 1=1", "goal 0=1 1=2"),
+                   "goal: value out of range (domain 2)", 5, 10, "1=2"),
+    "goal-twice": (_toy1("goal 0=1 1=1", "goal 0=1 0=0"),
+                   "goal: variable 0 assigned twice", 5, 10, "0=0"),
+    "action-keyword": (_toy1("action a1", " act a1"),
+                       "expected 'action', got 'act'", 6, 2, "act"),
+    "action-name": (_toy1("action a1 pre eff 0=1", "  action"),
+                    "action line is missing a name", 6, 1, ""),
+    "action-illegal": (_toy1("action a1", "action a|1"),
+                       "illegal action name 'a|1'", 6, 8, "a|1"),
+    "action-duplicate": (_toy1("action a2", "action  a1"),
+                         "duplicate action name 'a1'", 7, 9, "a1"),
+    "pre-name-only": (_toy1("action a1 pre eff 0=1", "action  a1"),
+                      "expected 'pre' after action name", 6, 9, "a1"),
+    "pre-other": (_toy1("action a1 pre eff", "action a1 eff"),
+                  "expected 'pre' after action name", 6, 11, "eff"),
+    "eff-missing": (_toy1("action a1 pre eff 0=1", "action a1\tpre 0=1"),
+                    "action line is missing 'eff'", 6, 11, "pre"),
+    "pre-twice": (_toy1("pre 0=1 eff", "pre 0=1 0=1 eff"),
+                  "pre(a2): variable 0 assigned twice", 7, 19, "0=1"),
+    "eff-value": (_toy1("eff 1=1", "eff 1=1 1=5"),
+                  "eff(a2): value out of range (domain 2)", 7, 27, "1=5"),
+    "eff-syntax": (_toy1("pre eff 0=1", "pre eff eff"),
+                   "expected <var>=<val>, got 'eff'", 6, 19, "eff"),
+}
+
+
+def _assert_error(err, message, line, column, token):
+    assert (err.message, err.line, err.column, err.token) == (
+        message, line, column, token)
+    assert str(err) == f"line {line}, column {column}: {message}"
+
+
+@pytest.mark.parametrize("data,message,line,column,token",
+                         list(INSTANCE_ERRORS.values()),
+                         ids=list(INSTANCE_ERRORS))
+def test_instance_error_positions(data, message, line, column, token):
+    with pytest.raises(ParseError) as err:
+        parse_instance(data)
+    _assert_error(err.value, message, line, column, token)
+
+
+def test_structural_fallback_is_a_parse_error(monkeypatch):
+    # the checks above leave Instance nothing to refuse; should it refuse
+    # anyway, parsing still raises only ParseError, at line 1
+    def refuse(**_):
+        raise StructuralError("refused")
+    monkeypatch.setattr("planlab.io.Instance", refuse)
+    with pytest.raises(ParseError) as err:
+        parse_instance(TOY1_TEXT)
+    _assert_error(err.value, "refused", 1, 1, "")
+
+
+@pytest.mark.parametrize("data,message,line,column,token", [
+    ("a1\n  a2 a1\n", "expected one action name per line", 2, 6, "a1"),
+    ("a1\n\n\ta9\n", "unknown action name 'a9'", 3, 2, "a9"),
+    (b"a1\n\xff\n", "not valid UTF-8: invalid start byte", 1, 1, ""),
+], ids=["two-names", "unknown", "bad-utf8"])
+def test_plan_error_positions(toy1, data, message, line, column, token):
+    with pytest.raises(ParseError) as err:
+        parse_plan(data, toy1)
+    _assert_error(err.value, message, line, column, token)
+
+
+# characters that both str.split() and re's \s treat as whitespace; "\n"
+# is left out because it ends a line
+_WHITESPACE = ("\t\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000"
+               "\u200a\u2028\u2029\u202f\u205f\u3000")
+# TOY1 split around its separators: odd pieces are " " or "\n"
+_TOY1_SEPARATED = re.split(r"( |\n)", TOY1_TEXT)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, len(_TOY1_SEPARATED) // 2 - 1),
+                          st.booleans(),
+                          st.text(_WHITESPACE, min_size=1, max_size=3)),
+                max_size=8))
+def test_unicode_whitespace_separates_tokens(insertions):
+    pieces = list(_TOY1_SEPARATED)
+    for index, before, space in insertions:
+        sep = pieces[2 * index + 1]
+        pieces[2 * index + 1] = space + sep if before else sep + space
+    assert parse_instance("".join(pieces)) == parse_instance(TOY1_TEXT)
+
+
 def test_plan_files(toy1):
     assert parse_plan("a1\na2\n", toy1) == (0, 1)
     assert parse_plan("", toy1) == ()
@@ -166,3 +299,11 @@ def test_fuzz_mutated_canonical():
             parse_instance("".join(chars))
         except ParseError:
             pass
+
+
+def test_keywords_as_action_names():
+    # "eff" is found after "pre", so an action may be named after a keyword
+    inst = parse_instance(_toy1("action a1", "action eff").replace(
+        "action a2", "action pre", 1))
+    assert [a.name for a in inst.actions] == ["eff", "pre"]
+    assert inst.actions[0].eff == {0: 1} and inst.actions[1].pre == {0: 1}
