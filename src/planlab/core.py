@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 PartialState = Mapping[int, int]
 TotalState = Tuple[int, ...]
@@ -176,6 +176,49 @@ def validate_plan(instance: Instance, plan: Plan) -> ValidationReport:
         if state[v] != x:
             return ValidationReport(False, reason="goal", variable=v)
     return ValidationReport(True, final_state=tuple(state))
+
+
+# A packed action: (pre mask, pre bits, eff mask, eff bits) over a state
+# packed into one integer of bit fields, variable v in bits v*w .. v*w + w - 1
+PackedAction = Tuple[int, int, int, int]
+
+
+def pack(cond: PartialState, width: int) -> Tuple[int, int]:
+    """(bits of the fields cond mentions, the values it sets them to), with
+    width bits per variable."""
+    ones = (1 << width) - 1
+    mask = bits = 0
+    for v, x in cond.items():
+        mask |= ones << (v * width)
+        bits |= x << (v * width)
+    return mask, bits
+
+
+def pack_actions(instance: Instance) -> Tuple[int, List[PackedAction]]:
+    """(field width, every action packed in id order).  The width is the
+    fewest bits that hold 0..d-1, so a one-value domain has empty fields."""
+    width = (instance.domain_size - 1).bit_length()
+    return width, [pack(a.pre, width) + pack(a.eff, width)
+                   for a in instance.actions]
+
+
+def commute(a: PackedAction, b: PackedAction) -> bool:
+    """Whether a and b commute: neither writes a field the other reads, and
+    both write the same value to every field they both write.  Wherever one
+    order of the two applies, so does the other, and both reach the same
+    state."""
+    pre_a, _, eff_a, set_a = a
+    pre_b, _, eff_b, set_b = b
+    both = eff_a & eff_b
+    return (not (eff_a & pre_b or eff_b & pre_a)
+            and set_a & both == set_b & both)
+
+
+def overwrites(b: PackedAction, a: PackedAction) -> bool:
+    """Whether b overwrites a: b writes every field a writes and reads none
+    of them, so s.a.b = s.b in every state s where a applies."""
+    eff_a = a[2]
+    return not (eff_a & ~b[2] or eff_a & b[0])
 
 
 def diff_set(instance: Instance, s: PartialState) -> Tuple[int, ...]:

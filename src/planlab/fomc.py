@@ -10,7 +10,23 @@ only the actions that can fire within k unary steps, those whose
 precondition deviates from the initial state on fewer than k variables; the
 others stay universe elements that no quantifier ranges over.  A generic
 evaluator then decides satisfaction, giving a solver route that shares no
-code with the state-space oracle or the search-tree solver.
+code with the search-tree solver, and with the state-space oracle only the
+rule for when two actions commute and when one overwrites another
+(core.commute and core.overwrites).
+
+Both structures carry a binary relation SKIP over ACT, and both formulas
+forbid SKIP(a_i, a_i+1) at each step i < k.  (a, b) is in SKIP when b is a,
+or b has a lower id and commutes with a, or b overwrites a (the oracle's
+base[a]), and when a is the dummy action and b a real one.  The rule is
+sound: any plan of length at most k can be rewritten into one with no such
+pair by dropping a repeat or an overwritten action, swapping an
+out-of-order commuting pair and moving the dummies to the end; each step
+lowers (length, inversions, dummy-before-real pairs), so the rewriting
+ends.  These are symmetry-breaking predicates (Crawford, Ginsberg, Luks
+and Roy, KR 1996) that order commuting actions as in Rintanen, Heljanko
+and Niemela, AIJ 2006.  They are quantifier-free over the existential
+block, so the prefix shapes stay as they are and each formula's size still
+depends on k alone.
 
 The builders state each quantifier's range as a unary guard relation:
 exists x in R phi reads as exists x (R(x) and phi), and forall x in R phi as
@@ -19,13 +35,17 @@ Python closure over one environment list, with every relation a frozenset
 of radix-packed keys, and each guarded quantifier ranges over its guard's
 members alone.  compile_query cuts the formula below the existential prefix
 into conjuncts, cutting through a following universal block (forall
-distributes over and, for any universe), and checks each conjunct as soon
-as the deepest prefix variable it names is bound.  On the sigma22 encoding
-the actions range over ACT and (v, x) over VAR x DOM, and the precondition
-conjunct of step i runs as soon as a_i is bound, so a refutation backjumps
-instead of trying every action tuple.  The reference evaluator
-model_check_basic compiles the same nodes with every quantifier over the
-whole universe and its guard read as an atom.
+distributes over and, for any universe), and wraps each conjunct only in
+the block quantifiers whose variable it names: forall x phi is phi when phi
+does not name x and x ranges over something, and true when x ranges over
+nothing.  It checks each conjunct as soon as the deepest prefix variable it
+names is bound.  On the sigma22 encoding the actions range over ACT and
+(v, x) over VAR x DOM; the SKIP conjunct of steps i and i+1 runs once as
+soon as a_i+1 is bound, not once per (v, x), and the precondition conjunct
+of step i as soon as a_i is bound, so a refutation backjumps instead of
+trying every action tuple.  The reference evaluator model_check_basic
+compiles the same nodes with every quantifier over the whole universe and
+its guard read as an atom.
 """
 
 from __future__ import annotations
@@ -36,7 +56,7 @@ from itertools import combinations
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from .core import (ContractError, Instance, Plan, PlanLabError, classify,
-                   diff_set, validate_plan)
+                   commute, diff_set, overwrites, pack_actions, validate_plan)
 
 SIGMA1_MAX_K = 8  # the diff subset disjunction grows as 2**k
 # sigma22's goal conjunct nests _value_after k deep, and compiling and
@@ -214,10 +234,8 @@ def _structure(instance: Instance,
             "GOAL_V": (2, [(v, val + x) for v, x in instance.goal.items()]),
             "PRE": (2, [t[:2] for t in pre]), "PRE_V": (3, pre),
             "EFF": (2, [t[:2] for t in eff]), "EFF_V": (3, eff)}
-    if k is None:
-        rels["ACT"] = (1, [(act + a,) for a in range(len(actions))]
-                       + [(dum_a,)])
-    else:
+    ids = range(len(actions))  # the actions in ACT
+    if k is not None:
         goal_diff = diff_set(instance, instance.goal)
         if len(goal_diff) > k:
             raise TriviallyUnsolvable(
@@ -229,15 +247,22 @@ def _structure(instance: Instance,
             return [*diff, *range(dum_a + 1, dum_a + k - len(diff) + 1)]
 
         diffs = [diff_set(instance, action.pre) for action in actions]
-        fireable = [(act + a, diff) for a, diff in enumerate(diffs)
-                    if len(diff) < k]
+        ids = [a for a in ids if len(diffs[a]) < k]
         rels.update({f"DUM{j}": (1, [(dum_a + j,)]) for j in range(1, k + 1)})
         rels.update({
-            "ACT": (1, [(e,) for e, _ in fireable] + [(dum_a,)]),
             "GOAL": (1, [(v,) for v in instance.goal]),
-            "DIFF_ACT": (2, [(e, x) for e, diff in fireable
-                             for x in cover(diff)]),
+            "DIFF_ACT": (2, [(act + a, x) for a in ids
+                             for x in cover(diffs[a])]),
             "DIFF_GOAL": (1, [(x,) for x in cover(goal_diff)])})
+    _, packed = pack_actions(instance)
+    rels["ACT"] = (1, [(act + a,) for a in ids] + [(dum_a,)])
+    # (a, b) with b in the oracle's base[a]: a itself, a lower id that
+    # commutes with a, or an action that overwrites a; and dum_a before
+    # every real action
+    rels["SKIP"] = (2, [(act + a, act + b) for a in ids for b in ids
+                        if b == a or overwrites(packed[b], packed[a])
+                        or b < a and commute(packed[a], packed[b])]
+                    + [(dum_a, act + b) for b in ids])
     return RelationalStructure(
         tuple(universe), {r: frozenset(rows) for r, (_, rows) in rels.items()},
         {r: arity for r, (arity, _) in rels.items()})
@@ -254,8 +279,9 @@ def build_extended_structure(instance: Instance, k: int) -> RelationalStructure:
     action of a unary plan follows at most i-1 single-variable changes, so
     no other action can fire within k steps.  Each action in ACT is padded
     to exactly k DIFF_ACT rows; the others stay universe elements with no
-    ACT or DIFF_ACT row.  DUMj holds the j-th dummy alone, so that a formula
-    can pin its j-th dummy variable; no relation holds all the dummies.
+    ACT, DIFF_ACT or SKIP row.  DUMj holds the j-th dummy alone, so that a
+    formula can pin its j-th dummy variable; no relation holds all the
+    dummies.
     Raises TriviallyUnsolvable when the goal deviates on more than k
     variables."""
     return _structure(instance, k)
@@ -287,6 +313,12 @@ def _value_after(i: int, v: str, x: str) -> Formula:
     ))
 
 
+def _no_skip(k: int) -> Tuple[Formula, ...]:
+    """not SKIP(a_i, a_i+1) for each step i < k."""
+    return tuple(Not(Atom("SKIP", (f"a{i}", f"a{i + 1}")))
+                 for i in range(1, k))
+
+
 def build_sigma22_formula(k: int) -> Formula:
     """Closed formula: the structure of an instance models it iff a plan of
     length at most k exists.  Prefix: k existentials, two universals."""
@@ -300,8 +332,8 @@ def build_sigma22_formula(k: int) -> Formula:
         Implies(Atom("PRE_V", (f"a{i}", "v", "x")), _value_after(i - 1, "v", "x"))
         for i in range(1, k + 1))
     check_goal = Implies(Atom("GOAL_V", ("v", "x")), _value_after(k, "v", "x"))
-    f: Formula = Forall("v", Forall("x", And(check_pre + (check_goal,)), "DOM"),
-                        "VAR")
+    f: Formula = Forall("v", Forall("x", And(
+        _no_skip(k) + check_pre + (check_goal,)), "DOM"), "VAR")
     for i in range(k, 0, -1):
         f = Exists(f"a{i}", f, "ACT")
     return f
@@ -378,8 +410,8 @@ def build_sigma1_formula(k: int) -> Formula:
               + [(f"x{i}_{j}", "DOM") for i in range(1, k + 1)
                  for j in range(1, k + 1)]
               + [(f"xg{i}", "DOM") for i in range(1, k + 1)])
-    f: Formula = And((check_eff, diff_op_all, diff_goal, check_pre_all,
-                      check_goal))
+    f: Formula = And((And(_no_skip(k)), check_eff, diff_op_all, diff_goal,
+                      check_pre_all, check_goal))
     for name, guard in reversed(roster):
         f = Exists(name, f, guard)
     return f
@@ -549,8 +581,10 @@ class CompiledQuery:
     prefix_names[L], and candidates[L] lists the members of that binder's
     guard (the whole universe if it has none).  The rest is cut into
     conjuncts; a universal block right after the prefix is cut through,
-    one copy of the block per conjunct of its body, since forall
-    distributes over and.  const_checks are the conjuncts with no prefix
+    since forall distributes over and, and each conjunct of its body keeps
+    the block quantifiers whose variable it names.  A conjunct that leaves
+    out a quantifier over an empty range holds vacuously and is not
+    checked at all.  const_checks are the conjuncts with no prefix
     variable, and sched[L] holds (check, conflict levels) pairs, one per
     conjunct whose deepest prefix variable is level L, run right after
     level L is bound.
@@ -582,10 +616,20 @@ def compile_query(structure: RelationalStructure,
     sched: List[List[Tuple[Check, Tuple[int, ...]]]] = [
         [] for _ in prefix_names]
     for g in _conjuncts(f):
-        for q in reversed(block):
-            g = Forall(q.var, g, q.guard)
         start, c.used = c.n_slots, set()
-        check = c.compile(g)
+        slots = [c.bind(q.var) for q in block]
+        check, vacuous = c.compile(g), False
+        # forall x phi is phi when phi does not name x and x ranges over
+        # something, and true when x ranges over nothing
+        for q, slot in zip(reversed(block), reversed(slots)):
+            c.scope[q.var].pop()
+            domain = c.members(q.guard)
+            if slot in c.used:
+                check = _quantifier(False, slot, domain, check)
+            else:
+                vacuous = vacuous or not domain
+        if vacuous:
+            continue
         levels = tuple(sorted(s for s in c.used if s < start))
         if levels:
             sched[levels[-1]].append((check, levels))

@@ -344,7 +344,8 @@ def compose_zero_two(components: Sequence[Tuple[Instance, int]]
     bound k.  Components are chain-transformed first (bound k'), then glued
     so that re-solving exactly one component fits the budget k'' = 4k'+1:
     the b-variables force k' resets that damage some component's goal, and
-    clearing that component's flag drags in a 2k'+1 cascade."""
+    clearing that component's flag drags in a 2k'+1 cascade.  The
+    composition is solvable at k'' iff some component is solvable at k."""
     if len(components) < 2:
         raise ContractError("composition needs at least two components")
     ks = {ki for _, ki in components}

@@ -21,7 +21,9 @@ Two actions commute when neither writes a field the other reads and both
 write the same value to every field they both write; wherever one order of
 the two applies, so does the other, and both reach the same state.  An
 action b overwrites a when b writes every field a writes and reads none of
-them; then s.a.b = s.b for every state s where a applies.
+them; then s.a.b = s.b for every state s where a applies.  Both tests are
+core.commute and core.overwrites, the one rule that fo-mc's SKIP relation
+reads too.
 
 The search skips successors whose state is already recorded.  Each state t
 has a skip mask: a set of action ids, stored as a bitmask, not tried from
@@ -58,7 +60,11 @@ from __future__ import annotations
 from itertools import product
 from typing import Optional, Tuple
 
-from .core import Instance, Plan, PlanLabError, validate_plan
+from .core import (Instance, Plan, PlanLabError, overwrites, pack_actions,
+                   validate_plan)
+# under this module's own names: a test patches _commute to count the
+# commute tests a search makes
+from .core import commute as _commute, pack as _masks
 
 DEFAULT_BUDGET = 5_000_000
 SEQUENCE_BUDGET = 2_000_000  # enumerate_minimal_plans' cap on sequences tried
@@ -89,10 +95,8 @@ def shortest_plan_with_stats(instance: Instance, k: int,
         raise ValueError("k must be non-negative")
     if budget < 1:
         raise BudgetExhausted(1)
-    width = (instance.domain_size - 1).bit_length()
+    width, acts = pack_actions(instance)
     _, init = _masks(dict(enumerate(instance.init)), width)
-    acts = [_masks(a.pre, width) + _masks(a.eff, width)
-            for a in instance.actions]
     goal_mask, goal_bits = _masks(instance.goal, width)
     if init & goal_mask == goal_bits:
         return (), 1
@@ -147,28 +151,15 @@ def _skip_rule(acts, a):
     last action is a (the lower-id ones that commute with a, a itself, and
     those that overwrite a)."""
     act_a = acts[a]
-    eff_a = act_a[2]
     comm, base = 0, 1 << a
     for b, act_b in enumerate(acts):
         if _commute(act_a, act_b):
             comm |= 1 << b
             if b < a:
                 base |= 1 << b
-        # b writes every field a writes and reads none of them
-        if not (eff_a & ~act_b[2] or eff_a & act_b[0]):
+        if overwrites(act_b, act_a):
             base |= 1 << b
     return comm, base
-
-
-def _commute(a, b) -> bool:
-    """Whether the packed actions a and b, each (pre mask, pre bits, eff
-    mask, eff bits), commute: wherever one order of the two applies, so
-    does the other, and both reach the same state."""
-    pre_a, _, eff_a, set_a = a
-    pre_b, _, eff_b, set_b = b
-    both = eff_a & eff_b
-    return (not (eff_a & pre_b or eff_b & pre_a)
-            and set_a & both == set_b & both)
 
 
 def _reconstruct(parent, acts, state) -> Plan:
@@ -186,16 +177,6 @@ def _reconstruct(parent, acts, state) -> Plan:
         state = prev
     plan.reverse()
     return tuple(plan)
-
-
-def _masks(cond, width: int) -> Tuple[int, int]:
-    """(bits of the fields cond mentions, the values it sets them to)."""
-    field = (1 << width) - 1
-    mask = bits = 0
-    for v, x in cond.items():
-        mask |= field << (v * width)
-        bits |= x << (v * width)
-    return mask, bits
 
 
 def is_valid_plan(instance: Instance, plan: Plan) -> bool:

@@ -16,9 +16,10 @@ from planlab.fomc import (SIGMA1, SIGMA1_MAX_K, SIGMA22, SIGMA22_MAX_K, And, Ato
                           node_count, prefix_shape, solve_via_mc,
                           structure_to_text)
 from planlab.generators import random_instance
-from planlab.oracle import is_valid_plan, shortest_plan
+from planlab.oracle import DEFAULT_BUDGET, is_valid_plan, shortest_plan
 
 from conftest import random_small_instance
+from test_oracle import _reference_bfs
 
 
 def test_structure_toy1(toy1):
@@ -233,7 +234,7 @@ def test_sigma22_refutation_ignores_declared_domain():
     assert wide_r.assignments <= sum((m + 1) ** i for i in range(1, k + 1))
 
 
-def test_sigma22_refutation_cost_grows_linearly_in_k():
+def test_sigma22_refutation_cost_grows_linearly_in_k(monkeypatch):
     # both actions need v2 = 1, which nothing sets: each prefix level fails
     # its own precondition conjunct on all m + 1 candidates, the dummy
     # action passes, and the conflict names no level above, so the search
@@ -251,10 +252,21 @@ def test_sigma22_refutation_cost_grows_linearly_in_k():
     q = compile_query(build_structure(inst), build_sigma22_formula(k))
     assert q.const_checks == []
     for i in range(1, k + 1):
-        # the precondition conjunct for a_i names a_1..a_i; the goal
-        # conjunct joins it at the last level
+        # the SKIP conjunct on (a_i-1, a_i) names those two, the
+        # precondition conjunct for a_i names a_1..a_i, and the goal
+        # conjunct joins them at the last level
         levels = [lv for _, lv in q.sched[i - 1]]
-        assert levels == [tuple(range(i))] * (2 if i == k else 1), i
+        assert levels == ([(i - 2, i - 1)] if i > 1 else []) + \
+            [tuple(range(i))] * (2 if i == k else 1), i
+    # the SKIP conjuncts name neither v nor x, so they run outside the
+    # universal block: only the k precondition conjuncts and the goal
+    # conjunct get their two quantifiers
+    made = []
+    quantifier = fomc._quantifier
+    monkeypatch.setattr(fomc, "_quantifier",
+                        lambda *args: made.append(args) or quantifier(*args))
+    compile_query(build_structure(inst), build_sigma22_formula(k))
+    assert len(made) == 2 * (k + 1)
 
 
 def test_solve_via_mc_examples(toy1):
@@ -343,6 +355,100 @@ def test_witnesses_always_validate():
         if r.solvable:
             assert is_valid_plan(inst, r.plan)
             assert len(r.plan) <= k
+
+
+_MC_CLASSES = {"unconstrained": {}, "unary": {"unary": True},
+               "post-unique": {"post_unique": True},
+               "(0,2)": {"max_pre": 0, "max_eff": 2},
+               "(0,3)": {"max_pre": 0, "max_eff": 3}}
+
+
+@pytest.mark.parametrize("cls", list(_MC_CLASSES))
+def test_verdicts_match_a_search_without_skip_masks(cls):
+    """fo-mc against a breadth-first search that tries every action from
+    every state.  The oracle shares fo-mc's commute and overwrite rule, so
+    a wrong rule would fool a comparison with it; this reference reads no
+    rule at all."""
+    rng = random.Random(f"fomc-vs-plain-bfs/{cls}")
+    kwargs = _MC_CLASSES[cls]
+    sigma1_calls = 0
+    for i in range(150):
+        n, d = rng.randint(1, 5), rng.randint(1, 3)
+        m = rng.randint(0, min(7, n * d) if "post_unique" in kwargs else 7)
+        inst = random_instance(n, d, m, seed=rng.randrange(1 << 30), **kwargs)
+        fragments = [SIGMA22] + [SIGMA1] * classify(inst).unary
+        for k in range(5):
+            plan, _ = _reference_bfs(inst, k, DEFAULT_BUDGET)
+            for fragment in fragments:
+                r = solve_via_mc(inst, k, fragment)
+                assert r.solvable == (plan is not None), (i, k, fragment)
+                if r.solvable:
+                    assert is_valid_plan(inst, r.plan) and len(r.plan) <= k
+            sigma1_calls += SIGMA1 in fragments
+    if cls == "unary":
+        assert sigma1_calls == 750
+
+
+def _skip_rows(s):
+    """SKIP's rows as pairs of element names."""
+    return {tuple(s.universe[e][0] for e in row) for row in s.relations["SKIP"]}
+
+
+_x, _y = 0, 1
+# (name, instance, rows in SKIP, rows not in it, bound, sigma22 plan)
+SKIP_CASES = [
+    # a repeat leaves the state as it is: the plan is set, not set set
+    ("repeat", Instance(1, 2, (Action("set", {}, {_x: 1}),), (0,), {_x: 1}),
+     {("set", "set")}, set(), 2, (0,)),
+    # x and y commute: y may follow x, x may not follow y
+    ("lower-id-commuting",
+     Instance(2, 2, (Action("x", {}, {_x: 1}), Action("y", {}, {_y: 1})),
+              (0, 0), {_x: 1, _y: 1}),
+     {("y", "x")}, {("x", "y")}, 2, (0, 1)),
+    # b writes every field a writes and reads none: a b is b alone, so b a
+    # is the first plan in index order
+    ("overwriting",
+     Instance(2, 2, (Action("a", {}, {_x: 1}),
+                     Action("b", {}, {_x: 0, _y: 1})), (0, 0), {_y: 1}),
+     {("a", "b")}, {("b", "a")}, 2, (1, 0)),
+    # only the empty plan works, so every step takes the dummy action: a
+    # dummy may follow a dummy or a real action, but no real action follows
+    # a dummy
+    ("dummy-before-real",
+     Instance(1, 2, (Action("wreck", {}, {_x: 0}),), (1,), {_x: 1}),
+     {("dum_a", "wreck")}, {("dum_a", "dum_a"), ("wreck", "dum_a")}, 2, ()),
+    # an action with no effects commutes with every action and every
+    # action overwrites it: no real action follows it, and it follows no
+    # higher id
+    ("no-effects",
+     Instance(1, 2, (Action("noop", {}, {}), Action("set", {}, {_x: 1})),
+              (0,), {_x: 1}),
+     {("noop", "noop"), ("noop", "set"), ("set", "noop")}, set(), 2, (1,)),
+    # the only plan runs the higher id first, and the two do not commute
+    ("higher-id-first",
+     Instance(2, 2, (Action("second", {_x: 1}, {_y: 1}),
+                     Action("first", {}, {_x: 1})), (0, 0), {_y: 1}),
+     set(), {("first", "second")}, 2, (1, 0)),
+]
+
+
+@pytest.mark.parametrize("name, inst, rows, not_rows, k, plan", SKIP_CASES,
+                         ids=[c[0] for c in SKIP_CASES])
+def test_skip_hand_cases(name, inst, rows, not_rows, k, plan):
+    structures = [build_structure(inst)]
+    if classify(inst).unary:
+        structures.append(build_extended_structure(inst, k))
+    for s in structures:
+        assert rows <= _skip_rows(s) and not _skip_rows(s) & not_rows
+    assert solve_via_mc(inst, k, SIGMA22).plan == plan
+    fragments = [SIGMA22] + [SIGMA1] * classify(inst).unary
+    for bound in range(4):
+        expected, _ = _reference_bfs(inst, bound, DEFAULT_BUDGET)
+        for fragment in fragments:
+            r = solve_via_mc(inst, bound, fragment)
+            assert r.solvable == (expected is not None), (bound, fragment)
+            if r.solvable:
+                assert is_valid_plan(inst, r.plan) and len(r.plan) <= bound
 
 
 def test_program_evaluator_matches_basic():
@@ -490,6 +596,22 @@ REWRITE_CASES = [
      Exists("a", And((_P, Atom("Z", ()))), "P"), True),
     ("arity-0-false", 3, dict(P={(0,)}, Z=set()),
      Exists("a", And((_P, Atom("Z", ())))), False),
+    # a block conjunct that names no block variable: it holds vacuously
+    # when a block guard is empty, and is checked once when it is not
+    ("dropped-empty-guard", 3, _EDGE,
+     Exists("a", Forall("x", And((Atom("E", ("a",)), Implies(_Q, _R))), "E"),
+            "P"), True),
+    ("dropped-nonempty-guard", 3, _EDGE,
+     Exists("a", Forall("x", And((_P, _R)), "Q")), True),
+    ("dropped-nonempty-guard-false", 3, _EDGE,
+     Exists("a", Forall("x", And((Not(_P), _R)), "Q")), False),
+    # two block variables, the conjunct naming only one of them
+    ("dropped-inner-empty", 3, _EDGE,
+     Forall("y", Forall("x", Atom("E", ("y",)), "E"), "Q"), True),
+    ("dropped-outer-empty", 3, _EDGE,
+     Forall("y", Forall("x", Atom("E", ("x",)), "Q"), "E"), True),
+    ("dropped-outer-nonempty-false", 3, _EDGE,
+     Forall("y", Forall("x", Atom("Q", ("x",)), "P"), "Q"), False),
     # a one-part disjunction is its part: 0 is in P, 0 is not in Q
     ("one-part-or", 3, _EDGE, Exists("a", Or((_P,))), True),
     ("one-part-or-false", 3, _EDGE, Forall("x", Or((_Q,))), False),
@@ -671,20 +793,49 @@ def test_structure_debug_text(toy1):
     assert "EFF_V" in text and "dum_a" in text
 
 
-# Digest of the structures in test_structures_are_pinned.  A change to the
-# element order, a relation's rows, an arity or the TriviallyUnsolvable
-# refusals shows here.
+# Digests of the structures in test_structures_are_pinned: one over every
+# relation but SKIP, one over SKIP's rows.  A change to the element order, a
+# relation's rows, an arity or the TriviallyUnsolvable refusals shows here.
 STRUCTURE_DIGEST = \
     "3041c54b576570d30c421acff34dff52cf24b82e32bc55cc7383f567e9d6091c"
+SKIP_DIGEST = \
+    "96584f4e56379f944be28f3afebd99ee7f970abe31bd082ff69029b2b475f5cd"
 
 _CLASSES = ({}, {"unary": True}, {"post_unique": True},
             {"single_valued": True}, {"max_pre": 0, "max_eff": 2},
             {"post_unique": True, "unary": True})
 
 
+def _plain_skip(inst, s):
+    """SKIP's rows from the definition, on the instance's dicts: (a, b) for
+    a and b in ACT when b is a, or b < a and the two commute, or b
+    overwrites a; and (dum_a, b) for every real b in ACT.  A one-value
+    domain has no fields to conflict on."""
+    act = inst.var_count
+    ids = [e - act for (e,) in s.relations["ACT"] if e - act < len(inst.actions)]
+    dum_a = act + len(inst.actions) + inst.domain_size + 1
+
+    def fields(cond):
+        return set(cond) if inst.domain_size > 1 else set()
+
+    def commute(a, b):
+        both = fields(a.eff) & fields(b.eff)
+        return not (fields(a.eff) & fields(b.pre) or fields(b.eff) & fields(a.pre)
+                    or any(a.eff[v] != b.eff[v] for v in both))
+
+    def overwrites(b, a):
+        return fields(a.eff) <= fields(b.eff) - fields(b.pre)
+
+    acts = inst.actions
+    return ({(act + a, act + b) for a in ids for b in ids
+             if a == b or b < a and commute(acts[a], acts[b])
+             or overwrites(acts[b], acts[a])}
+            | {(dum_a, act + b) for b in ids})
+
+
 def test_structures_are_pinned():
     rng = random.Random(19)
-    digest = hashlib.sha256()
+    digest, skip_digest = hashlib.sha256(), hashlib.sha256()
     for i in range(120):
         n, d = rng.randint(1, 5), rng.randint(1, 4)
         m = rng.randint(0, min(7, n * d))
@@ -698,9 +849,18 @@ def test_structures_are_pinned():
                 structures.append(f"TriviallyUnsolvable: {e}")
         for s in structures:
             if isinstance(s, RelationalStructure):
+                skip = s.relations["SKIP"]
+                assert skip == _plain_skip(inst, s), (i, s.size)
+                assert s.arities["SKIP"] == 2
+                skip_digest.update(repr(sorted(skip)).encode())
+                s = dataclasses.replace(
+                    s, relations={r: rows for r, rows in s.relations.items()
+                                  if r != "SKIP"},
+                    arities={r: a for r, a in s.arities.items() if r != "SKIP"})
                 s = structure_to_text(s) + repr(sorted(s.arities.items()))
             digest.update(s.encode())
     assert digest.hexdigest() == STRUCTURE_DIGEST
+    assert skip_digest.hexdigest() == SKIP_DIGEST
 
 
 def test_sexpr_round_readable():

@@ -154,6 +154,22 @@ def test_mcc_03_equivalence_exhaustive_n1():
             has_multicolored_clique(g)
 
 
+def test_mcc_ubs_equivalence_exhaustive_n1():
+    """All 3-partite graphs with one vertex per part, decided by the oracle
+    at the claimed bound: only the triangle is solvable."""
+    pairs = list(combinations(range(1, 4), 2))
+    solvable = []
+    for mask in range(8):
+        edges = tuple(normalize_edge((i, 0), (j, 0))
+                      for bit, (i, j) in enumerate(pairs) if mask >> bit & 1)
+        g = MulticoloredGraph(3, 1, edges)
+        inst, k = from_mcc_ubs(g)
+        plan = shortest_plan(inst, k)
+        assert (plan is not None) == has_multicolored_clique(g), mask
+        solvable.append(plan is not None)
+    assert solvable == [False] * 7 + [True]
+
+
 def test_mcc_validation():
     with pytest.raises(ContractError):
         MulticoloredGraph(2, 1, (((1, 0), (1, 0)),))  # intra-part edge
@@ -459,6 +475,43 @@ def test_compose_zero_two_exact_random_components_k2():
     rng = random.Random("compose-02/k2")
     for pattern in zero_two_patterns(2):
         check_compose_zero_two(rng, 2, pattern)
+
+
+def draw_near_miss_component(rng: random.Random, k: int,
+                             over: int) -> Instance:
+    """A component whose shortest plan is exactly k + over steps: a random
+    one as in draw_zero_two_component with a plan of at most k + over
+    steps, plus fresh variables that each need one step of their own."""
+    while True:
+        inst = random_instance(3, 2, 4, seed=rng.randrange(1 << 30),
+                               max_pre=0, max_eff=2)
+        plan = shortest_plan(inst, k + over)
+        if delta_vars(inst) and plan is not None:
+            break
+    n, pad = inst.var_count, k + over - len(plan)
+    comp = Instance(
+        n + pad, 2,
+        inst.actions + tuple(Action(f"pad{j}", {}, {n + j: 1})
+                             for j in range(pad)),
+        inst.init + (0,) * pad, {**inst.goal, **{n + j: 1 for j in range(pad)}})
+    assert shortest_plan(comp, k) is None
+    assert len(shortest_plan(comp, k + over)) == k + over
+    return comp
+
+
+@pytest.mark.parametrize("k, t, shifts", [(1, 2, 3), (1, 3, 3), (1, 4, 3),
+                                          (2, 2, 2), (2, 3, 1)])
+def test_compose_zero_two_near_misses_stay_unsolvable(k, t, shifts):
+    """The reverse direction in its strong form: components whose shortest
+    plans are 1-3 steps over k leave the composition unsolvable at k''.
+    Each composition cycles the overshoots 1, 2, 3 through its positions,
+    from a different start per shift."""
+    rng = random.Random(f"compose-02/near/{k}/{t}")
+    for shift in range(shifts):
+        comps = [(draw_near_miss_component(rng, k, 1 + (i + shift) % 3), k)
+                 for i in range(t)]
+        comp, kpp = compose_zero_two(comps)
+        assert solve_zero_two(comp, kpp).plan is None, (k, t, shift, comps)
 
 
 def test_compose_zero_two_rejects_satisfied_goal():
