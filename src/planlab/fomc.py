@@ -30,38 +30,44 @@ depends on k alone.
 
 The builders state each quantifier's range as a unary guard relation:
 exists x in R phi reads as exists x (R(x) and phi), and forall x in R phi as
-forall x (R(x) -> phi).  The evaluator compiles each formula node to a
-Python closure over one environment list, with every relation a frozenset
-of radix-packed keys, and each guarded quantifier ranges over its guard's
-members alone.  compile_query cuts the formula below the existential prefix
-into conjuncts, cutting through a following universal block (forall
-distributes over and, for any universe), and wraps each conjunct only in
-the block quantifiers whose variable it names: forall x phi is phi when phi
-does not name x and x ranges over something, and true when x ranges over
-nothing.  It checks each conjunct as soon as the deepest prefix variable it
+forall x (R(x) -> phi).  A formula compiles once, independent of any
+structure, to Python closures over one environment list
+(compile_program), and binds to each structure (Program.bind), which fills
+the environment's structure slots: the radix, every relation as a
+frozenset of radix-packed keys, and each guard's members, over which a
+guarded quantifier alone ranges.  Each formula depends on (fragment, k)
+alone, so solve_via_mc compiles it once per (fragment, k) and binds it to
+each instance's structure.  The compiler cuts the formula below the
+existential prefix into conjuncts, cutting through a following universal
+block (forall distributes over and, for any universe), and wraps each
+conjunct only in the block quantifiers whose variable it names: forall x
+phi is phi when phi does not name x and x ranges over something, and true
+when x ranges over nothing, which bind decides from the structure.  The
+evaluator checks each conjunct as soon as the deepest prefix variable it
 names is bound.  On the sigma22 encoding the actions range over ACT and
 (v, x) over VAR x DOM; the SKIP conjunct of steps i and i+1 runs once as
 soon as a_i+1 is bound, not once per (v, x), and the precondition conjunct
 of step i as soon as a_i is bound, so a refutation backjumps instead of
 trying every action tuple.  The reference evaluator model_check_basic
 compiles the same nodes with every quantifier over the whole universe and
-its guard read as an atom.
+its guard read as an atom, and binds them the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import combinations
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, Union
 
 from .core import (ContractError, Instance, Plan, PlanLabError, classify,
                    commute, diff_set, overwrites, pack_actions, validate_plan)
 
 SIGMA1_MAX_K = 8  # the diff subset disjunction grows as 2**k
-# sigma22's goal conjunct nests _value_after k deep, and compiling and
-# evaluating it take about 3 Python frames per level: k = 200 needs a
-# recursion limit of about 612, and k = 329 still passes the default 1000.
+# sigma22's goal conjunct nests _value_after k deep.  Compiling it, once per
+# k, takes about 2 Python frames per level, and evaluating it, on every
+# call, about 3: k = 200 needs a recursion limit of about 612, and k = 329
+# still passes the default 1000.
 SIGMA22_MAX_K = 200
 
 
@@ -360,7 +366,6 @@ def _subset_cover(target_rel: str, first_term: Optional[str], k: int) -> Formula
     return Or(tuple(disjuncts))
 
 
-@lru_cache(maxsize=None)  # k alone decides it; errors are not cached
 def build_sigma1_formula(k: int) -> Formula:
     """Closed purely-existential formula over the extended vocabulary,
     equivalent to plan existence for unary instances.
@@ -418,29 +423,48 @@ def build_sigma1_formula(k: int) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Compiled queries
+# Compiled programs
 # ---------------------------------------------------------------------------
 #
-# A formula compiles to closures over one environment list: each quantifier
-# gets an integer slot, and a variable name resolves through the scope of its
-# enclosing binders to the innermost one.  A relation is a frozenset of its
-# tuples packed radix-U into ints, so a unary relation's keys are its
-# elements.
+# A formula compiles once, for no structure in particular, to closures over
+# one environment list.  Each binder gets a variable slot, and a variable
+# name resolves through the scope of its enclosing binders to the innermost
+# one.  Each value that a structure supplies -- the radix U, a relation's
+# packed keys, a guard's members -- gets a slot of its own when first met,
+# and Program.bind fills those from one structure.  (Every slot counts up
+# from 0: CPython indexes a list fastest with a non-negative int.)  A
+# relation is a frozenset of its tuples packed radix-U into ints, so a unary
+# relation's keys are its elements.
 
-Check = Callable[[List[int]], bool]
+Check = Callable[[list], bool]
 
 
-def _atom(keys: FrozenSet[int], slots: Tuple[int, ...], U: int) -> Check:
+def _atom(keys: int, slots: Tuple[int, ...], radix: int) -> Check:
+    """R(t1..tn): the terms' values packed radix-U, probed in R's keys."""
     if len(slots) == 1:
         a, = slots
-        return lambda env: env[a] in keys
+        return lambda env: env[a] in env[keys]
     if len(slots) == 2:
         a, b = slots
-        return lambda env: env[a] * U + env[b] in keys
+        return lambda env: env[a] * env[radix] + env[b] in env[keys]
     if len(slots) == 3:
         a, b, c = slots
-        return lambda env: (env[a] * U + env[b]) * U + env[c] in keys
-    return lambda env: reduce(lambda key, s: key * U + env[s], slots, 0) in keys
+        return lambda env: ((env[a] * env[radix] + env[b]) * env[radix]
+                            + env[c] in env[keys])
+    return lambda env: reduce(lambda key, s: key * env[radix] + env[s],
+                              slots, 0) in env[keys]
+
+
+def _pack(rows: FrozenSet[Tuple[int, ...]], arity: int,
+          U: int) -> FrozenSet[int]:
+    """A relation's rows packed radix-U, as _atom probes them."""
+    if arity == 1:
+        return frozenset(a for a, in rows)
+    if arity == 2:
+        return frozenset(a * U + b for a, b in rows)
+    if arity == 3:
+        return frozenset((a * U + b) * U + c for a, b, c in rows)
+    return frozenset(reduce(lambda key, e: key * U + e, t, 0) for t in rows)
 
 
 def _all(parts: Tuple[Check, ...]) -> Check:
@@ -473,10 +497,10 @@ def _any(parts: Tuple[Check, ...]) -> Check:
     return any_
 
 
-def _quantifier(exists: bool, slot: int, domain, body: Check) -> Check:
+def _quantifier(exists: bool, slot: int, domain: int, body: Check) -> Check:
     if exists:
-        return lambda env: any(body(env) for env[slot] in domain)
-    return lambda env: all(body(env) for env[slot] in domain)
+        return lambda env: any(body(env) for env[slot] in env[domain])
+    return lambda env: all(body(env) for env[slot] in env[domain])
 
 
 def _conjuncts(f: Formula) -> List[Formula]:
@@ -485,42 +509,127 @@ def _conjuncts(f: Formula) -> List[Formula]:
     return [f]
 
 
-class _Compiler:
-    """Formula nodes to closures over one structure.  Slots are allocated
-    as binders are met; scope maps each name to its stack of binding slots,
-    and used records every slot a name resolved to.  A guarded quantifier
-    ranges over its guard's members alone."""
+@dataclass
+class CompiledQuery:
+    """A closed formula bound to one structure, for evaluate_program: a
+    Program, compiled once per formula independent of any structure, with
+    one structure's values filled in.
 
-    def __init__(self, structure: RelationalStructure):
-        self.structure = structure
-        self.U = structure.size
-        self.keys: Dict[str, FrozenSet[int]] = {}
-        self.ordered: Dict[str, List[int]] = {}
+    env is the environment to evaluate in: the variable slots unbound and
+    the structure's values in theirs.  The outer existential block is split
+    out: its binders take the first slots, so prefix level L is environment
+    slot L, bound to prefix_names[L], and candidates[L] lists the members
+    of that binder's guard (the whole universe if it has none).  const_checks
+    are the conjuncts with no prefix variable, and sched[L] holds (check,
+    conflict levels) pairs, one per conjunct whose deepest prefix variable
+    is level L, run right after level L is bound.  A conjunct that leaves
+    out a quantifier over an empty range holds vacuously and is in neither.
+    """
+    env: list
+    prefix_names: List[str]
+    candidates: List[List[int]]
+    const_checks: List[Check]
+    sched: List[List[Tuple[Check, Tuple[int, ...]]]]
+
+
+@dataclass(frozen=True)
+class Program:
+    """A closed formula compiled once, independent of any structure; bind
+    makes it a CompiledQuery over one structure.  solve_via_mc compiles
+    each (fragment, k) once and binds it to each instance's structure.
+
+    prefix lists the outer existential binders as (name, members slot).
+    The rest is cut into conjuncts: a universal block right after the
+    prefix is cut through, since forall distributes over and, and each
+    conjunct of its body keeps the block quantifiers whose variable it
+    names.  Each conjunct is (check, the prefix levels it names, the
+    members slots of the block quantifiers it dropped).  named lists each
+    (relation, arity) the formula uses, in the order first met.  The slots
+    of the structure's values: radix (None if no atom needs it), keys (by
+    relation) and ranges, the members of each guard (None for the whole
+    universe).
+    """
+    n_slots: int
+    prefix: Tuple[Tuple[str, int], ...]
+    conjuncts: Tuple[Tuple[Check, Tuple[int, ...], Tuple[int, ...]], ...]
+    named: Tuple[Tuple[str, int], ...]
+    radix: Optional[int]
+    keys: Dict[str, int]
+    ranges: Dict[Optional[str], int]
+
+    def bind(self, structure: RelationalStructure) -> CompiledQuery:
+        """The structure's values in their slots, with the candidates of
+        each prefix level.  forall x phi is phi when phi does not name x
+        and x ranges over something, and true when x ranges over nothing:
+        a conjunct that dropped a quantifier over an empty range is left
+        out."""
+        s = structure
+        for name, arity in self.named:
+            if name not in s.relations:
+                raise ContractError(f"formula uses unknown relation {name!r}")
+            if s.arities[name] != arity:
+                raise ContractError(f"relation {name} has arity "
+                                    f"{s.arities[name]}, atom uses {arity}")
+        U = s.size
+        env: list = [-1] * self.n_slots
+        if self.radix is not None:
+            env[self.radix] = U
+        keys: Dict[str, FrozenSet[int]] = {}
+        for name, slot in self.keys.items():
+            keys[name] = _pack(s.relations[name], s.arities[name], U)
+            env[slot] = keys[name]
+        for guard, slot in self.ranges.items():  # in index order
+            env[slot] = range(U) if guard is None else sorted(keys[guard])
+        const_checks: List[Check] = []
+        sched: List[List[Tuple[Check, Tuple[int, ...]]]] = [
+            [] for _ in self.prefix]
+        for check, levels, dropped in self.conjuncts:
+            if not all(env[m] for m in dropped):
+                continue
+            if levels:
+                sched[levels[-1]].append((check, levels))
+            else:
+                const_checks.append(check)
+        return CompiledQuery(env, [name for name, _ in self.prefix],
+                             [list(env[m]) for _, m in self.prefix],
+                             const_checks, sched)
+
+
+class _Compiler:
+    """Formula nodes to closures that read every structure value from a
+    slot.  Variable slots are allocated as binders are met; scope maps each
+    name to its stack of binding slots, and used records every slot a name
+    resolved to.  A guarded quantifier ranges over its guard's members
+    alone."""
+
+    def __init__(self):
+        self.named: Dict[Tuple[str, int], None] = {}
+        self.radix: Optional[int] = None
+        self.keys: Dict[str, int] = {}
+        self.ranges: Dict[Optional[str], int] = {}
         self.scope: Dict[str, List[int]] = {}
         self.used: set = set()
         self.n_slots = 0
 
-    def relation(self, name: str, arity: int) -> FrozenSet[int]:
-        s = self.structure
-        if name not in s.relations:
-            raise ContractError(f"formula uses unknown relation {name!r}")
-        if s.arities[name] != arity:
-            raise ContractError(f"relation {name} has arity "
-                                f"{s.arities[name]}, atom uses {arity}")
+    def new_slot(self) -> int:
+        self.n_slots += 1
+        return self.n_slots - 1
+
+    def relation(self, name: str, arity: int) -> int:
+        """The slot of the relation's keys."""
+        self.named.setdefault((name, arity))
         if name not in self.keys:
-            self.keys[name] = frozenset(
-                reduce(lambda key, e: key * self.U + e, t, 0)
-                for t in s.relations[name])
+            self.keys[name] = self.new_slot()
         return self.keys[name]
 
-    def members(self, guard: Optional[str]):
-        """The elements a quantifier guarded by guard ranges over, in index
-        order (a unary relation's keys are its elements)."""
-        if guard is None:
-            return range(self.U)
-        if guard not in self.ordered:
-            self.ordered[guard] = sorted(self.relation(guard, 1))
-        return self.ordered[guard]
+    def members(self, guard: Optional[str]) -> int:
+        """The slot of the elements a quantifier guarded by guard ranges
+        over, in index order."""
+        if guard is not None:
+            self.relation(guard, 1)
+        if guard not in self.ranges:
+            self.ranges[guard] = self.new_slot()
+        return self.ranges[guard]
 
     def slot(self, name: str) -> int:
         stack = self.scope.get(name)
@@ -530,14 +639,20 @@ class _Compiler:
         return stack[-1]
 
     def bind(self, name: str) -> int:
-        self.scope.setdefault(name, []).append(self.n_slots)
-        self.n_slots += 1
-        return self.n_slots - 1
+        slot = self.new_slot()
+        self.scope.setdefault(name, []).append(slot)
+        return slot
+
+    def program(self, prefix, conjuncts) -> Program:
+        return Program(self.n_slots, tuple(prefix), tuple(conjuncts),
+                       tuple(self.named), self.radix, self.keys, self.ranges)
 
     def compile(self, f: Formula) -> Check:
         if isinstance(f, Atom):
+            if self.radix is None:
+                self.radix = self.new_slot()
             return _atom(self.relation(f.rel, len(f.terms)),
-                         tuple(map(self.slot, f.terms)), self.U)
+                         tuple(map(self.slot, f.terms)), self.radix)
         if isinstance(f, Equal):
             a, b = self.slot(f.left), self.slot(f.right)
             return lambda env: env[a] == env[b]
@@ -572,80 +687,55 @@ class _Reference(_Compiler):
         return super().compile(f)
 
 
-@dataclass
-class CompiledQuery:
-    """A closed formula over one structure, compiled for evaluate_program.
-
-    The outer existential block is split out: its binders take the first
-    slots, so prefix level L is environment slot L, bound to
-    prefix_names[L], and candidates[L] lists the members of that binder's
-    guard (the whole universe if it has none).  The rest is cut into
-    conjuncts; a universal block right after the prefix is cut through,
-    since forall distributes over and, and each conjunct of its body keeps
-    the block quantifiers whose variable it names.  A conjunct that leaves
-    out a quantifier over an empty range holds vacuously and is not
-    checked at all.  const_checks are the conjuncts with no prefix
-    variable, and sched[L] holds (check, conflict levels) pairs, one per
-    conjunct whose deepest prefix variable is level L, run right after
-    level L is bound.
-    """
-    n_slots: int
-    prefix_names: List[str]
-    candidates: List[List[int]]
-    const_checks: List[Check]
-    sched: List[List[Tuple[Check, Tuple[int, ...]]]]
-
-
-def compile_query(structure: RelationalStructure,
-                  formula: Formula) -> CompiledQuery:
-    c = _Compiler(structure)
-    prefix_names: List[str] = []
-    candidates: List[List[int]] = []
+def compile_program(formula: Formula) -> Program:
+    """formula compiled for every structure whose relations it names."""
+    c = _Compiler()
+    binders: List[Exists] = []
     f = formula
     while isinstance(f, Exists):
-        candidates.append(list(c.members(f.guard)))
         c.bind(f.var)  # the L-th binder takes slot L
-        prefix_names.append(f.var)
+        binders.append(f)
         f = f.body
+    prefix = [(q.var, c.members(q.guard)) for q in binders]
     block: List[Forall] = []
     while isinstance(f, Forall):
         block.append(f)
         f = f.body
 
-    const_checks: List[Check] = []
-    sched: List[List[Tuple[Check, Tuple[int, ...]]]] = [
-        [] for _ in prefix_names]
+    conjuncts = []
     for g in _conjuncts(f):
-        start, c.used = c.n_slots, set()
+        c.used = set()
         slots = [c.bind(q.var) for q in block]
-        check, vacuous = c.compile(g), False
-        # forall x phi is phi when phi does not name x and x ranges over
-        # something, and true when x ranges over nothing
+        check, dropped = c.compile(g), []
         for q, slot in zip(reversed(block), reversed(slots)):
             c.scope[q.var].pop()
             domain = c.members(q.guard)
             if slot in c.used:
                 check = _quantifier(False, slot, domain, check)
             else:
-                vacuous = vacuous or not domain
-        if vacuous:
-            continue
-        levels = tuple(sorted(s for s in c.used if s < start))
-        if levels:
-            sched[levels[-1]].append((check, levels))
-        else:
-            const_checks.append(check)
-    return CompiledQuery(c.n_slots, prefix_names, candidates, const_checks,
-                         sched)
+                dropped.append(domain)
+        levels = tuple(sorted(s for s in c.used if s < len(prefix)))
+        conjuncts.append((check, levels, tuple(dropped)))
+    return c.program(prefix, conjuncts)
+
+
+def compile_query(structure: RelationalStructure,
+                  formula: Union[Formula, Program]) -> CompiledQuery:
+    """formula, compiled unless it is a Program already, bound to
+    structure."""
+    if isinstance(formula, Formula):
+        formula = compile_program(formula)
+    return formula.bind(structure)
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
 #
-# Two evaluators over the same node compiler.  model_check_basic is the plain
-# recursive short-circuiting definition of satisfaction: every quantifier
-# ranges over the whole universe, its guard read as an atom of its body.
+# Two evaluators over the same node compiler and the same bind.
+# model_check_basic is the plain recursive short-circuiting definition of
+# satisfaction: every quantifier ranges over the whole universe, its guard
+# read as an atom of its body.
 # evaluate_program handles the common shape here -- a closed formula with an
 # outer existential block -- and checks each conjunct as soon as its prefix
 # variables are bound, with conflict-directed backjumping over the block.
@@ -655,7 +745,7 @@ def compile_query(structure: RelationalStructure,
 _SAT = object()  # sentinel distinct from any conflict set
 
 
-def _try_level(q: CompiledQuery, env: List[int], L: int, counter: List[int]):
+def _try_level(q: CompiledQuery, env: list, L: int, counter: List[int]):
     """Bind prefix level L..end.  Returns _SAT or the conflict level set."""
     last = len(q.prefix_names) - 1
     checks = q.sched[L]
@@ -688,7 +778,7 @@ def _try_level(q: CompiledQuery, env: List[int], L: int, counter: List[int]):
 
 def evaluate_program(q: CompiledQuery):
     """(satisfied, witness values for the prefix or None, assignments)."""
-    env = [-1] * q.n_slots
+    env = q.env[:]
     counter = [0]
     for check in q.const_checks:
         if not check(env):
@@ -706,11 +796,13 @@ def model_check(structure: RelationalStructure, formula: Formula) -> bool:
     return sat
 
 
-def model_check_witness(structure: RelationalStructure, formula: Formula):
+def model_check_witness(structure: RelationalStructure,
+                        formula: Union[Formula, Program]):
     """(satisfied, {prefix var -> universe element index} or None, assignments).
 
     The witness is the first satisfying assignment of the outer existential
-    block when elements are tried in universe index order.
+    block when elements are tried in universe index order.  formula may be
+    a Program compiled already.
     """
     q = compile_query(structure, formula)
     sat, values, assignments = evaluate_program(q)
@@ -721,9 +813,9 @@ def model_check_witness(structure: RelationalStructure, formula: Formula):
 def model_check_basic(structure: RelationalStructure, formula: Formula) -> bool:
     """Plain recursive evaluation; the reference semantics that
     model_check is tested against."""
-    c = _Reference(structure)
-    check = c.compile(formula)
-    return check([-1] * c.n_slots)
+    c = _Reference()
+    program = c.program((), [(c.compile(formula), (), ())])
+    return evaluate_program(program.bind(structure))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -739,6 +831,29 @@ class McResult:
     solvable: bool
     plan: Optional[Plan]
     assignments: int
+
+
+# The compiled program of each (fragment, k) that solve_via_mc has met, least
+# recently used first; it fills on first use.  The formula depends on k
+# alone, so one program serves every instance.  A sigma1 program at its cap
+# k = 8 holds about 18 MB, and a sigma22 program at k = 200 about 34 MB.
+PROGRAM_CACHE_SIZE = 16
+_programs: Dict[Tuple[str, int], Program] = {}
+
+
+def _fragment_program(fragment: str, k: int) -> Program:
+    """The program of fragment at bound k, built and compiled on a miss.  A
+    k above the fragment's cap raises ContractError and caches nothing."""
+    key = (fragment, k)
+    program = _programs.pop(key, None)
+    if program is None:
+        formula = (build_sigma1_formula(k) if fragment == SIGMA1
+                   else build_sigma22_formula(k))
+        program = compile_program(formula)
+        if len(_programs) >= PROGRAM_CACHE_SIZE:
+            del _programs[next(iter(_programs))]
+    _programs[key] = program  # the most recently used, last
+    return program
 
 
 def _witness_plan(structure: RelationalStructure, witness: Dict[str, int],
@@ -772,19 +887,18 @@ def solve_via_mc(instance: Instance, k: int, fragment: str = SIGMA22) -> McResul
         ok = validate_plan(instance, ()).valid
         return McResult(ok, () if ok else None, 0)
 
+    # The program first: its formula refuses k above the cap before a
+    # structure with k dummy elements is built.
+    program = _fragment_program(fragment, k)
     if fragment == SIGMA1:
-        # The formula first: it refuses k above the cap before a structure
-        # with k dummy elements is built.
-        formula = build_sigma1_formula(k)
         try:
             structure = build_extended_structure(instance, k)
         except TriviallyUnsolvable:
             return McResult(False, None, 0)
     else:
-        formula = build_sigma22_formula(k)
         structure = build_structure(instance)
 
-    sat, witness, assignments = model_check_witness(structure, formula)
+    sat, witness, assignments = model_check_witness(structure, program)
     if not sat:
         return McResult(False, None, assignments)
     plan = _witness_plan(structure, witness, k)

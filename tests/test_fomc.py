@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import random
 import time
 
@@ -134,14 +135,56 @@ def test_sigma1_cap(toy1, monkeypatch):
         solve_via_mc(toy1, SIGMA1_MAX_K + 1, SIGMA1)
 
 
-def test_sigma1_formula_is_built_once_per_k():
-    # solve_via_mc shares one formula per k across calls: Formula nodes are
-    # frozen and compile_query builds new nodes instead of mutating them
+def test_solve_via_mc_compiles_once_per_fragment_and_k(toy1, zt1,
+                                                       monkeypatch):
+    # the formula depends on k alone: the second call at the same
+    # (fragment, k) binds the cached program to its own structure and
+    # compiles nothing
+    monkeypatch.setattr(fomc, "_programs", {})
+    compiled = []
+    compile_ = fomc._Compiler.compile
+    monkeypatch.setattr(fomc._Compiler, "compile",
+                        lambda self, f: compiled.append(f)
+                        or compile_(self, f))
+    solo = Instance(1, 2, (Action("set", {}, {0: 1}),), (0,), {0: 1})
+    for fragment, instances in ((SIGMA22, (toy1, zt1)),
+                                (SIGMA1, (toy1, solo))):
+        first = len(compiled)
+        solve_via_mc(instances[0], 2, fragment)
+        assert len(compiled) > first, fragment
+        made = len(compiled)
+        r = solve_via_mc(instances[1], 2, fragment)
+        assert len(compiled) == made, fragment
+        assert r.solvable and is_valid_plan(instances[1], r.plan)
+    assert list(fomc._programs) == [(SIGMA22, 2), (SIGMA1, 2)]
+
+    # the cache holds at most PROGRAM_CACHE_SIZE programs, the least
+    # recently used leaving first
     for k in range(1, SIGMA1_MAX_K + 1):
-        assert build_sigma1_formula(k) is build_sigma1_formula(k)
-    for _ in range(2):  # the refusal above the cap is not cached away
-        with pytest.raises(ContractError):
-            build_sigma1_formula(SIGMA1_MAX_K + 1)
+        solve_via_mc(toy1, k, SIGMA1)
+    for k in range(1, fomc.PROGRAM_CACHE_SIZE + 1):
+        solve_via_mc(toy1, k, SIGMA22)
+        assert len(fomc._programs) <= fomc.PROGRAM_CACHE_SIZE
+    assert list(fomc._programs) == [
+        (SIGMA22, k) for k in range(1, fomc.PROGRAM_CACHE_SIZE + 1)]
+    made = len(compiled)
+    solve_via_mc(zt1, 1, SIGMA22)
+    assert len(compiled) == made
+    assert list(fomc._programs)[-1] == (SIGMA22, 1)
+
+    # a refusal above a cap comes before any structure is built, and is
+    # not cached away
+    def no_structure(*args):
+        raise AssertionError("built a structure before the cap check")
+
+    monkeypatch.setattr(fomc, "build_extended_structure", no_structure)
+    monkeypatch.setattr(fomc, "build_structure", no_structure)
+    for fragment, cap in ((SIGMA1, SIGMA1_MAX_K), (SIGMA22, SIGMA22_MAX_K)):
+        for _ in range(2):
+            with pytest.raises(ContractError):
+                solve_via_mc(toy1, cap + 1, fragment)
+        assert (fragment, cap + 1) not in fomc._programs
+    assert len(fomc._programs) == fomc.PROGRAM_CACHE_SIZE
 
 
 def test_sigma22_cap(toy1):
@@ -194,6 +237,43 @@ def test_model_check_contract_errors(toy1):
         model_check(s, Exists("x", Atom("VAR", ("x", "x"))))
     with pytest.raises(ContractError):
         model_check(s, Atom("VAR", ("unbound",)))
+
+
+# Every error a formula meets before evaluation, with its message.  Over
+# _EDGE: P, Q and E are unary, R is binary, and there is no S.
+COMPILE_ERRORS = [
+    ("unknown", Exists("a", Atom("S", ("a",))),
+     "formula uses unknown relation 'S'"),
+    ("unknown-guard", Exists("a", Equal("a", "a"), "S"),
+     "formula uses unknown relation 'S'"),
+    ("arity", Exists("a", Atom("R", ("a",))),
+     "relation R has arity 2, atom uses 1"),
+    ("guard-arity", Forall("a", Equal("a", "a"), "R"),
+     "relation R has arity 2, atom uses 1"),
+    # one relation at two arities in one formula: the atom at the wrong one
+    # is named, whichever comes first
+    ("two-arities",
+     Exists("a", And((Atom("R", ("a", "a")), Atom("R", ("a",))))),
+     "relation R has arity 2, atom uses 1"),
+    ("two-arities-wrong-first",
+     Exists("a", Or((Atom("P", ("a", "a")), Atom("P", ("a",))))),
+     "relation P has arity 1, atom uses 2"),
+    ("free", Exists("a", Atom("R", ("a", "x"))),
+     "free variable 'x' in formula"),
+    ("free-in-block", Exists("a", Forall("x", Atom("P", ("y",)))),
+     "free variable 'y' in formula"),
+    ("free-closed", Atom("P", ("a",)), "free variable 'a' in formula"),
+]
+
+
+@pytest.mark.parametrize("name, formula, message", COMPILE_ERRORS,
+                         ids=[c[0] for c in COMPILE_ERRORS])
+def test_compile_error_messages(name, formula, message):
+    s = _structure(3, **_EDGE)
+    for check in (compile_query, model_check, model_check_basic):
+        with pytest.raises(ContractError) as e:
+            check(s, formula)
+        assert str(e.value) == message, check.__name__
 
 
 def test_model_check_toy1(toy1):
@@ -680,6 +760,82 @@ def test_universal_block_rewrite_matches_basic_random():
         s = _structure(size, **rels)
         assert model_check(s, f) == model_check_basic(s, f), \
             (trial, formula_to_sexpr(f), rels)
+
+
+# One formula, compiled once and bound to several structures: (name, size,
+# relations, expected) per structure.
+SHARED_PROGRAM_CASES = [
+    # P(a) names no block variable: it holds vacuously where the block's
+    # guard Q is empty, and is checked, and fails, where Q is not
+    ("dropped-guard-empty-then-not",
+     Exists("a", Forall("x", And((_P, _R)), "Q")),
+     [(2, dict(P=set(), Q=set(), R=set()), True),
+      (4, dict(P=set(), Q={(1,)}, R={(0, 1)}), False),
+      (3, dict(P={(0,)}, Q={(1,), (2,)}, R={(0, 1), (0, 2)}), True)]),
+    # the prefix guard P: its candidates are each structure's own
+    ("prefix-guard", Exists("a", Exists("x", _R, "Q"), "P"),
+     [(3, _EDGE, True), (5, dict(P={(4,)}, Q={(1,)}, R={(0, 1)}), False),
+      (5, dict(P={(4,)}, Q={(1,)}, R={(4, 1)}), True)]),
+]
+
+
+@pytest.mark.parametrize("name, formula, cases", SHARED_PROGRAM_CASES,
+                         ids=[c[0] for c in SHARED_PROGRAM_CASES])
+def test_one_program_many_structures(name, formula, cases):
+    structures = [_structure(size, **rels) for size, rels, _ in cases]
+    program = fomc.compile_program(formula)
+    bound = [compile_query(s, program) for s in structures]
+    answers = [fomc.evaluate_program(q) for q in reversed(bound)][::-1]
+    for s, (_, _, expected), answer in zip(structures, cases, answers):
+        assert answer[0] == expected == model_check_basic(s, formula)
+        assert answer == fomc.evaluate_program(compile_query(s, formula))
+
+
+def test_one_sigma_program_many_instances(toy1, zt1):
+    """Each fragment's program at k = 1 and 2, bound to instances of
+    different universe sizes, all bound before any is evaluated: witness,
+    verdict and assignments are those of a fresh compile for each."""
+    unary = [Instance(1, 2, (Action("set", {}, {0: 1}),), (0,), {0: 1}),
+             Instance(3, 3, (Action("x", {}, {0: 2}),
+                             Action("y", {0: 2}, {2: 1}),
+                             Action("z", {}, {1: 1})), (0, 0, 0), {2: 1}),
+             Instance(2, 2, (Action("a", {1: 1}, {0: 1}),), (0, 0), {0: 1})]
+    for k in (1, 2):
+        for formula, structures in (
+                (build_sigma22_formula(k),
+                 [build_structure(inst) for inst in unary + [toy1, zt1]]),
+                (build_sigma1_formula(k),
+                 [build_extended_structure(inst, k) for inst in unary])):
+            assert len({s.size for s in structures}) > 1
+            program = fomc.compile_program(formula)
+            bound = [compile_query(s, program) for s in structures]
+            answers = [fomc.evaluate_program(q) for q in reversed(bound)][::-1]
+            verdicts = set()
+            for s, q, (sat, values, assignments) in zip(structures, bound,
+                                                        answers):
+                witness = dict(zip(q.prefix_names, values)) if sat else None
+                assert model_check_witness(s, formula) == \
+                    (sat, witness, assignments)
+                assert model_check_witness(s, program) == \
+                    (sat, witness, assignments)
+                assert model_check_basic(s, formula) == sat
+                verdicts.add(sat)
+            assert verdicts == {True, False}, k
+
+
+def test_pack_matches_atom_probes():
+    """A relation's keys are packed by the rule its atoms probe with, at
+    every arity: a tuple is a key iff it is a row."""
+    rng = random.Random(29)
+    U = 4
+    for arity in range(5):
+        universe = list(itertools.product(range(U), repeat=arity))
+        rows = frozenset(t for t in universe if rng.random() < 0.3)
+        keys = fomc._pack(rows, arity, U)
+        assert len(keys) == len(rows)
+        probe = fomc._atom(-1, tuple(range(arity)), -2)
+        for t in universe:
+            assert probe([*t, U, keys]) == (t in rows), (arity, t)
 
 
 def _atoms(rel):
