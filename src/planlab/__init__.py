@@ -3,18 +3,18 @@
 Solvers are routed by syntactic restriction class: a search-tree solver for
 post-unique instances, a Steiner-tree pipeline for no-precondition
 two-effect instances, model-checking translations for unary and general
-instances, and an exhaustive oracle that everything is cross-validated
-against.
+instances, and a breadth-first oracle that everything is cross-validated
+against.  The ground truth the routes are tested against lives in
+planlab.reference, which this package does not import.
 """
 
 from .core import (Action, ContractError, EffectPolarity, Instance,
                    PartialState, Plan, PlanLabError, RestrictionProfile,
-                   StructuralError, TotalState, ValidationReport,
-                   action_valid_in, apply_action, classify, delta_vars,
-                   diff_set, effect_polarity, lint_instance, restrict,
-                   validate_plan)
+                   StructuralError, TotalState, ValidationReport, classify,
+                   delta_vars, diff_set, effect_polarity, lint_instance,
+                   restrict, validate_plan)
 from .io import ParseError, parse_instance, parse_plan, serialize_instance
-from .oracle import BudgetExhausted, enumerate_minimal_plans, shortest_plan
+from .oracle import BudgetExhausted, shortest_plan
 
 __version__ = "0.1.0"
 
@@ -22,8 +22,7 @@ __all__ = [
     "Action", "BudgetExhausted", "ContractError", "EffectPolarity",
     "Instance", "ParseError", "PartialState", "Plan", "PlanLabError",
     "RestrictionProfile", "StructuralError", "TotalState",
-    "ValidationReport", "action_valid_in", "apply_action", "classify",
-    "delta_vars", "diff_set", "effect_polarity", "enumerate_minimal_plans",
-    "lint_instance", "parse_instance", "parse_plan", "restrict",
-    "serialize_instance", "shortest_plan", "validate_plan",
+    "ValidationReport", "classify", "delta_vars", "diff_set",
+    "effect_polarity", "lint_instance", "parse_instance", "parse_plan",
+    "restrict", "serialize_instance", "shortest_plan", "validate_plan",
 ]

@@ -2,8 +2,8 @@
 
 Machine-readable JSON goes to stdout, human-readable notes to stderr.
 Exit codes: 0 solved/valid, 1 unsolvable/invalid, 2 parse or usage error,
-3 solver inapplicable to the instance, search budget exhausted, or a
-generator refusing its input.
+3 solver inapplicable to the instance, search budget exhausted, out of
+memory, or a generator refusing its input.
 """
 
 from __future__ import annotations
@@ -378,6 +378,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_INAPPLICABLE
     except oracle.BudgetExhausted as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
+        return EXIT_INAPPLICABLE
+    except MemoryError:
+        print("out of memory", file=sys.stderr)
         return EXIT_INAPPLICABLE
     except ValueError as exc:
         print(f"invalid arguments: {exc}", file=sys.stderr)

@@ -137,29 +137,11 @@ class ValidationReport:
         return f"goal-miss {vname}"
 
 
-def action_valid_in(state: TotalState, action: Action) -> bool:
-    for v, x in action.pre.items():
-        if v >= len(state):
-            raise StructuralError(f"precondition variable {v} out of range")
-        if state[v] != x:
-            return False
-    return True
-
-
-def apply_action(state: TotalState, action: Action) -> TotalState:
-    if not action.eff:
-        return state
-    out = list(state)
-    for v, x in action.eff.items():
-        if v >= len(state):
-            raise StructuralError(f"effect variable {v} out of range")
-        out[v] = x
-    return tuple(out)
-
-
 def validate_plan(instance: Instance, plan: Plan) -> ValidationReport:
-    """Folds apply_action over the plan, on one mutable state list: a step
-    costs its own pre and eff, not a copy of the whole state."""
+    """Runs the plan on one mutable state list, so a step costs its own pre
+    and eff, not a copy of the whole state.  The report names the first
+    unmet precondition (in step, then variable order) or else the first
+    unmet goal variable."""
     state = list(instance.init)
     actions = instance.actions
     for i, aid in enumerate(plan):

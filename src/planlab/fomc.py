@@ -791,11 +791,6 @@ def evaluate_program(q: CompiledQuery):
     return (False, None, counter[0])
 
 
-def model_check(structure: RelationalStructure, formula: Formula) -> bool:
-    sat, _, _ = model_check_witness(structure, formula)
-    return sat
-
-
 def model_check_witness(structure: RelationalStructure,
                         formula: Union[Formula, Program]):
     """(satisfied, {prefix var -> universe element index} or None, assignments).
@@ -812,7 +807,7 @@ def model_check_witness(structure: RelationalStructure,
 
 def model_check_basic(structure: RelationalStructure, formula: Formula) -> bool:
     """Plain recursive evaluation; the reference semantics that
-    model_check is tested against."""
+    model_check_witness is tested against."""
     c = _Reference()
     program = c.program((), [(c.compile(formula), (), ())])
     return evaluate_program(program.bind(structure))[0]

@@ -1,12 +1,10 @@
-"""Exhaustive reference solvers: ground truth for every other solver.
+"""The oracle route: breadth-first search over total states.
 
-shortest_plan runs breadth-first search over total states under a budget of
-visited states.  It answers `--solver oracle`, it is the route `--solver
-auto` falls back to when no other applies, and every other route is
-checked against it.  enumerate_minimal_plans brute-forces every action
-sequence up to the bound, capped at SEQUENCE_BUDGET sequences; it is the
-reference for the minimal plans that post-unique enumerates, and is meant
-for desk-scale instances only.
+shortest_plan runs the search under a budget of visited states.  It
+answers `--solver oracle`, it is the route `--solver auto` falls back to
+when no other applies, and every other route is checked against it;
+planlab.reference.plain_bfs, which tries every action from every state,
+checks it in turn.
 
 The search packs each state into one integer of bit fields: variable v
 holds bits v*w .. v*w + w - 1, w = (d - 1).bit_length(), so a binary
@@ -57,17 +55,14 @@ search that tries every action.
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Optional, Tuple
+from typing import Optional
 
-from .core import (Instance, Plan, PlanLabError, overwrites, pack_actions,
-                   validate_plan)
+from .core import Instance, Plan, PlanLabError, overwrites, pack_actions
 # under this module's own names: a test patches _commute to count the
 # commute tests a search makes
 from .core import commute as _commute, pack as _masks
 
 DEFAULT_BUDGET = 5_000_000
-SEQUENCE_BUDGET = 2_000_000  # enumerate_minimal_plans' cap on sequences tried
 
 
 class BudgetExhausted(PlanLabError):
@@ -178,39 +173,3 @@ def _reconstruct(parent, acts, state) -> Plan:
     plan.reverse()
     return tuple(plan)
 
-
-def is_valid_plan(instance: Instance, plan: Plan) -> bool:
-    return validate_plan(instance, plan).valid
-
-
-def _proper_subsequences(plan: Plan):
-    n = len(plan)
-    for mask in range((1 << n) - 1):  # excludes the full sequence
-        yield tuple(plan[i] for i in range(n) if mask >> i & 1)
-
-
-def is_minimal_plan(instance: Instance, plan: Plan) -> bool:
-    """Valid, and no proper subsequence is valid.  Exponential; test-scale only."""
-    if not is_valid_plan(instance, plan):
-        return False
-    return not any(is_valid_plan(instance, sub)
-                   for sub in _proper_subsequences(plan))
-
-
-def enumerate_minimal_plans(instance: Instance, k: int) -> Tuple[Plan, ...]:
-    """Every valid plan of length <= k without a valid proper subsequence,
-    in length-then-lexicographic order.  Raises BudgetExhausted past
-    SEQUENCE_BUDGET sequences."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    m = len(instance.actions)
-    out = []
-    tried = 0
-    for length in range(k + 1):
-        for seq in product(range(m), repeat=length):
-            tried += 1
-            if tried > SEQUENCE_BUDGET:
-                raise BudgetExhausted(tried)
-            if is_minimal_plan(instance, seq):
-                out.append(seq)
-    return tuple(out)

@@ -64,11 +64,6 @@ def find_required_pair(instance: Instance, seq: Plan) -> Optional[RequiredPair]:
     return RequiredPair(v, x, i, j)
 
 
-def producer(instance: Instance, v: int, x: int) -> Optional[int]:
-    """The unique action with eff[v] = x; requires a post-unique instance."""
-    return _producer_table(instance).get((v, x))
-
-
 def _producer_table(instance: Instance) -> Dict[Tuple[int, int], int]:
     table: Dict[Tuple[int, int], int] = {}
     for aid, action in enumerate(instance.actions):

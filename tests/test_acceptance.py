@@ -9,7 +9,8 @@ import random
 import time
 from itertools import combinations
 
-from planlab.core import (Action, GOOD, Instance, classify, effect_polarity)
+from planlab.core import (Action, GOOD, Instance, classify, effect_polarity,
+                          validate_plan)
 from planlab.fomc import SIGMA1, SIGMA22, solve_via_mc
 from planlab.generators import (HittingSetInput, InstanceBuilder,
                                 MulticoloredGraph, compose_pub,
@@ -17,17 +18,17 @@ from planlab.generators import (HittingSetInput, InstanceBuilder,
                                 from_mcc_03, from_mcc_ubs, normalize_edge,
                                 or2_gadget, random_instance)
 from planlab.io import ParseError, parse_instance, serialize_instance
-from planlab.oracle import (enumerate_minimal_plans, is_valid_plan,
-                            shortest_plan)
+from planlab.oracle import shortest_plan
 from planlab.postunique import (find_required_pair, shortest_plan_with_stats,
                                 solve_postunique)
+from planlab.reference import (brute_force_hitting_set, brute_force_steiner,
+                               enumerate_minimal_plans,
+                               has_multicolored_clique)
 from planlab.zerotwo import (SteinerInstance, dreyfus_wagner,
                              eliminate_two_effect_good_actions,
                              solve_zero_two)
 
-from test_generators import (brute_force_hitting_set, has_multicolored_clique,
-                             unit_zero_two)
-from test_zerotwo import brute_force_steiner
+from test_generators import unit_zero_two
 
 
 def report(criterion: str, detail: str):
@@ -51,7 +52,7 @@ def test_criterion_1_cross_solver_agreement():
         got = solve_via_mc(inst, k, SIGMA22)
         assert got.solvable == expected, (i, n, d, m, k)
         if got.plan is not None:
-            assert is_valid_plan(inst, got.plan) and len(got.plan) <= k
+            assert validate_plan(inst, got.plan).valid and len(got.plan) <= k
         if classify(inst).unary:
             got1 = solve_via_mc(inst, k, SIGMA1)
             assert got1.solvable == expected, (i, n, d, m, k)
@@ -100,7 +101,8 @@ def test_criterion_1_degenerate_inputs_on_every_route():
                 where = (i, k, route, serialize_instance(inst))
                 assert (plan is None) == (shortest is None), where
                 if plan is not None:
-                    assert is_valid_plan(inst, plan) and len(plan) <= k, where
+                    assert validate_plan(inst, plan).valid, where
+                    assert len(plan) <= k, where
                 calls += 1
             if "post-unique" in answers and shortest is not None:
                 assert len(answers["post-unique"]) == len(shortest)
@@ -143,7 +145,7 @@ def test_criterion_3_zero_two_pipeline():
         expected = shortest_plan(inst, k)
         assert (result.plan is not None) == (expected is not None), (i, k)
         if result.plan is not None:
-            assert is_valid_plan(inst, result.plan)
+            assert validate_plan(inst, result.plan).valid
             assert len(result.plan) <= k
             solved += 1
         total += 1
@@ -304,7 +306,7 @@ def test_criterion_7_composition_zero_two():
             expected = solvable_at is not None
             assert (result.plan is not None) == expected, (t, solvable_at)
             if result.plan is not None:
-                assert is_valid_plan(comp, result.plan)
+                assert validate_plan(comp, result.plan).valid
                 assert len(result.plan) <= kpp
     report("7 (zero-two)", "t in {2,3}: solvable at k'' iff some component "
                            "solvable at k")
@@ -352,7 +354,7 @@ def test_criterion_8_validity_invariants():
         seq = tuple(rng.randrange(m) for _ in range(rng.randint(0, 5)))
         # validity iff no required pair
         assert (find_required_pair(inst, seq) is None) == \
-            is_valid_plan(inst, seq)
+            validate_plan(inst, seq).valid
         # restriction to the touched variables preserves plan-ness exactly
         # when the pre/goal deviations are covered
         from planlab.core import diff_set, restrict
@@ -361,8 +363,8 @@ def test_criterion_8_validity_invariants():
         for aid in seq:
             union |= set(diff_set(inst, inst.actions[aid].pre))
         rhs = union <= set(touched) and \
-            is_valid_plan(restrict(inst, touched), seq)
-        assert is_valid_plan(inst, seq) == rhs
+            validate_plan(restrict(inst, touched), seq).valid
+        assert validate_plan(inst, seq).valid == rhs
         restriction_checked += 1
         pairs += 1
     report("8", f"{pairs} (instance, sequence) pairs: validity iff no "

@@ -475,6 +475,21 @@ def test_budget_env(capsys, toy_file, monkeypatch, tmp_path):
     assert code == 0
 
 
+def test_out_of_memory_exits_3(capsys, toy_file, monkeypatch):
+    # a route that runs out of memory is not an unsolvable instance: exit
+    # 3, one stderr line, no traceback and nothing on stdout
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "ROUTES", tuple(
+        route._replace(run=exhausted) if route.name == "post-unique"
+        else route for route in cli.ROUTES))
+    code = main(["solve", toy_file, "2"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err == "out of memory\n"
+
+
 def test_generate_malformed_options_are_usage_errors(capsys, tmp_path,
                                                      toy_file):
     out = tmp_path / "gen.sasp"

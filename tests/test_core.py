@@ -3,19 +3,12 @@ import random
 import pytest
 
 from planlab.core import (Action, BAD, GOOD, Instance, MIXED, StructuralError,
-                          ValidationReport, action_valid_in, apply_action,
-                          classify, delta_vars, diff_set, effect_polarity,
-                          lint_instance, restrict, validate_plan)
-from planlab.oracle import is_valid_plan
+                          ValidationReport, classify, delta_vars, diff_set,
+                          effect_polarity, lint_instance, restrict,
+                          validate_plan)
+from planlab.reference import apply_action
 
 from conftest import random_small_instance
-
-
-def test_action_validity(toy1):
-    a1, a2 = toy1.actions
-    assert action_valid_in((0, 0), a1)
-    assert not action_valid_in((0, 0), a2)
-    assert action_valid_in((1, 0), a2)
 
 
 def test_apply(toy1):
@@ -83,7 +76,8 @@ def test_validate_plan_matches_stepwise_reference():
         for _ in range(rng.randint(0, 8)):
             # mostly applicable steps, so that plans get past their first
             # step; now and then any id, an out-of-range one included
-            ok = [a for a in range(m) if action_valid_in(state, inst.actions[a])]
+            ok = [a for a in range(m) if all(
+                state[v] == x for v, x in inst.actions[a].pre.items())]
             if ok and rng.random() < 0.8:
                 aid = rng.choice(ok)
             else:
@@ -208,8 +202,8 @@ def test_prop_restriction_to_effect_vars():
         for aid in seq:
             union |= set(diff_set(inst, inst.actions[aid].pre))
         covered = union <= set(touched)
-        lhs = is_valid_plan(inst, seq)
-        rhs = covered and is_valid_plan(restrict(inst, touched), seq)
+        lhs = validate_plan(inst, seq).valid
+        rhs = covered and validate_plan(restrict(inst, touched), seq).valid
         assert lhs == rhs, (inst, seq)
         checked += 1
     assert checked > 200
@@ -223,7 +217,7 @@ def test_prop_plan_diffs_inside_effect_vars():
             continue
         seq = tuple(rng.randrange(len(inst.actions))
                     for _ in range(rng.randint(0, 4)))
-        if not is_valid_plan(inst, seq):
+        if not validate_plan(inst, seq).valid:
             continue
         touched = {v for aid in seq for v in inst.actions[aid].eff}
         union = set(diff_set(inst, inst.goal))
@@ -244,12 +238,12 @@ def test_prop_bad_action_removal_without_preconditions():
             continue
         seq = tuple(rng.randrange(len(inst.actions))
                     for _ in range(rng.randint(1, 5)))
-        if not is_valid_plan(inst, seq):
+        if not validate_plan(inst, seq).valid:
             continue
         for pos, aid in enumerate(seq):
             if effect_polarity(inst, aid).action == BAD:
                 shorter = seq[:pos] + seq[pos + 1:]
-                assert is_valid_plan(inst, shorter)
+                assert validate_plan(inst, shorter).valid
                 removed += 1
     assert removed > 0
 

@@ -7,20 +7,20 @@ import time
 import pytest
 
 from planlab import fomc
-from planlab.core import Action, ContractError, Instance, classify
+from planlab.core import (Action, ContractError, Instance, classify,
+                          validate_plan)
 from planlab.fomc import (SIGMA1, SIGMA1_MAX_K, SIGMA22, SIGMA22_MAX_K, And, Atom, Equal,
                           Exists, Forall, Implies, Not, Or, RelationalStructure,
                           TriviallyUnsolvable, build_extended_structure,
                           build_sigma1_formula, build_sigma22_formula,
                           build_structure, compile_query, formula_to_sexpr,
-                          model_check, model_check_basic, model_check_witness,
-                          node_count, prefix_shape, solve_via_mc,
-                          structure_to_text)
+                          model_check_basic, model_check_witness, node_count,
+                          prefix_shape, solve_via_mc, structure_to_text)
 from planlab.generators import random_instance
-from planlab.oracle import DEFAULT_BUDGET, is_valid_plan, shortest_plan
+from planlab.oracle import DEFAULT_BUDGET, shortest_plan
+from planlab.reference import plain_bfs
 
 from conftest import random_small_instance
-from test_oracle import _reference_bfs
 
 
 def test_structure_toy1(toy1):
@@ -74,7 +74,7 @@ def test_extended_structure_rejects_large_diffs():
         assert s.universe[act] == ("a", "action")
         assert (act,) not in s.relations["ACT"]
         assert all(row[0] != act for row in s.relations["DIFF_ACT"])
-        assert model_check(s, build_sigma1_formula(k))
+        assert model_check_witness(s, build_sigma1_formula(k))[0]
         assert solve_via_mc(inst, k, SIGMA1).plan == ()
     goal_heavy = Instance(3, 2, (), (0, 0, 0), {0: 1, 1: 1, 2: 1})
     with pytest.raises(TriviallyUnsolvable):
@@ -155,7 +155,7 @@ def test_solve_via_mc_compiles_once_per_fragment_and_k(toy1, zt1,
         made = len(compiled)
         r = solve_via_mc(instances[1], 2, fragment)
         assert len(compiled) == made, fragment
-        assert r.solvable and is_valid_plan(instances[1], r.plan)
+        assert r.solvable and validate_plan(instances[1], r.plan).valid
     assert list(fomc._programs) == [(SIGMA22, 2), (SIGMA1, 2)]
 
     # the cache holds at most PROGRAM_CACHE_SIZE programs, the least
@@ -191,7 +191,7 @@ def test_sigma22_cap(toy1):
     # the cap keeps the nested formula clear of Python's recursion limit,
     # even from inside the test runner's stack
     r = solve_via_mc(toy1, SIGMA22_MAX_K, SIGMA22)
-    assert r.solvable and is_valid_plan(toy1, r.plan)
+    assert r.solvable and validate_plan(toy1, r.plan).valid
     for k in (SIGMA22_MAX_K + 1, 400, 500):
         with pytest.raises(ContractError):
             build_sigma22_formula(k)
@@ -224,19 +224,19 @@ def test_value_unfolds_to_init():
 
 def test_model_check_trivial_exists(toy1):
     s = build_structure(toy1)
-    assert model_check(s, Exists("x", Equal("x", "x")))
-    assert not model_check(s, Exists("x", Not(Equal("x", "x"))))
-    assert model_check(s, Forall("x", Equal("x", "x")))
+    assert model_check_witness(s, Exists("x", Equal("x", "x")))[0]
+    assert not model_check_witness(s, Exists("x", Not(Equal("x", "x"))))[0]
+    assert model_check_witness(s, Forall("x", Equal("x", "x")))[0]
 
 
 def test_model_check_contract_errors(toy1):
     s = build_structure(toy1)
     with pytest.raises(ContractError):
-        model_check(s, Exists("x", Atom("NOPE", ("x",))))
+        model_check_witness(s, Exists("x", Atom("NOPE", ("x",))))
     with pytest.raises(ContractError):
-        model_check(s, Exists("x", Atom("VAR", ("x", "x"))))
+        model_check_witness(s, Exists("x", Atom("VAR", ("x", "x"))))
     with pytest.raises(ContractError):
-        model_check(s, Atom("VAR", ("unbound",)))
+        model_check_witness(s, Atom("VAR", ("unbound",)))
 
 
 # Every error a formula meets before evaluation, with its message.  Over
@@ -270,7 +270,7 @@ COMPILE_ERRORS = [
                          ids=[c[0] for c in COMPILE_ERRORS])
 def test_compile_error_messages(name, formula, message):
     s = _structure(3, **_EDGE)
-    for check in (compile_query, model_check, model_check_basic):
+    for check in (compile_query, model_check_witness, model_check_basic):
         with pytest.raises(ContractError) as e:
             check(s, formula)
         assert str(e.value) == message, check.__name__
@@ -278,8 +278,8 @@ def test_compile_error_messages(name, formula, message):
 
 def test_model_check_toy1(toy1):
     s = build_structure(toy1)
-    assert model_check(s, build_sigma22_formula(2))
-    assert not model_check(s, build_sigma22_formula(1))
+    assert model_check_witness(s, build_sigma22_formula(2))[0]
+    assert not model_check_witness(s, build_sigma22_formula(1))[0]
 
 
 def test_witness_is_index_order_first(toy1):
@@ -354,14 +354,15 @@ def test_solve_via_mc_examples(toy1):
     assert r.solvable and r.plan == (0, 1)
     assert not solve_via_mc(toy1, 1, SIGMA22).solvable
     r1 = solve_via_mc(toy1, 2, SIGMA1)
-    assert r1.solvable and is_valid_plan(toy1, r1.plan)
+    assert r1.solvable and validate_plan(toy1, r1.plan).valid
     assert not solve_via_mc(toy1, 1, SIGMA1).solvable
 
 
 def test_solve_via_mc_larger_k(toy1):
     # extra slots may repeat idempotent actions; the plan still validates
     r = solve_via_mc(toy1, 4, SIGMA22)
-    assert r.solvable and is_valid_plan(toy1, r.plan) and len(r.plan) <= 4
+    assert r.solvable and validate_plan(toy1, r.plan).valid
+    assert len(r.plan) <= 4
 
 
 @pytest.mark.parametrize("fragment", [SIGMA1, SIGMA22])
@@ -433,7 +434,7 @@ def test_witnesses_always_validate():
         k = rng.randint(1, 3)
         r = solve_via_mc(inst, k, SIGMA22)
         if r.solvable:
-            assert is_valid_plan(inst, r.plan)
+            assert validate_plan(inst, r.plan).valid
             assert len(r.plan) <= k
 
 
@@ -458,12 +459,13 @@ def test_verdicts_match_a_search_without_skip_masks(cls):
         inst = random_instance(n, d, m, seed=rng.randrange(1 << 30), **kwargs)
         fragments = [SIGMA22] + [SIGMA1] * classify(inst).unary
         for k in range(5):
-            plan, _ = _reference_bfs(inst, k, DEFAULT_BUDGET)
+            plan, _ = plain_bfs(inst, k, DEFAULT_BUDGET)
             for fragment in fragments:
                 r = solve_via_mc(inst, k, fragment)
                 assert r.solvable == (plan is not None), (i, k, fragment)
                 if r.solvable:
-                    assert is_valid_plan(inst, r.plan) and len(r.plan) <= k
+                    assert validate_plan(inst, r.plan).valid
+                    assert len(r.plan) <= k
             sigma1_calls += SIGMA1 in fragments
     if cls == "unary":
         assert sigma1_calls == 750
@@ -523,12 +525,13 @@ def test_skip_hand_cases(name, inst, rows, not_rows, k, plan):
     assert solve_via_mc(inst, k, SIGMA22).plan == plan
     fragments = [SIGMA22] + [SIGMA1] * classify(inst).unary
     for bound in range(4):
-        expected, _ = _reference_bfs(inst, bound, DEFAULT_BUDGET)
+        expected, _ = plain_bfs(inst, bound, DEFAULT_BUDGET)
         for fragment in fragments:
             r = solve_via_mc(inst, bound, fragment)
             assert r.solvable == (expected is not None), (bound, fragment)
             if r.solvable:
-                assert is_valid_plan(inst, r.plan) and len(r.plan) <= bound
+                assert validate_plan(inst, r.plan).valid
+                assert len(r.plan) <= bound
 
 
 def test_program_evaluator_matches_basic():
@@ -542,14 +545,15 @@ def test_program_evaluator_matches_basic():
         s = build_structure(inst)
         for k in (1, 2):
             f = build_sigma22_formula(k)
-            assert model_check(s, f) == model_check_basic(s, f), (i, k)
+            assert model_check_witness(s, f)[0] == \
+                model_check_basic(s, f), (i, k)
         if classify(inst).unary and inst.actions and sigma1_checked < 4:
             try:
                 se = build_extended_structure(inst, 1)
             except TriviallyUnsolvable:
                 continue
             f = build_sigma1_formula(1)
-            assert model_check(se, f) == model_check_basic(se, f), i
+            assert model_check_witness(se, f)[0] == model_check_basic(se, f), i
             sigma1_checked += 1
     assert sigma1_checked > 0
 
@@ -577,7 +581,7 @@ def test_sigma1_evaluators_agree_beside_an_unfireable_action():
         inst = Instance(n, 2, tuple(acts), init, goal)
         s = build_extended_structure(inst, 1)
         expected = model_check_basic(s, f)
-        assert model_check(s, f) == expected, i
+        assert model_check_witness(s, f)[0] == expected, i
         assert expected == (shortest_plan(inst, 1) is not None), i
         answers.add(expected)
     assert answers == {True, False}
@@ -704,7 +708,7 @@ def test_universal_block_rewrite_edge_cases(name, size, rels, formula,
                                             expected):
     s = _structure(size, **rels)
     assert model_check_basic(s, formula) == expected
-    assert model_check(s, formula) == expected
+    assert model_check_witness(s, formula)[0] == expected
 
 
 def test_universal_block_rewrite_matches_basic_random():
@@ -758,7 +762,7 @@ def test_universal_block_rewrite_matches_basic_random():
         for a in reversed(ex):
             f = Exists(a, f, guard())
         s = _structure(size, **rels)
-        assert model_check(s, f) == model_check_basic(s, f), \
+        assert model_check_witness(s, f)[0] == model_check_basic(s, f), \
             (trial, formula_to_sexpr(f), rels)
 
 
@@ -909,7 +913,7 @@ SCOPING_CASES = [
 def test_closure_scoping(name, formula, expected):
     s = _structure(3, **_EDGE)
     assert model_check_basic(s, formula) == expected
-    assert model_check(s, formula) == expected
+    assert model_check_witness(s, formula)[0] == expected
 
 
 def test_closure_scoping_witness():
@@ -940,7 +944,7 @@ def test_sigma22_over_a_large_arity3_key_space():
             r = solve_via_mc(inst, k, SIGMA22)
             assert r.solvable == (expected is not None), (inst, k)
             if r.solvable:
-                assert is_valid_plan(inst, r.plan) and len(r.plan) <= k
+                assert validate_plan(inst, r.plan).valid and len(r.plan) <= k
     assert [solve_via_mc(chain, k).solvable for k in (2, 3)] == [False, True]
 
 

@@ -4,14 +4,16 @@ from itertools import combinations
 
 import pytest
 
-from planlab.core import Action, ContractError, Instance, classify, delta_vars
+from planlab.core import (Action, ContractError, Instance, classify,
+                          delta_vars, validate_plan)
 from planlab.generators import (HittingSetInput, InstanceBuilder,
                                 MulticoloredGraph, compose_pub,
                                 compose_zero_two, from_hitting_set,
                                 from_mcc_03, from_mcc_ubs, normalize_edge,
                                 or2_gadget, or_tree, random_instance)
 from planlab.io import serialize_instance
-from planlab.oracle import is_valid_plan, shortest_plan
+from planlab.oracle import shortest_plan
+from planlab.reference import brute_force_hitting_set, has_multicolored_clique
 from planlab.zerotwo import solve_zero_two
 
 
@@ -19,32 +21,6 @@ def triangle() -> MulticoloredGraph:
     return MulticoloredGraph(3, 1, tuple(
         normalize_edge((i, 0), (j, 0))
         for i, j in combinations(range(1, 4), 2)))
-
-
-def brute_force_hitting_set(inp: HittingSetInput) -> bool:
-    universe = range(1, inp.universe_size + 1)
-    for r in range(inp.bound + 1):
-        for h in combinations(universe, r):
-            if all(set(h) & set(c) for c in inp.subsets):
-                return True
-    return False
-
-
-def has_multicolored_clique(g: MulticoloredGraph) -> bool:
-    edges = set(g.edges)
-    parts = [[(i, a) for a in range(g.part_size)]
-             for i in range(1, g.parts + 1)]
-
-    def rec(chosen, rest):
-        if not rest:
-            return True
-        for v in rest[0]:
-            if all(normalize_edge(u, v) in edges for u in chosen):
-                if rec(chosen + [v], rest[1:]):
-                    return True
-        return False
-
-    return rec([], parts)
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +37,7 @@ def test_hitting_set_example():
 
 def test_hitting_set_empty_collection():
     inst, k = from_hitting_set(HittingSetInput(3, (), 0))
-    assert is_valid_plan(inst, ())
+    assert validate_plan(inst, ()).valid
 
 
 def test_hitting_set_rejects_negative_sizes():
@@ -388,7 +364,7 @@ def test_compose_pub_exact_at_every_position(t):
                 if length <= ki:
                     assert plan is not None, case
                     assert len(plan) == kp - (ki - length), case
-                    assert is_valid_plan(comp, plan), case
+                    assert validate_plan(comp, plan).valid, case
                 else:
                     assert plan is None, case
 
@@ -418,7 +394,7 @@ def test_compose_zero_two_equivalence_t2():
             result = solve_zero_two(comp, kpp)
             assert (result.plan is not None) == (left or right)
             if result.plan is not None:
-                assert is_valid_plan(comp, result.plan)
+                assert validate_plan(comp, result.plan).valid
                 assert len(result.plan) <= kpp
 
 
@@ -456,7 +432,7 @@ def check_compose_zero_two(rng: random.Random, k: int, pattern) -> None:
     plan = solve_zero_two(comp, kpp).plan
     if any(pattern):
         assert plan is not None, (k, pattern, comps)
-        assert is_valid_plan(comp, plan) and len(plan) <= kpp
+        assert validate_plan(comp, plan).valid and len(plan) <= kpp
     else:
         assert plan is None, (k, pattern, comps)
 

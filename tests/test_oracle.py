@@ -3,14 +3,13 @@ from itertools import product
 
 import pytest
 
-from planlab.core import Action, Instance
+from planlab.core import Action, Instance, validate_plan
 from planlab import oracle
 from planlab.generators import (HittingSetInput, MulticoloredGraph,
                                 from_hitting_set, from_mcc_03, from_mcc_ubs,
                                 random_instance)
-from planlab.oracle import (DEFAULT_BUDGET, BudgetExhausted,
-                            enumerate_minimal_plans, is_valid_plan,
-                            shortest_plan)
+from planlab.oracle import DEFAULT_BUDGET, BudgetExhausted, shortest_plan
+from planlab.reference import enumerate_minimal_plans, plain_bfs
 
 from conftest import random_small_instance
 
@@ -23,7 +22,8 @@ def test_shortest_toy1(toy1):
 def test_shortest_hitting_set_example():
     inst, k = from_hitting_set(HittingSetInput(3, ((1, 2), (2, 3)), 1))
     # brute force over all length-1 sequences: only element 2 hits both sets
-    ok = [seq for seq in product(range(3), repeat=1) if is_valid_plan(inst, seq)]
+    ok = [seq for seq in product(range(3), repeat=1)
+          if validate_plan(inst, seq).valid]
     assert ok == [(1,)]
     assert shortest_plan(inst, k) == (1,)
 
@@ -31,7 +31,7 @@ def test_shortest_hitting_set_example():
 def _brute_force_shortest(inst, k):
     for length in range(k + 1):
         for seq in product(range(len(inst.actions)), repeat=length):
-            if is_valid_plan(inst, seq):
+            if validate_plan(inst, seq).valid:
                 return seq
     return None
 
@@ -77,9 +77,10 @@ def test_minimal_plans_validate_and_are_minimal(toy1):
     for _ in range(40):
         inst = random_small_instance(rng, n_max=3, d_max=2, m_max=4)
         for plan in enumerate_minimal_plans(inst, 3):
-            assert is_valid_plan(inst, plan)
+            assert validate_plan(inst, plan).valid
             for drop in range(len(plan)):
-                assert not is_valid_plan(inst, plan[:drop] + plan[drop + 1:])
+                assert not validate_plan(
+                    inst, plan[:drop] + plan[drop + 1:]).valid
 
 
 def test_monotone_in_k():
@@ -158,49 +159,6 @@ def test_binary_path_beyond_64_variables():
     assert oracle.shortest_plan_with_stats(ternary, 4) == ((0, 1, 4), 12)
 
 
-def _reference_bfs(inst, k, budget):
-    """Breadth-first search over plain state tuples that tries every action,
-    in id order, from every state: (plan or None, visited), or
-    ("exhausted", visited) once more than `budget` states are visited, the
-    initial state included."""
-    def holds(state, cond):
-        return all(state[v] == x for v, x in cond.items())
-
-    if budget < 1:
-        return "exhausted", 1
-    init = tuple(inst.init)
-    if holds(init, inst.goal):
-        return (), 1
-    parent = {init: None}
-    frontier = [init]
-    for _ in range(k):
-        next_frontier = []
-        for s in frontier:
-            for aid, act in enumerate(inst.actions):
-                if not holds(s, act.pre):
-                    continue
-                t = list(s)
-                for v, x in act.eff.items():
-                    t[v] = x
-                t = tuple(t)
-                if t in parent:
-                    continue
-                parent[t] = (s, aid)
-                if len(parent) > budget:
-                    return "exhausted", len(parent)
-                if holds(t, inst.goal):
-                    plan = []
-                    while parent[t] is not None:
-                        t, aid = parent[t]
-                        plan.append(aid)
-                    return tuple(reversed(plan)), len(parent)
-                next_frontier.append(t)
-        if not next_frontier:
-            break
-        frontier = next_frontier
-    return None, len(parent)
-
-
 def _oracle_outcome(inst, k, budget):
     try:
         return oracle.shortest_plan_with_stats(inst, k, budget)
@@ -235,7 +193,7 @@ def test_matches_a_plain_bfs_that_tries_every_action():
         inst = _random_class_instance(rng)
         k = rng.randint(0, 6)
         budget = rng.choice([1, 3, 8, 20, 60, DEFAULT_BUDGET])
-        want = _reference_bfs(inst, k, budget)
+        want = plain_bfs(inst, k, budget)
         assert _oracle_outcome(inst, k, budget) == want, (inst, k, budget)
         exhausted += want[0] == "exhausted"
     for reduce, parts, per_part in [(from_mcc_03, 3, 1), (from_mcc_03, 3, 2),
@@ -245,7 +203,7 @@ def test_matches_a_plain_bfs_that_tries_every_action():
             inst, bound = reduce(_random_graph(rng, parts, per_part))
             for k, budget in [(bound, 4000), (bound - 1, 4000),
                               (bound, rng.randint(10, 400))]:
-                want = _reference_bfs(inst, k, budget)
+                want = plain_bfs(inst, k, budget)
                 assert _oracle_outcome(inst, k, budget) == want, (
                     reduce.__name__, parts, per_part, k, budget)
                 exhausted += want[0] == "exhausted"
@@ -283,7 +241,7 @@ def test_skip_mask_hand_cases():
         assert shortest_plan(inst, len(plan)) == plan
         for k in range(len(plan) + 2):
             for budget in (0, 1, 2, 3, 4, DEFAULT_BUDGET):
-                assert _oracle_outcome(inst, k, budget) == _reference_bfs(
+                assert _oracle_outcome(inst, k, budget) == plain_bfs(
                     inst, k, budget), (inst, k, budget)
 
 
@@ -295,7 +253,7 @@ def test_plan_names_the_lowest_action_between_two_states():
             Action("c", {0: 1}, {1: 1}))
     inst = Instance(2, 2, acts, (0, 0), {1: 1})
     assert oracle.shortest_plan_with_stats(inst, 2) == ((0, 1), 3)
-    assert _reference_bfs(inst, 2, DEFAULT_BUDGET) == ((0, 1), 3)
+    assert plain_bfs(inst, 2, DEFAULT_BUDGET) == ((0, 1), 3)
 
 
 def _packed(pre, eff, width=1):

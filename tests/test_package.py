@@ -42,3 +42,20 @@ def test_importing_the_cli_builds_no_parser():
     at_import, after_build = map(int, proc.stdout.split())
     assert at_import == 0
     assert after_build > 0  # the counter does see a parser being built
+
+
+BOUNDARY = """import sys
+sys.path.insert(0, sys.argv[1])
+import planlab, planlab.cli, planlab.generators
+missing = [name for name in planlab.__all__ if not hasattr(planlab, name)]
+print("planlab.reference" in sys.modules, missing)
+"""
+
+
+def test_the_program_does_not_load_the_reference_module():
+    """planlab.reference holds ground truth for tests; no route, neither the
+    package nor the CLI imports it.  Every name in __all__ resolves."""
+    src = os.path.dirname(os.path.dirname(planlab.__file__))
+    proc = subprocess.run([sys.executable, "-c", BOUNDARY, src],
+                          stdout=subprocess.PIPE, text=True, check=True)
+    assert proc.stdout == "False []\n"

@@ -3,12 +3,13 @@ import time
 
 import pytest
 
-from planlab.core import Action, ContractError, Instance, apply_action
-from planlab import oracle, postunique
+from planlab.core import Action, ContractError, Instance, validate_plan
+from planlab import postunique, reference
 from planlab.generators import random_instance
-from planlab.oracle import enumerate_minimal_plans, is_valid_plan, shortest_plan
-from planlab.postunique import (RequiredPair, find_required_pair, producer,
+from planlab.oracle import shortest_plan
+from planlab.postunique import (RequiredPair, find_required_pair,
                                 shortest_plan_with_stats, solve_postunique)
+from planlab.reference import apply_action, enumerate_minimal_plans
 
 from conftest import random_small_instance
 
@@ -84,22 +85,23 @@ def test_required_pair_none_iff_valid():
                         for _ in range(rng.randint(0, 5)))
         pair = find_required_pair(inst, seq)
         assert pair == reference_required_pair(inst, seq), (inst, seq)
-        assert (pair is None) == is_valid_plan(inst, seq)
+        assert (pair is None) == validate_plan(inst, seq).valid
         late_windows += wide and pair is not None and pair.i > 0
     assert late_windows >= 20  # 45 with this seed
 
 
 def test_producer(toy1):
-    assert producer(toy1, 0, 1) == 0
-    assert producer(toy1, 0, 0) is None
-    assert producer(toy1, 1, 1) == 1
+    table = postunique._producer_table(toy1)
+    assert table[(0, 1)] == 0
+    assert (0, 0) not in table
+    assert table[(1, 1)] == 1
 
 
 def test_producer_contract():
     acts = (Action("a", {}, {0: 1}), Action("b", {}, {0: 1}))
     inst = Instance(1, 2, acts, (0,), {0: 1})
     with pytest.raises(ContractError):
-        producer(inst, 0, 1)
+        postunique._producer_table(inst)
 
 
 def test_solve_toy1(toy1):
@@ -213,12 +215,12 @@ def test_plans_with_repeated_actions_are_found():
     result = solve_postunique(inst, 4)
     assert (0, 1, 0, 2) in result.plans
     for plan in result.plans:
-        assert is_valid_plan(inst, plan)
+        assert validate_plan(inst, plan).valid
 
 
 def test_minimality_needs_no_subsequence_check(monkeypatch):
     # Each instance reaches a plan with a valid proper subsequence; the
-    # search drops it without the oracle's subsequence enumeration.
+    # search drops it without the reference's subsequence enumeration.
     cases = []
     for seed in (61, 144, 151, 228):
         rng = random.Random(seed)
@@ -229,9 +231,9 @@ def test_minimality_needs_no_subsequence_check(monkeypatch):
         cases.append((inst, enumerate_minimal_plans(inst, 4)))
 
     def refuse(*args):
-        raise AssertionError("post-unique borrowed the oracle's test")
+        raise AssertionError("post-unique borrowed the reference's test")
 
-    monkeypatch.setattr(oracle, "is_minimal_plan", refuse)
+    monkeypatch.setattr(reference, "is_minimal_plan", refuse)
     monkeypatch.setattr(postunique, "is_minimal_plan", refuse, raising=False)
     for inst, expected in cases:
         reached = sum(len(plans) for plans, _ in postunique._levels(inst, 4))

@@ -1,13 +1,13 @@
 import random
-from itertools import combinations
 
 import pytest
 
 from planlab.core import (Action, ContractError, GOOD, Instance, classify,
-                          effect_polarity)
+                          effect_polarity, validate_plan)
 from planlab.generators import random_instance
-from planlab.oracle import (enumerate_minimal_plans, is_valid_plan,
-                            shortest_plan)
+from planlab.oracle import shortest_plan
+from planlab.reference import (brute_force_steiner, enumerate_minimal_plans,
+                               reaches_all_terminals)
 from planlab.zerotwo import (MAX_TERMINALS, ROOT, SteinerInstance, build_dst,
                              dreyfus_wagner, eliminate_two_effect_good_actions,
                              extract_plan, solve_zero_two, steiner_to_dot)
@@ -71,7 +71,7 @@ def test_transform_names_dodge_taken_names():
     # solve_zero_two re-validates its plan on the transformed instance
     result = solve_zero_two(inst, 1)
     assert result.transformed and result.built_from == tr.instance
-    assert result.plan == (0,) and is_valid_plan(inst, result.plan)
+    assert result.plan == (0,) and validate_plan(inst, result.plan).valid
 
 
 def test_transform_contract():
@@ -161,25 +161,6 @@ def test_parallel_arcs_collapse():
 # Dreyfus-Wagner
 # ---------------------------------------------------------------------------
 
-def brute_force_steiner(dst: SteinerInstance):
-    """Minimum weight over every arc subset that reaches all terminals."""
-    best = None
-    arcs = list(dst.arcs)
-    for r in range(len(arcs) + 1):
-        for subset in combinations(arcs, r):
-            reach = {ROOT}
-            changed = True
-            while changed:
-                changed = False
-                for tail, head in subset:
-                    if tail in reach and head not in reach:
-                        reach.add(head)
-                        changed = True
-            if all(t in reach for t in dst.terminals):
-                return r  # combinations are tried smallest first
-    return best
-
-
 def test_dw_zt1(zt1):
     dst = build_dst(zt1, 2)
     sol = dreyfus_wagner(dst)
@@ -263,19 +244,6 @@ def test_dw_matches_brute_force_random_graphs():
             assert got is not None and got.weight == expected, dst
 
 
-def reaches_all_terminals(dst: SteinerInstance, arcs) -> bool:
-    children = {}
-    for tail, head in arcs:
-        children.setdefault(tail, []).append(head)
-    reach, stack = {ROOT}, [ROOT]
-    while stack:
-        for w in children.get(stack.pop(), ()):
-            if w not in reach:
-                reach.add(w)
-                stack.append(w)
-    return all(t in reach for t in dst.terminals)
-
-
 def test_dw_matches_brute_force_at_tight_bounds():
     """Bounds one below, at and one above the optimum, so that pruning and
     both early exits (an unreachable terminal, more terminals than the
@@ -334,8 +302,8 @@ def test_extract_zt1(zt1):
     sol = dreyfus_wagner(dst)
     plan = extract_plan(dst, sol.arcs)
     assert plan == (1, 0)  # mixed action first, good action last
-    assert is_valid_plan(zt1, plan)
-    assert not is_valid_plan(zt1, (0, 1))  # the other order clobbers x
+    assert validate_plan(zt1, plan).valid
+    assert not validate_plan(zt1, (0, 1)).valid  # the other order clobbers x
 
 
 def test_extract_rejects_non_tree(zt1):
@@ -368,7 +336,7 @@ def test_deep_chain_extraction():
     inst = Instance(3, 2, acts, (0, 0, 0), {0: 1, 1: 1, 2: 1})
     r = solve_zero_two(inst, 3)
     assert r.plan == (2, 1, 0)
-    assert is_valid_plan(inst, r.plan)
+    assert validate_plan(inst, r.plan).valid
 
 
 def test_solve_zero_two_examples(zt1, toy1):
@@ -385,7 +353,7 @@ def test_solve_zero_two_long_chain_revalidates():
                            Action("b", {}, {0: 0})), (0, 0), {0: 1, 1: 1})
     r = solve_zero_two(inst, 10 ** 4)
     assert r.transformed and r.plan == (0,)
-    assert is_valid_plan(inst, r.plan)
+    assert validate_plan(inst, r.plan).valid
 
 
 def test_solve_zero_two_goal_already_met():
@@ -402,7 +370,7 @@ def test_pipeline_matches_oracle(seed):
     expected = shortest_plan(inst, k)
     assert (r.plan is not None) == (expected is not None), (inst, k)
     if r.plan is not None:
-        assert is_valid_plan(inst, r.plan) and len(r.plan) <= k
+        assert validate_plan(inst, r.plan).valid and len(r.plan) <= k
 
 
 def test_dot_dump(zt1):
