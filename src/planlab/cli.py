@@ -49,44 +49,43 @@ def _load_instance(path: str) -> Instance:
     return instance
 
 
-def _post_unique(instance: Instance, args, budget: int, profile) -> Solved:
-    plan, labels = postunique.shortest_plan_with_stats(instance, args.k)
+def _post_unique(instance: Instance, k: int, option, budget: int) -> Solved:
+    plan, labels = postunique.shortest_plan_with_stats(instance, k)
     return plan, "post-unique", {"search_tree_nodes": labels}
 
 
-def _zero_two(instance: Instance, args, budget: int, profile) -> Solved:
-    result = zerotwo.solve_zero_two(instance, args.k)
+def _zero_two(instance: Instance, k: int, dot, budget: int) -> Solved:
+    result = zerotwo.solve_zero_two(instance, k)
     stats = {"transformed": result.transformed,
              "steiner_nodes": result.dst.node_count,
              "steiner_arcs": len(result.dst.arcs)}
     if result.solution is not None:
         stats["dp_cells"] = result.solution.cells
-    if args.dot:
-        with open(args.dot, "w") as fh:
+    if dot:
+        with open(dot, "w") as fh:
             fh.write(zerotwo.steiner_to_dot(result.dst, result.built_from))
     return result.plan, "zero-two", stats
 
 
-def _fo_mc(instance: Instance, args, budget: int, profile) -> Solved:
-    fragment = args.fragment or (fomc.SIGMA1 if profile().unary
-                                 else fomc.SIGMA22)
-    result = fomc.solve_via_mc(instance, args.k, fragment)
-    return result.plan, f"fo-mc/{fragment}", {
+def _fo_mc(instance: Instance, k: int, fragment, budget: int) -> Solved:
+    result = fomc.solve_via_mc(instance, k, fragment)
+    return result.plan, f"fo-mc/{result.fragment}", {
         "assignments": result.assignments}
 
 
-def _oracle(instance: Instance, args, budget: int, profile) -> Solved:
-    plan, visited = oracle.shortest_plan_with_stats(instance, args.k, budget)
+def _oracle(instance: Instance, k: int, option, budget: int) -> Solved:
+    plan, visited = oracle.shortest_plan_with_stats(instance, k, budget)
     return plan, "oracle", {"visited_states": visited}
 
 
 class Route(NamedTuple):
-    """A solver route: the profiles `auto` sends to it, its runner, called as
-    run(instance, args, budget, profile) with profile() classifying the
-    instance on first use, and the one `solve` option only it reads."""
+    """A solver route: the profiles `auto` sends to it, its runner, and the
+    one `solve` option only it reads, if any.  The runner is called as
+    run(instance, k, option, budget), with option that option's value or
+    None."""
     name: str
     applies: Callable[[RestrictionProfile], bool]
-    run: Callable[..., Solved]
+    run: Callable[[Instance, int, Optional[str], int], Solved]
     option: Optional[str]
 
 
@@ -115,14 +114,14 @@ def cmd_solve(args) -> int:
         raise ValueError("k must be non-negative")
     budget = _budget(args)
     instance = _load_instance(args.instance)
-    profile = functools.cache(lambda: classify(instance))
-    route = (_route(profile()) if args.solver == "auto" else
+    route = (_route(classify(instance)) if args.solver == "auto" else
              next(r for r in ROUTES if r.name == args.solver))
     for other in ROUTES:
         if other.option and other is not route and getattr(args, other.option):
             raise ValueError(f"--{other.option} applies to {other.name}, "
                              f"not {route.name}")
-    plan, label, stats = route.run(instance, args, budget, profile)
+    option = getattr(args, route.option) if route.option else None
+    plan, label, stats = route.run(instance, args.k, option, budget)
     solvable = plan is not None
     if solvable:
         report = validate_plan(instance, plan)

@@ -14,6 +14,10 @@ code with the search-tree solver, and with the state-space oracle only the
 rule for when two actions commute and when one overwrites another
 (core.commute and core.overwrites).
 
+solve_via_mc is the route, and it chooses the fragment: the existential
+sigma1 for a unary instance and sigma22 for any other, unless its caller
+names one.
+
 Both structures carry a binary relation SKIP over ACT, and both formulas
 forbid SKIP(a_i, a_i+1) at each step i < k.  (a, b) is in SKIP when b is a,
 or b has a lower id and commutes with a, or b overwrites a (the oracle's
@@ -56,7 +60,7 @@ its guard read as an atom, and binds them the same way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, Union
 
@@ -826,29 +830,22 @@ class McResult:
     solvable: bool
     plan: Optional[Plan]
     assignments: int
+    fragment: str  # the fragment that decided: SIGMA1 or SIGMA22
 
 
-# The compiled program of each (fragment, k) that solve_via_mc has met, least
-# recently used first; it fills on first use.  The formula depends on k
-# alone, so one program serves every instance.  A sigma1 program at its cap
-# k = 8 holds about 18 MB, and a sigma22 program at k = 200 about 34 MB.
+# The formula depends on (fragment, k) alone, so one compiled program serves
+# every instance.  A sigma1 program at its cap k = 8 holds about 18 MB, and
+# a sigma22 program at k = 200 about 34 MB.
 PROGRAM_CACHE_SIZE = 16
-_programs: Dict[Tuple[str, int], Program] = {}
 
 
+@lru_cache(maxsize=PROGRAM_CACHE_SIZE)
 def _fragment_program(fragment: str, k: int) -> Program:
     """The program of fragment at bound k, built and compiled on a miss.  A
     k above the fragment's cap raises ContractError and caches nothing."""
-    key = (fragment, k)
-    program = _programs.pop(key, None)
-    if program is None:
-        formula = (build_sigma1_formula(k) if fragment == SIGMA1
-                   else build_sigma22_formula(k))
-        program = compile_program(formula)
-        if len(_programs) >= PROGRAM_CACHE_SIZE:
-            del _programs[next(iter(_programs))]
-    _programs[key] = program  # the most recently used, last
-    return program
+    formula = (build_sigma1_formula(k) if fragment == SIGMA1
+               else build_sigma22_formula(k))
+    return compile_program(formula)
 
 
 def _witness_plan(structure: RelationalStructure, witness: Dict[str, int],
@@ -867,20 +864,27 @@ def _witness_plan(structure: RelationalStructure, witness: Dict[str, int],
     return tuple(plan)
 
 
-def solve_via_mc(instance: Instance, k: int, fragment: str = SIGMA22) -> McResult:
+def solve_via_mc(instance: Instance, k: int,
+                 fragment: Optional[str] = None) -> McResult:
     """Plan existence at bound k via model checking; the returned witness
-    plan is re-validated before being reported."""
-    if fragment not in (SIGMA22, SIGMA1):
+    plan is re-validated before being reported.  Without a fragment, a
+    unary instance is decided in sigma1 and any other in sigma22; the
+    result names the fragment that decided."""
+    if fragment not in (None, SIGMA22, SIGMA1):
         raise ValueError(f"unknown fragment {fragment!r}")
-    if fragment == SIGMA1 and not classify(instance).unary:
-        raise ContractError("the existential fragment requires a unary instance")
+    if fragment != SIGMA22:
+        unary = classify(instance).unary
+        if fragment == SIGMA1 and not unary:
+            raise ContractError(
+                "the existential fragment requires a unary instance")
+        fragment = SIGMA1 if unary else SIGMA22
     if k < 0:
         raise ValueError("k must be non-negative")
     if k == 0 or instance.var_count == 0:
         # With no variables the empty plan reaches the goal, while sigma1's
         # VAR(v_i) guards would range over nothing and refute every plan.
         ok = validate_plan(instance, ()).valid
-        return McResult(ok, () if ok else None, 0)
+        return McResult(ok, () if ok else None, 0, fragment)
 
     # The program first: its formula refuses k above the cap before a
     # structure with k dummy elements is built.
@@ -889,17 +893,17 @@ def solve_via_mc(instance: Instance, k: int, fragment: str = SIGMA22) -> McResul
         try:
             structure = build_extended_structure(instance, k)
         except TriviallyUnsolvable:
-            return McResult(False, None, 0)
+            return McResult(False, None, 0, fragment)
     else:
         structure = build_structure(instance)
 
     sat, witness, assignments = model_check_witness(structure, program)
     if not sat:
-        return McResult(False, None, assignments)
+        return McResult(False, None, assignments, fragment)
     plan = _witness_plan(structure, witness, k)
     report = validate_plan(instance, plan)
     if not report.valid:
         raise AssertionError(
             "model checking produced a witness that does not validate: "
             + report.message(instance))
-    return McResult(True, plan, assignments)
+    return McResult(True, plan, assignments, fragment)

@@ -57,10 +57,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .core import Instance, Plan, PlanLabError, overwrites, pack_actions
-# under this module's own names: a test patches _commute to count the
-# commute tests a search makes
-from .core import commute as _commute, pack as _masks
+from .core import (Instance, Plan, PlanLabError, commute, overwrites, pack,
+                   pack_actions)
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -91,8 +89,8 @@ def shortest_plan_with_stats(instance: Instance, k: int,
     if budget < 1:
         raise BudgetExhausted(1)
     width, acts = pack_actions(instance)
-    _, init = _masks(dict(enumerate(instance.init)), width)
-    goal_mask, goal_bits = _masks(instance.goal, width)
+    _, init = pack(dict(enumerate(instance.init)), width)
+    goal_mask, goal_bits = pack(instance.goal, width)
     if init & goal_mask == goal_bits:
         return (), 1
     # each state's parent; the action taken from it is found again by
@@ -148,7 +146,7 @@ def _skip_rule(acts, a):
     act_a = acts[a]
     comm, base = 0, 1 << a
     for b, act_b in enumerate(acts):
-        if _commute(act_a, act_b):
+        if commute(act_a, act_b):
             comm |= 1 << b
             if b < a:
                 base |= 1 << b

@@ -1,11 +1,12 @@
 """Solver pipeline for instances with no preconditions and at most 2 effects.
 
-Stages: (1) a chain transform that removes good actions with two effects,
-raising the bound from k to k*(k+3)+1; (2) a reduction to directed Steiner
-tree -- good actions become root arcs, mixed actions arcs from their bad to
-their good variable; (3) the Dreyfus-Wagner dynamic program over terminal
-subsets, pruned to the entries a tree within the bound can use; (4) plan
-extraction by walking the tree bottom-up.
+Stages, run at bound k' = min(k, |goal|) (see solve_zero_two): (1) a chain
+transform that removes good actions with two effects, raising the bound
+from k' to k'*(k'+3)+1; (2) a reduction to directed Steiner tree -- good
+actions become root arcs, mixed actions arcs from their bad to their good
+variable; (3) the Dreyfus-Wagner dynamic program over terminal subsets,
+pruned to the entries a tree within the bound can use; (4) plan extraction
+by walking the tree bottom-up.
 """
 
 from __future__ import annotations
@@ -323,17 +324,21 @@ def extract_plan(dst: SteinerInstance,
 
 
 def solve_zero_two(instance: Instance, k: int) -> ZeroTwoResult:
-    """The full pipeline.  The transform is skipped when the input already
-    has no two-effect good action, keeping the Steiner bound at k.  The
-    first stage that runs, the transform or build_dst, checks the (0,2)
-    contract."""
+    """The full pipeline, run at bound k' = min(k, |goal|).  With no
+    preconditions every variable ends at the value its last writer sets, so
+    dropping an action that is not the last writer of some goal variable
+    keeps a valid plan valid: a shortest plan has at most |goal| steps, and
+    the verdict at k is the verdict at k'.  The transform is skipped when
+    the input already has no two-effect good action, keeping the Steiner
+    bound at k'.  The first stage that runs, the transform or build_dst,
+    checks the (0,2) contract."""
     if k < 0:
         raise ValueError("k must be non-negative")
 
     transform = None
-    work, bound = instance, k
+    work, bound = instance, min(k, len(instance.goal))
     if _has_two_effect_good_action(instance):
-        transform = eliminate_two_effect_good_actions(instance, k)
+        transform = eliminate_two_effect_good_actions(instance, bound)
         work, bound = transform.instance, transform.bound
 
     dst = build_dst(work, bound)

@@ -3,11 +3,12 @@ import random
 
 import pytest
 
-from planlab import cli, io
+from planlab import cli, fomc, io
 from planlab.cli import main
+from planlab.core import ContractError
 from planlab.generators import (MulticoloredGraph, compose_pub, from_mcc_03,
                                 random_instance)
-from planlab.oracle import shortest_plan
+from planlab.oracle import DEFAULT_BUDGET, shortest_plan
 
 TOY1_TEXT = """\
 SASP 1
@@ -450,19 +451,49 @@ def test_repeated_solve_calls_leak_no_option(capsys, toy_file):
 
 
 def test_one_classify_per_call(capsys, tmp_path, monkeypatch):
-    # unary but not post-unique: auto routes to fo-mc and picks sigma1
+    # unary but not post-unique: auto routes to fo-mc, which picks sigma1.
+    # cli classifies only to route auto, and fomc only to choose or check
+    # the fragment
     path = tmp_path / "u.sasp"
     path.write_text(TOY1_TEXT + "action a3 pre 1=1 eff 0=1\n")
     calls = []
     real_classify = cli.classify
-    monkeypatch.setattr(cli, "classify",
-                        lambda inst: calls.append(1) or real_classify(inst))
-    for argv, route in ((["classify", str(path)], "fo-mc"),
-                        (["solve", str(path), "2"], "fo-mc/sigma1")):
+    for module in (cli, fomc):
+        monkeypatch.setattr(module, "classify", lambda inst: calls.append(1)
+                            or real_classify(inst))
+    solve = ["solve", str(path), "2"]
+    for argv, route, count in (
+            (["classify", str(path)], "fo-mc", 1),
+            (solve, "fo-mc/sigma1", 2),
+            (solve + ["--solver", "fo-mc"], "fo-mc/sigma1", 1),
+            (solve + ["--solver", "fo-mc", "--fragment", "sigma22"],
+             "fo-mc/sigma22", 0)):
         calls.clear()
         code, out = run(capsys, *argv)
         assert code == 0 and route in (out.get("route"), out.get("solver"))
-        assert len(calls) == 1, argv
+        assert len(calls) == count, argv
+
+
+def test_route_runners_take_plain_values(capsys, tmp_path, toy1, zt1):
+    # every route row runs from (instance, k, option, budget) alone, and
+    # answers as `planlab solve --stats` does
+    for name, instance in (("toy1", toy1), ("zt1", zt1)):
+        path = tmp_path / f"{name}.sasp"
+        path.write_text(io.serialize_instance(instance))
+        for route in cli.ROUTES:
+            argv = ["solve", str(path), "2", "--solver", route.name,
+                    "--stats"]
+            try:
+                plan, label, stats = route.run(instance, 2, None,
+                                               DEFAULT_BUDGET)
+            except ContractError:  # zero-two on toy1, which has a pre
+                assert main(argv) == 3, (name, route.name)
+                capsys.readouterr()
+                continue
+            code, out = run(capsys, *argv)
+            assert code == 0 and plan is not None, (name, route.name)
+            assert out["plan"] == [instance.actions[a].name for a in plan]
+            assert (out["solver"], out["stats"]) == (label, stats)
 
 
 def test_budget_env(capsys, toy_file, monkeypatch, tmp_path):

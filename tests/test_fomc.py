@@ -140,51 +140,60 @@ def test_solve_via_mc_compiles_once_per_fragment_and_k(toy1, zt1,
     # the formula depends on k alone: the second call at the same
     # (fragment, k) binds the cached program to its own structure and
     # compiles nothing
-    monkeypatch.setattr(fomc, "_programs", {})
+    programs = fomc._fragment_program
+    programs.cache_clear()
     compiled = []
     compile_ = fomc._Compiler.compile
     monkeypatch.setattr(fomc._Compiler, "compile",
                         lambda self, f: compiled.append(f)
                         or compile_(self, f))
+
+    def compiles(instance, k, fragment):
+        made = len(compiled)
+        solve_via_mc(instance, k, fragment)
+        return len(compiled) > made
+
     solo = Instance(1, 2, (Action("set", {}, {0: 1}),), (0,), {0: 1})
     for fragment, instances in ((SIGMA22, (toy1, zt1)),
                                 (SIGMA1, (toy1, solo))):
-        first = len(compiled)
-        solve_via_mc(instances[0], 2, fragment)
-        assert len(compiled) > first, fragment
+        assert compiles(instances[0], 2, fragment), fragment
         made = len(compiled)
         r = solve_via_mc(instances[1], 2, fragment)
         assert len(compiled) == made, fragment
         assert r.solvable and validate_plan(instances[1], r.plan).valid
-    assert list(fomc._programs) == [(SIGMA22, 2), (SIGMA1, 2)]
+    assert programs.cache_info().currsize == 2
 
     # the cache holds at most PROGRAM_CACHE_SIZE programs, the least
     # recently used leaving first
+    size = fomc.PROGRAM_CACHE_SIZE
+    assert programs.cache_info().maxsize == size
     for k in range(1, SIGMA1_MAX_K + 1):
         solve_via_mc(toy1, k, SIGMA1)
-    for k in range(1, fomc.PROGRAM_CACHE_SIZE + 1):
+    for k in range(1, size + 1):
         solve_via_mc(toy1, k, SIGMA22)
-        assert len(fomc._programs) <= fomc.PROGRAM_CACHE_SIZE
-    assert list(fomc._programs) == [
-        (SIGMA22, k) for k in range(1, fomc.PROGRAM_CACHE_SIZE + 1)]
-    made = len(compiled)
-    solve_via_mc(zt1, 1, SIGMA22)
-    assert len(compiled) == made
-    assert list(fomc._programs)[-1] == (SIGMA22, 1)
+        assert programs.cache_info().currsize <= size
+    assert programs.cache_info().currsize == size
+    assert not compiles(zt1, 1, SIGMA22)  # (sigma22, 1) is now the newest
+    assert compiles(toy1, size + 1, SIGMA22)  # evicts (sigma22, 2)
+    assert not compiles(zt1, 1, SIGMA22)
+    assert compiles(zt1, 2, SIGMA22)
+    # every sigma1 program was used before every sigma22 one, so all left
+    assert compiles(toy1, SIGMA1_MAX_K, SIGMA1)
 
-    # a refusal above a cap comes before any structure is built, and is
-    # not cached away
+    # a refusal above a cap comes before any structure is built, compiles
+    # nothing and is not cached away
     def no_structure(*args):
         raise AssertionError("built a structure before the cap check")
 
     monkeypatch.setattr(fomc, "build_extended_structure", no_structure)
     monkeypatch.setattr(fomc, "build_structure", no_structure)
+    made, held = len(compiled), programs.cache_info().currsize
     for fragment, cap in ((SIGMA1, SIGMA1_MAX_K), (SIGMA22, SIGMA22_MAX_K)):
         for _ in range(2):
             with pytest.raises(ContractError):
                 solve_via_mc(toy1, cap + 1, fragment)
-        assert (fragment, cap + 1) not in fomc._programs
-    assert len(fomc._programs) == fomc.PROGRAM_CACHE_SIZE
+    assert len(compiled) == made
+    assert programs.cache_info().currsize == held == size
 
 
 def test_sigma22_cap(toy1):

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from planlab.core import Action, Instance, validate_plan
+from planlab.core import Action, Instance, commute, pack, validate_plan
 from planlab import oracle
 from planlab.generators import (HittingSetInput, MulticoloredGraph,
                                 from_hitting_set, from_mcc_03, from_mcc_ubs,
@@ -257,11 +257,10 @@ def test_plan_names_the_lowest_action_between_two_states():
 
 
 def _packed(pre, eff, width=1):
-    return oracle._masks(pre, width) + oracle._masks(eff, width)
+    return pack(pre, width) + pack(eff, width)
 
 
 def test_commute_on_hand_cases():
-    commute = oracle._commute
     sets_x = _packed({}, {0: 1})
     reads_x = _packed({0: 1}, {1: 1})
     # a read-write conflict, in either direction and either argument order
@@ -294,8 +293,8 @@ def test_successor_lists_are_built_per_last_action(monkeypatch):
         tuple(Action(f"free{i}", {}, {i: 1}) for i in range(m - 3, m))
     inst = Instance(m, 2, acts, (0,) * m, {0: 1})
     calls = []
-    real = oracle._commute
-    monkeypatch.setattr(oracle, "_commute",
+    real = oracle.commute
+    monkeypatch.setattr(oracle, "commute",
                         lambda a, b: calls.append(a) or real(a, b))
     assert oracle.shortest_plan_with_stats(inst, 1) == (None, 4)
     assert calls == []

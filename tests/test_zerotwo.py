@@ -347,13 +347,28 @@ def test_solve_zero_two_examples(zt1, toy1):
 
 
 def test_solve_zero_two_long_chain_revalidates():
-    # at k = 10^4 the chain transform makes 10,005 variables, and the
-    # extracted plan is re-validated over 10,004 steps of the transform
-    inst = Instance(2, 2, (Action("a", {}, {0: 1, 1: 1}),
-                           Action("b", {}, {0: 0})), (0, 0), {0: 1, 1: 1})
-    r = solve_zero_two(inst, 10 ** 4)
+    # the goal is padded with variables already at their goal value, so
+    # that the bound stays at k = 10^4: the chain transform makes 10^4 + 3
+    # chain variables, and the extracted plan is re-validated over 10,004
+    # steps of the transform
+    n = 10 ** 4
+    inst = Instance(n, 2, (Action("a", {}, {0: 1, 1: 1}),
+                           Action("b", {}, {0: 0})), (0,) * n,
+                    {0: 1, 1: 1, **{v: 0 for v in range(2, n)}})
+    r = solve_zero_two(inst, n)
     assert r.transformed and r.plan == (0,)
+    assert r.built_from.var_count == n + n + 3
     assert validate_plan(inst, r.plan).valid
+
+
+def test_solve_zero_two_bounds_k_by_the_goal():
+    # a shortest plan has at most |goal| steps, so k = 100,000 is solved at
+    # bound 2: the transform makes 5 chain variables, not 100,003
+    inst = Instance(2, 2, (Action("a", {}, {0: 1, 1: 1}),), (0, 0),
+                    {0: 1, 1: 1})
+    r = solve_zero_two(inst, 100_000)
+    assert r.transformed and r.plan == (0,)
+    assert r.dst.node_count == 8
 
 
 def test_solve_zero_two_goal_already_met():
