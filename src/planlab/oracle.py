@@ -50,7 +50,24 @@ it is) or P[j] itself (b overwrites it) gives a shorter path.  Either way
 t.b is recorded before the search tries b from t, so every first discovery
 survives: the recorded parents, the frontier order, the visited count,
 the point at which the budget runs out and the plan are those of the
-search that tries every action.
+search that tries every action, under the bound below.
+
+Bound: fixes is the most goal variables that one action sets to their
+goal value, and unmet(t) the number of goal variables whose field in t
+differs from the goal (each differing field's bits OR-ed onto its low
+bit, then counted).  A successor first reached at depth d is dropped when
+unmet(t) > (k - d) * fixes: it is not recorded, not counted against the
+budget and not expanded.  At depth k only a goal state is kept.  One step
+lowers unmet by at most fixes, so in the parent tree of the search without
+the bound every child of a dropped state is dropped too, and every state
+one step before a kept state is kept.  The search with the bound thus
+records exactly that tree's kept states, from the same parents, with the
+same skip masks and in the same order; a skipped t.b that the unbounded
+search recorded earlier was either kept then or dropped, and it would be
+dropped again from t, one level deeper.  The first goal state (unmet 0)
+is always kept, so plans and verdicts are those of the search that tries
+every action, and the visited count is its count of kept states:
+planlab.reference.plain_bfs with bounded=True.
 """
 
 from __future__ import annotations
@@ -83,7 +100,7 @@ def shortest_plan_with_stats(instance: Instance, k: int,
                              budget: int = DEFAULT_BUDGET):
     """(shortest plan or None, states visited).  Raises BudgetExhausted once
     more than `budget` states have been visited, the initial state
-    included."""
+    included; states the bound drops are not visited."""
     if k < 0:
         raise ValueError("k must be non-negative")
     if budget < 1:
@@ -91,8 +108,17 @@ def shortest_plan_with_stats(instance: Instance, k: int,
     width, acts = pack_actions(instance)
     _, init = pack(dict(enumerate(instance.init)), width)
     goal_mask, goal_bits = pack(instance.goal, width)
-    if init & goal_mask == goal_bits:
+    unmet = sum(instance.init[v] != x for v, x in instance.goal.items())
+    if not unmet:
         return (), 1
+    fixes = max((sum(instance.goal.get(v) == x for v, x in a.eff.items())
+                 for a in instance.actions), default=0)
+    if unmet > k * fixes:
+        return None, 1
+    # the goal fields' low bits; a state's differing goal bits are folded
+    # onto them, one bit per unmet goal variable
+    _, goal_low = pack(dict.fromkeys(instance.goal, 1), width)
+    folds = range(width - 1)
     # each state's parent; the action taken from it is found again by
     # _reconstruct
     parent = {init: None}
@@ -107,7 +133,9 @@ def shortest_plan_with_stats(instance: Instance, k: int,
     # distinct pair; its own mask is worked out when it is expanded, so the
     # states of the last level cost nothing
     frontier, reached = [init], [(0, -1)]
-    for _depth in range(k):
+    for depth in range(1, k + 1):
+        # the most goal variables a kept state of this depth may miss
+        allowance = (k - depth) * fixes
         next_frontier, next_reached = [], []
         for s, (held, last) in zip(frontier, reached):
             rule = rules.get(last)
@@ -125,10 +153,16 @@ def shortest_plan_with_stats(instance: Instance, k: int,
                 t = (s & ~em) | eb
                 if t in parent:
                     continue
+                miss = (t ^ goal_bits) & goal_mask
+                if width > 1:
+                    for _ in folds:
+                        miss |= miss >> 1
+                if (miss & goal_low).bit_count() > allowance:
+                    continue
                 parent[t] = s
                 if len(parent) > budget:
                     raise BudgetExhausted(len(parent))
-                if t & goal_mask == goal_bits:
+                if not miss:
                     return _reconstruct(parent, acts, t), len(parent)
                 next_frontier.append(t)
                 next_reached.append(how)

@@ -8,7 +8,10 @@ the CLI, imports this module; tests do.
   core.validate_plan.
 - plain_bfs: breadth-first search over state tuples that tries every
   action, in id order, from every state; the oracle without packing or
-  skip masks.
+  skip masks.  With bounded=True it also drops every state that misses
+  more goal variables than the remaining steps can set, by the most goal
+  variables one action sets, as the oracle does; without it, it is the
+  search whose plans the oracle must keep.
 - is_minimal_plan, enumerate_minimal_plans: brute force over action
   sequences; the minimal plans that post-unique enumerates.
 - brute_force_hitting_set, has_multicolored_clique: the source problems of
@@ -43,27 +46,42 @@ def _holds(state: TotalState, cond: PartialState) -> bool:
     return all(state[v] == x for v, x in cond.items())
 
 
-def plain_bfs(instance: Instance, k: int, budget: int
+def plain_bfs(instance: Instance, k: int, budget: int, bounded: bool = False
               ) -> Tuple[Union[Plan, None, str], int]:
     """(plan or None, visited), or ("exhausted", visited) once more than
     `budget` states are visited, the initial state included.  The plan is
     the first one found, so the lexicographically smallest among the
-    shortest."""
+    shortest.
+
+    bounded: let fixes be the most goal variables one action sets to their
+    goal value, and unmet(t) the number of goal variables whose value in t
+    differs from the goal.  A state first reached at depth d is dropped,
+    neither visited nor expanded, when unmet(t) > (k - d) * fixes, and an
+    initial state with unmet > k * fixes answers (None, 1)."""
     if budget < 1:
         return "exhausted", 1
     init = tuple(instance.init)
     if _holds(init, instance.goal):
         return (), 1
+    fixes = max((sum(instance.goal.get(v) == x for v, x in act.eff.items())
+                 for act in instance.actions), default=0)
+
+    def hopeless(state, depth):
+        unmet = sum(state[v] != x for v, x in instance.goal.items())
+        return bounded and unmet > (k - depth) * fixes
+
+    if hopeless(init, 0):
+        return None, 1
     parent = {init: None}
     frontier = [init]
-    for _ in range(k):
+    for depth in range(1, k + 1):
         next_frontier = []
         for s in frontier:
             for aid, act in enumerate(instance.actions):
                 if not _holds(s, act.pre):
                     continue
                 t = apply_action(s, act)
-                if t in parent:
+                if t in parent or hopeless(t, depth):
                     continue
                 parent[t] = (s, aid)
                 if len(parent) > budget:

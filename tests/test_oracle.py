@@ -101,11 +101,13 @@ def test_budget_exhaustion_is_distinct():
     assert err.value.visited == 11
     assert shortest_plan(inst, 8) is not None
     # 3 ternary variables, each settable to 1 or 2: the search stops on the
-    # state one past the budget
+    # state one past the budget; at k = 3 it keeps 8 states (only those
+    # that set a variable to 2), so a budget of 7 runs out on the goal
     acts = tuple(Action(f"s{v}x{x}", {}, {v: x})
                  for v in range(3) for x in (1, 2))
     inst = Instance(3, 3, acts, (0, 0, 0), {v: 2 for v in range(3)})
-    for budget in (1, 5, 12):
+    assert plain_bfs(inst, 3, DEFAULT_BUDGET, bounded=True) == ((1, 3, 5), 8)
+    for budget in (1, 5, 7):
         with pytest.raises(BudgetExhausted) as err:
             shortest_plan(inst, 3, budget=budget)
         assert err.value.visited == budget + 1
@@ -153,10 +155,10 @@ def test_binary_path_beyond_64_variables():
     inst = Instance(n, 2, acts, init, {64: 1, 0: 0, 70: 1})
     assert shortest_plan(inst, 4) == (0, 1, 4)
     assert shortest_plan(inst, 2) is None
-    assert oracle.shortest_plan_with_stats(inst, 4) == ((0, 1, 4), 12)
+    assert oracle.shortest_plan_with_stats(inst, 4) == ((0, 1, 4), 11)
     # the same instance over a ternary domain: 2-bit fields, 144-bit states
     ternary = Instance(n, 3, acts, init, {64: 1, 0: 0, 70: 1})
-    assert oracle.shortest_plan_with_stats(ternary, 4) == ((0, 1, 4), 12)
+    assert oracle.shortest_plan_with_stats(ternary, 4) == ((0, 1, 4), 11)
 
 
 def _oracle_outcome(inst, k, budget):
@@ -184,18 +186,31 @@ def _random_graph(rng, parts, per_part):
     return MulticoloredGraph(parts, per_part, edges)
 
 
+def _agrees_with_plain_bfs(inst, k, budget):
+    """The oracle's outcome equals the bounded plain search's: plan, visited
+    count and exhaustion point.  Wherever the unbounded plain search
+    answers, the oracle gives its plan from no more visited states.
+    Returns the bounded outcome."""
+    got = _oracle_outcome(inst, k, budget)
+    bounded = plain_bfs(inst, k, budget, bounded=True)
+    assert got == bounded, (inst, k, budget)
+    plan, visited = plain_bfs(inst, k, budget)
+    if plan != "exhausted":
+        assert got[0] == plan and got[1] <= visited, (inst, k, budget)
+    return bounded
+
+
 def test_matches_a_plain_bfs_that_tries_every_action():
-    # the pruned search keeps the plain search's plan, visited count and
-    # budget-exhaustion point, with and without preconditions
+    # the pruned search keeps the plain search's plan, and the bounded plain
+    # search's visited count and budget-exhaustion point, with and without
+    # preconditions
     rng = random.Random(20260417)
     exhausted = 0
     for _ in range(600):
         inst = _random_class_instance(rng)
         k = rng.randint(0, 6)
         budget = rng.choice([1, 3, 8, 20, 60, DEFAULT_BUDGET])
-        want = plain_bfs(inst, k, budget)
-        assert _oracle_outcome(inst, k, budget) == want, (inst, k, budget)
-        exhausted += want[0] == "exhausted"
+        exhausted += _agrees_with_plain_bfs(inst, k, budget)[0] == "exhausted"
     for reduce, parts, per_part in [(from_mcc_03, 3, 1), (from_mcc_03, 3, 2),
                                     (from_mcc_03, 4, 2), (from_mcc_ubs, 3, 1),
                                     (from_mcc_ubs, 3, 2), (from_mcc_ubs, 4, 2)]:
@@ -203,16 +218,14 @@ def test_matches_a_plain_bfs_that_tries_every_action():
             inst, bound = reduce(_random_graph(rng, parts, per_part))
             for k, budget in [(bound, 4000), (bound - 1, 4000),
                               (bound, rng.randint(10, 400))]:
-                want = plain_bfs(inst, k, budget)
-                assert _oracle_outcome(inst, k, budget) == want, (
-                    reduce.__name__, parts, per_part, k, budget)
+                want = _agrees_with_plain_bfs(inst, k, budget)
                 exhausted += want[0] == "exhausted"
     assert exhausted >= 30
 
 
 def test_skip_mask_hand_cases():
     # each instance's plan needs a successor that a looser skip rule would
-    # drop; the search must agree with the plain one at every bound
+    # drop; the search must agree with the plain one at every k and budget
     x, y, z = 0, 1, 2
     cases = [
         # b writes every field a writes but reads one of them: s.a.b is no
@@ -241,8 +254,7 @@ def test_skip_mask_hand_cases():
         assert shortest_plan(inst, len(plan)) == plan
         for k in range(len(plan) + 2):
             for budget in (0, 1, 2, 3, 4, DEFAULT_BUDGET):
-                assert _oracle_outcome(inst, k, budget) == plain_bfs(
-                    inst, k, budget), (inst, k, budget)
+                _agrees_with_plain_bfs(inst, k, budget)
 
 
 def test_plan_names_the_lowest_action_between_two_states():
@@ -286,18 +298,93 @@ def test_commute_on_hand_cases():
 def test_successor_lists_are_built_per_last_action(monkeypatch):
     # 300 actions, of which only the last three apply anywhere: comm[a] and
     # base[a] are built in one pass of m tests the first time a is a state's
-    # last action, not as an m x m table, and never for the states of the
-    # last level, which are not expanded
+    # last action, not as an m x m table, and never for the initial state,
+    # whose rule is fixed.  gate0 sets the goal variable but never applies:
+    # one step can fix the goal, so the states one step short of k are kept
+    # and expanded, and those of depth k are dropped
     m = 300
-    acts = tuple(Action(f"gate{i}", {i: 1}, {i: 0}) for i in range(m - 3)) + \
+    acts = (Action("gate0", {1: 1}, {0: 1}),) + \
+        tuple(Action(f"gate{i}", {i: 1}, {i: 0}) for i in range(1, m - 3)) + \
         tuple(Action(f"free{i}", {}, {i: 1}) for i in range(m - 3, m))
     inst = Instance(m, 2, acts, (0,) * m, {0: 1})
     calls = []
     real = oracle.commute
     monkeypatch.setattr(oracle, "commute",
                         lambda a, b: calls.append(a) or real(a, b))
-    assert oracle.shortest_plan_with_stats(inst, 1) == (None, 4)
+    assert oracle.shortest_plan_with_stats(inst, 1) == (None, 1)
     assert calls == []
-    assert oracle.shortest_plan_with_stats(inst, 2) == (None, 7)
+    assert oracle.shortest_plan_with_stats(inst, 2) == (None, 4)
     last_actions = 3  # free297, free298 and free299 each reach one state
     assert 0 < len(calls) <= m * last_actions
+
+
+# The goal-count bound: a state first reached at depth d is dropped when it
+# misses more goal variables than (k - d) steps of the action that sets the
+# most goal variables could set.
+
+def test_bound_counts_a_wide_field_once():
+    # 2-bit fields: goal value 3 differs from 0 in both bits, and folding
+    # moves field 1's low bit into field 0's high bit; variable 1 counts
+    # once, so one step can still fix it and only the noise state is dropped
+    inst = Instance(3, 4, (Action("noise", {}, {2: 3}),
+                           Action("set", {}, {1: 3})),
+                    (0, 0, 0), {0: 0, 1: 3})
+    assert oracle.shortest_plan_with_stats(inst, 1) == ((1,), 2)
+    # goal value 2 differs from 0 in the high bit only, which the fold
+    # brings down to the low bit that is counted
+    inst = Instance(2, 3, (Action("noise", {}, {1: 1}),
+                           Action("set", {}, {0: 2})),
+                    (0, 0), {0: 2})
+    assert oracle.shortest_plan_with_stats(inst, 1) == ((1,), 2)
+    for k in range(4):
+        _agrees_with_plain_bfs(inst, k, DEFAULT_BUDGET)
+
+
+def test_bound_divides_by_the_most_goal_variables_one_action_sets():
+    # "both" sets two goal variables: fixes = 2, so the initial state's two
+    # unmet variables fit in k = 1, and the noise state does not
+    inst = Instance(3, 2, (Action("noise", {}, {2: 1}),
+                           Action("one", {}, {0: 1}),
+                           Action("both", {}, {0: 1, 1: 1})),
+                    (0, 0, 0), {0: 1, 1: 1})
+    assert oracle.shortest_plan_with_stats(inst, 1) == ((2,), 2)
+    for k in range(4):
+        _agrees_with_plain_bfs(inst, k, DEFAULT_BUDGET)
+
+
+def test_no_action_sets_the_goal():
+    # fixes = 0: an unmet goal is out of reach at every k, and the search
+    # stops on the initial state
+    inst = Instance(2, 2, (Action("wrong", {}, {0: 0}),
+                           Action("other", {}, {1: 1})),
+                    (0, 0), {0: 1})
+    for k in range(4):
+        assert oracle.shortest_plan_with_stats(inst, k) == (None, 1)
+        assert plain_bfs(inst, k, DEFAULT_BUDGET, bounded=True) == (None, 1)
+    assert plain_bfs(inst, 3, DEFAULT_BUDGET) == (None, 2)
+
+
+def test_bound_keeps_the_plan_well_above_the_optimum():
+    # the optimum is (a, b) at length 2; at k = 5 reset's state (all four
+    # goal variables unmet) is kept at depth 1, and its successor that
+    # fixes none of them is dropped at depth 2
+    inst = Instance(5, 2, (Action("reset", {}, {0: 0, 1: 0, 2: 0, 3: 0}),
+                           Action("noise", {}, {4: 1}),
+                           Action("a", {}, {2: 1}),
+                           Action("b", {}, {3: 1})),
+                    (1, 1, 0, 0, 0), {v: 1 for v in range(4)})
+    unbounded = plain_bfs(inst, 5, DEFAULT_BUDGET)
+    assert unbounded[0] == (2, 3)
+    plan, visited = _agrees_with_plain_bfs(inst, 5, DEFAULT_BUDGET)
+    assert plan == (2, 3) and visited < unbounded[1]
+
+
+def test_no_non_goal_state_of_depth_k_is_recorded():
+    # a chain whose goal lies 4 steps away: below k = 4 the states of depths
+    # 0 .. k - 1 are recorded, and the chain's state at depth k is not
+    acts = tuple(Action(f"step{i}", {i: 1}, {i + 1: 1}) for i in range(4))
+    inst = Instance(5, 2, acts, (1, 0, 0, 0, 0), {4: 1})
+    for k in range(1, 4):
+        assert oracle.shortest_plan_with_stats(inst, k) == (None, k)
+        assert plain_bfs(inst, k, DEFAULT_BUDGET) == (None, k + 1)
+    assert oracle.shortest_plan_with_stats(inst, 4) == ((0, 1, 2, 3), 5)
