@@ -4,19 +4,22 @@ Stages, run at bound k' = min(k, |goal|) (see solve_zero_two): (1) a chain
 transform that removes good actions with two effects, raising the bound
 from k' to k'*(k'+3)+1; (2) a reduction to directed Steiner tree -- good
 actions become root arcs, mixed actions arcs from their bad to their good
-variable; (3) the Dreyfus-Wagner dynamic program over terminal subsets,
-pruned to the entries a tree within the bound can use; (4) plan extraction
-by walking the tree bottom-up.
+variable; (3) twin-sink contraction: of each group of sink terminals with
+the same in-neighbours one stays, and the bound drops by one per twin
+dropped; (4) the Dreyfus-Wagner dynamic program over the remaining terminal
+subsets, pruned to the entries a tree within the bound can use, with the
+dropped twins hung back off their representative's parent; (5) plan
+extraction by walking the tree bottom-up.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .core import (Action, BAD, ContractError, GOOD, Instance, MIXED, Plan,
-                   classify, delta_vars, effect_polarity, validate_plan)
+                   delta_vars, effect_polarity, validate_plan)
 
 ROOT = 0  # Steiner node 0 is the root; variable v is node v + 1
 
@@ -59,18 +62,22 @@ class ZeroTwoResult:
     solution: Optional[DstSolution]
 
 
-def _require_zero_two(instance: Instance) -> None:
-    profile = classify(instance)
-    if profile.max_pre != 0 or profile.max_eff > 2:
+def _require_zero_two(action: Action) -> None:
+    """The (0,2) contract for one action: no precondition, at most two
+    effects."""
+    if action.pre or len(action.eff) > 2:
         raise ContractError(
-            f"instance is not (0,2): max_pre={profile.max_pre} "
-            f"max_eff={profile.max_eff}")
+            f"instance is not (0,2): action {action.name!r} has "
+            f"{len(action.pre)} preconditions and {len(action.eff)} effects")
 
 
 def _has_two_effect_good_action(instance: Instance) -> bool:
-    return any(effect_polarity(instance, a).action == GOOD
-               and len(instance.actions[a].eff) == 2
-               for a in range(len(instance.actions)))
+    """Whether some action sets two variables, each to its goal value or
+    outside the goal: effect_polarity's GOOD, tested without building it."""
+    goal = instance.goal
+    return any(len(a.eff) == 2
+               and all(goal.get(v, x) == x for v, x in a.eff.items())
+               for a in instance.actions)
 
 
 def _fresh(name: str, taken: Set[str]) -> str:
@@ -90,7 +97,8 @@ def eliminate_two_effect_good_actions(instance: Instance,
     actions with the same net payload; afterwards no good action touches
     two variables.  Bad and empty-effect actions are dropped (they never
     help a plan here)."""
-    _require_zero_two(instance)
+    for action in instance.actions:
+        _require_zero_two(action)
     if k < 0:
         raise ValueError("k must be non-negative")
 
@@ -154,9 +162,9 @@ def build_dst(instance: Instance, bound: int) -> SteinerInstance:
     """Arc rules: a good action's single variable hangs off the root; a mixed
     action points from its bad to its good variable.  Bad actions are
     dropped.  Parallel candidates collapse to the smallest action id."""
-    _require_zero_two(instance)
     arc_action: Dict[Tuple[int, int], int] = {}
-    for aid in range(len(instance.actions)):
+    for aid, action in enumerate(instance.actions):
+        _require_zero_two(action)
         polarity = effect_polarity(instance, aid)
         if polarity.action == BAD or not polarity.effects:
             continue
@@ -196,6 +204,55 @@ def _bfs(adj: List[List[int]], s: int) -> Dict[int, int]:
     return dist
 
 
+def _contract_twin_sinks(dst: SteinerInstance
+                         ) -> Tuple[SteinerInstance, Dict[int, List[int]]]:
+    """Keep the smallest terminal of each group of g >= 2 sink terminals
+    (no out-arcs, not the root) that share one in-neighbour set, drop the
+    other twins and the arcs into them, and lower the bound by g - 1 per
+    group.  Returns the contracted instance and, per kept terminal, the
+    twins it stands for.
+
+    Exact: a sink terminal is a leaf of every arborescence, hung by one arc
+    from one of its in-neighbours.  Cutting the twins' leaf arcs off an
+    optimal tree leaves a tree over the kept terminals, and a twin hangs
+    off any parent of its representative, as they share in-neighbours; so
+    the optimum moves by exactly the number of twins dropped.  A bound that
+    goes negative leaves no tree, which dreyfus_wagner reports as None."""
+    tails = {tail for tail, _ in dst.arcs}
+    preds: Dict[int, Set[int]] = {}
+    for tail, head in dst.arcs:
+        preds.setdefault(head, set()).add(tail)
+    groups: Dict[FrozenSet[int], List[int]] = {}
+    for t in sorted(set(dst.terminals) - tails - {ROOT}):
+        groups.setdefault(frozenset(preds.get(t, ())), []).append(t)
+    twins = {group[0]: group[1:] for group in groups.values()
+             if len(group) > 1}
+    if not twins:
+        return dst, twins
+    dropped = {t for group in twins.values() for t in group}
+    return SteinerInstance(
+        node_count=dst.node_count,
+        arcs=tuple(arc for arc in dst.arcs if arc[1] not in dropped),
+        arc_action=dst.arc_action,
+        terminals=tuple(t for t in dst.terminals if t not in dropped),
+        bound=dst.bound - len(dropped)), twins
+
+
+def _steiner_tree(dst: SteinerInstance) -> Optional[DstSolution]:
+    """dreyfus_wagner on the twin-contracted instance, with every dropped
+    twin hung back off its representative's parent; the table's cells are
+    those of the contracted run."""
+    contracted, twins = _contract_twin_sinks(dst)
+    solution = dreyfus_wagner(contracted)
+    if solution is None or not twins:
+        return solution
+    parent = {head: tail for tail, head in solution.arcs}
+    hung = [(parent[rep], t) for rep, group in twins.items() for t in group]
+    return DstSolution(solution.weight + len(hung),
+                       tuple(sorted(solution.arcs + tuple(hung))),
+                       solution.cells)
+
+
 def dreyfus_wagner(dst: SteinerInstance) -> Optional[DstSolution]:
     """Minimum-weight arborescence from the root covering all terminals,
     or None when the optimum exceeds the bound or a terminal is unreachable.
@@ -204,8 +261,9 @@ def dreyfus_wagner(dst: SteinerInstance) -> Optional[DstSolution]:
     subset `mask`.  Only entries with f[mask][v] + dist(root, v) <= bound are
     kept: any tree within the bound that uses an entry also holds a root path
     to its node, so the kept entries are exact and the dropped ones are never
-    needed.  Each subset merges its splits at a common node (a singleton
-    starts from its terminal alone, at cost 0), then relaxes the merged
+    needed.  Each subset merges its splits at a common join node -- a
+    terminal or a node with two or more out-arcs (a singleton starts from
+    its terminal alone, at cost 0) -- then relaxes the merged
     costs backwards along the unit arcs with a Dijkstra sweep (Erickson,
     Monma & Veinott 1987) keyed on (cost, merge node, node, next hop), and
     records each node's merge node and next hop toward it.  The tree is
@@ -213,7 +271,16 @@ def dreyfus_wagner(dst: SteinerInstance) -> Optional[DstSolution]:
     then to the smallest next hop, so each path segment of the tree is the
     lexicographically smallest shortest path to its merge node, whatever the
     order of dst.arcs.  Splits are tried in a fixed order and only a
-    strictly cheaper one replaces the last."""
+    strictly cheaper one replaces the last.
+
+    Merging only at join nodes changes neither f nor the choices.  Every
+    tree covering a nonempty subset A from a non-terminal u with one
+    out-arc starts with that arc.  Following such arcs from u reaches a
+    join node j after d >= 1 arcs (or no tree exists), so f[A][u] =
+    f[A][j] + d, and f[A][j] is kept whenever f[A][u] is.  A split merged
+    at u would cost 2d more than the same split merged at j, while the
+    sweep reaches u from j at only d more: a merge at u is strictly beaten
+    before it is popped, so it never sets an entry."""
     terms = dst.terminals
     t_count = len(terms)
     if t_count > MAX_TERMINALS:
@@ -234,8 +301,13 @@ def dreyfus_wagner(dst: SteinerInstance) -> Optional[DstSolution]:
     if len(set(terms) - {ROOT}) > bound:
         return None  # each such terminal is the head of its own arc
 
+    is_join = [len(out) > 1 for out in adj]
+    for t in terms:
+        is_join[t] = True
+
     full = (1 << t_count) - 1
     f: List[Dict[int, int]] = [{} for _ in range(full + 1)]
+    joins: List[Dict[int, int]] = [{} for _ in range(full + 1)]  # f at joins
     # choice[mask][v]: (submask, merge node, next hop toward it); the submask
     # is 0 for a leaf, and a merge node is its own next hop
     choice: List[Dict[int, Tuple[int, int, int]]] = [
@@ -251,7 +323,7 @@ def dreyfus_wagner(dst: SteinerInstance) -> Optional[DstSolution]:
         sub = (mask - 1) & mask
         while sub:
             if sub & low:  # enumerate each split once
-                small, large = f[sub], f[mask ^ sub]
+                small, large = joins[sub], joins[mask ^ sub]
                 if len(small) > len(large):
                     small, large = large, small
                 for u, cost in small.items():
@@ -266,13 +338,15 @@ def dreyfus_wagner(dst: SteinerInstance) -> Optional[DstSolution]:
             sub = (sub - 1) & mask
         heap = [(cost, u, u, u) for u, cost in merged.items()]
         heapq.heapify(heap)
-        fm, cm = f[mask], choice[mask]
+        fm, cm, jm = f[mask], choice[mask], joins[mask]
         while heap:
             cost, u, w, hop = heapq.heappop(heap)
             if w in fm:
                 continue
             fm[w] = cost
             cm[w] = (merged_choice[u], u, hop)
+            if is_join[w]:
+                jm[w] = cost
             cost += 1
             for x in radj[w]:
                 if x not in fm and cost + droot.get(x, INF) <= bound:
@@ -331,7 +405,8 @@ def solve_zero_two(instance: Instance, k: int) -> ZeroTwoResult:
     the verdict at k is the verdict at k'.  The transform is skipped when
     the input already has no two-effect good action, keeping the Steiner
     bound at k'.  The first stage that runs, the transform or build_dst,
-    checks the (0,2) contract."""
+    checks the (0,2) contract; the result's dst and solution are the
+    uncontracted graph and the tree over all of its terminals."""
     if k < 0:
         raise ValueError("k must be non-negative")
 
@@ -342,7 +417,7 @@ def solve_zero_two(instance: Instance, k: int) -> ZeroTwoResult:
         work, bound = transform.instance, transform.bound
 
     dst = build_dst(work, bound)
-    solution = dreyfus_wagner(dst)
+    solution = _steiner_tree(dst)
     if solution is None:
         return ZeroTwoResult(None, transform is not None, work, dst, None)
 

@@ -379,6 +379,42 @@ def test_oracle_plan_and_visited_pinned(capsys, tmp_path, generate, plan,
     assert solved["stats"] == {"visited_states": visited}
 
 
+COMPOSE_02_COMPONENTS = (
+    # two steps, so unsolvable at k = 1
+    "vars 2\ndomain 2\ninit 0 0\ngoal 0=1 1=1\n"
+    "action a pre eff 0=1\naction b pre eff 1=1 0=0\n",
+    "vars 1\ndomain 2\ninit 0\ngoal 0=1\naction flip pre eff 0=1\n",
+    # a two-effect good action
+    "vars 2\ndomain 2\ninit 0 0\ngoal 0=1 1=1\naction ab pre eff 0=1 1=1\n",
+)
+
+
+@pytest.mark.parametrize("k, bound, length, cells", [(1, 21, 20, 102),
+                                                     (3, 77, 64, 406)])
+def test_compose_02_dp_cells_pinned(capsys, tmp_path, k, bound, length,
+                                    cells):
+    """The Dreyfus-Wagner table size on one fixed three-component
+    composition.  Its terminals b_1..b_k' are sinks, and b_2..b_k' share
+    their in-neighbours, so twin contraction leaves two of them (k = 1:
+    1,139 cells over 5 terminals without it; k = 3: 19 terminals, beyond
+    reach without it)."""
+    argv = ["generate", "compose-02", "--k", str(k)]
+    for i, text in enumerate(COMPOSE_02_COMPONENTS):
+        path = tmp_path / f"c{i}.sasp"
+        path.write_text("SASP 1\n" + text)
+        argv += ["--component", str(path)]
+    comp = tmp_path / "comp.sasp"
+    code, out = run(capsys, *argv, "--out", str(comp))
+    assert code == 0 and out["expected_bound"] == bound
+    code, out = run(capsys, "solve", str(comp), str(bound), "--solver",
+                    "zero-two", "--stats")
+    assert code == 0 and out["length"] == length
+    assert out["stats"] == {"transformed": False,
+                            "steiner_nodes": 54 if k == 1 else 160,
+                            "steiner_arcs": 62 if k == 1 else 196,
+                            "dp_cells": cells}
+
+
 def test_generate_compose(capsys, tmp_path, toy_file):
     out_path = tmp_path / "pub.sasp"
     code, out = run(capsys, "generate", "compose-pub",

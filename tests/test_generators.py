@@ -453,6 +453,15 @@ def test_compose_zero_two_exact_random_components_k2():
         check_compose_zero_two(rng, 2, pattern)
 
 
+@pytest.mark.parametrize("t", [2, 3, 4])
+def test_compose_zero_two_exact_random_components_k3(t):
+    """At k = 3 the composition has k' = 19 terminals b_j; twin-sink
+    contraction leaves Dreyfus-Wagner a few of them."""
+    rng = random.Random(f"compose-02/k3/{t}")
+    for pattern in zero_two_patterns(t):
+        check_compose_zero_two(rng, 3, pattern)
+
+
 def draw_near_miss_component(rng: random.Random, k: int,
                              over: int) -> Instance:
     """A component whose shortest plan is exactly k + over steps: a random
@@ -476,7 +485,8 @@ def draw_near_miss_component(rng: random.Random, k: int,
 
 
 @pytest.mark.parametrize("k, t, shifts", [(1, 2, 3), (1, 3, 3), (1, 4, 3),
-                                          (2, 2, 2), (2, 3, 1)])
+                                          (2, 2, 2), (2, 3, 1),
+                                          (3, 2, 3), (3, 3, 3), (3, 4, 3)])
 def test_compose_zero_two_near_misses_stay_unsolvable(k, t, shifts):
     """The reverse direction in its strong form: components whose shortest
     plans are 1-3 steps over k leave the composition unsolvable at k''.

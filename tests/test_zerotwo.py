@@ -1,4 +1,5 @@
 import random
+from typing import Optional
 
 import pytest
 
@@ -8,7 +9,8 @@ from planlab.generators import random_instance
 from planlab.oracle import shortest_plan
 from planlab.reference import (brute_force_steiner, enumerate_minimal_plans,
                                reaches_all_terminals)
-from planlab.zerotwo import (MAX_TERMINALS, ROOT, SteinerInstance, build_dst,
+from planlab.zerotwo import (MAX_TERMINALS, ROOT, SteinerInstance,
+                             _contract_twin_sinks, _steiner_tree, build_dst,
                              dreyfus_wagner, eliminate_two_effect_good_actions,
                              extract_plan, solve_zero_two, steiner_to_dot)
 
@@ -291,6 +293,121 @@ def test_dw_terminal_cap_checked_before_early_exits():
                           tuple(range(1, count + 1)), count - 1)
     with pytest.raises(ContractError):
         dreyfus_wagner(dst)
+
+
+# ---------------------------------------------------------------------------
+# Twin sink contraction
+# ---------------------------------------------------------------------------
+
+def steiner(n, arcs, terminals, bound) -> SteinerInstance:
+    arcs = tuple(sorted(set(arcs)))
+    return SteinerInstance(n, arcs, {a: i for i, a in enumerate(arcs)},
+                           tuple(terminals), bound)
+
+
+def check_against_brute_force(dst: SteinerInstance) -> Optional[int]:
+    """_steiner_tree at bounds one below, at and one above the optimum:
+    its weight is brute_force_steiner's, and its arcs reach every
+    terminal.  Returns the optimum."""
+    opt = brute_force_steiner(dst)
+    for slack in (-1, 0, 1):
+        bound = (len(dst.terminals) if opt is None else opt) + slack
+        at = SteinerInstance(dst.node_count, dst.arcs, dst.arc_action,
+                             dst.terminals, bound)
+        got = _steiner_tree(at)
+        if opt is None or opt > bound:
+            assert got is None, at
+        else:
+            assert got is not None and got.weight == opt, at
+            assert len(set(got.arcs)) == len(got.arcs) == opt
+            assert set(got.arcs) <= set(at.arcs)
+            assert reaches_all_terminals(at, got.arcs), at
+    return opt
+
+
+@pytest.mark.parametrize("group", [2, 3, 4])
+def test_twin_sinks_match_brute_force(group):
+    """Random graphs with a planted group of twin sink terminals whose
+    shared in-neighbours are drawn from the graph (the root included, and
+    sometimes none at all)."""
+    rng = random.Random(f"twins/{group}")
+    seen = {"solved": 0, "none": 0}
+    for _ in range(60):
+        n = rng.randint(2, 5)
+        # most nodes hang off an earlier one, so that most draws are solvable
+        arcs = [(rng.randrange(v), v) for v in range(1, n)
+                if rng.random() < 0.8]
+        arcs += [(rng.randrange(n), rng.randrange(1, n))
+                 for _ in range(rng.randint(0, 3))]
+        arcs = [a for a in arcs if a[0] != a[1]]
+        preds = rng.sample(range(n), rng.randint(0, min(2, n)))
+        twins = range(n, n + group)
+        arcs += [(p, t) for p in preds for t in twins]
+        terminals = sorted(rng.sample(range(1, n), rng.randint(0, n - 1))
+                           + list(twins))
+        dst = steiner(n + group, arcs, terminals, n + group)
+        small, kept = _contract_twin_sinks(dst)
+        # a base terminal with the same in-neighbours may join the group
+        rep = next(r for r, twin in kept.items() if n + 1 in twin)
+        assert set(twins) - {rep} <= set(kept[rep])
+        dropped = len(terminals) - len(small.terminals)
+        assert dropped == sum(map(len, kept.values())) >= group - 1
+        assert small.bound == dst.bound - dropped
+        seen["none" if check_against_brute_force(dst) is None
+             else "solved"] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_twins_off_the_root():
+    dst = steiner(4, [(ROOT, 1), (ROOT, 2), (ROOT, 3)], (1, 2, 3), 3)
+    small, kept = _contract_twin_sinks(dst)
+    assert kept == {1: [2, 3]}
+    assert (small.terminals, small.bound, small.arcs) == ((1,), 1,
+                                                          ((ROOT, 1),))
+    sol = _steiner_tree(dst)
+    assert (sol.weight, sol.arcs) == (3, dst.arcs)
+    check_against_brute_force(dst)
+
+
+def test_twins_without_in_arcs():
+    dst = steiner(4, [(ROOT, 1)], (2, 3), 5)
+    assert _contract_twin_sinks(dst)[1] == {2: [3]}
+    assert _steiner_tree(dst) is None
+    check_against_brute_force(dst)
+
+
+def test_terminal_with_out_arcs_is_not_a_twin():
+    # terminals 1 and 2 both hang off the root alone, but 1 has an out-arc,
+    # so it is no sink; only the sinks 2 and 4 pair up
+    dst = steiner(5, [(ROOT, 1), (ROOT, 2), (ROOT, 4), (1, 3)],
+                  (1, 2, 3, 4), 4)
+    small, kept = _contract_twin_sinks(dst)
+    assert kept == {2: [4]} and small.terminals == (1, 2, 3)
+    check_against_brute_force(dst)
+    alone = steiner(4, [(ROOT, 1), (ROOT, 2), (1, 3)], (1, 2, 3), 3)
+    assert _contract_twin_sinks(alone) == (alone, {})
+    check_against_brute_force(alone)
+
+
+def test_bound_below_the_twin_count():
+    arcs = [(ROOT, 1), (1, 2), (1, 3), (1, 4), (1, 5)]
+    for bound in range(6):
+        dst = steiner(6, arcs, (2, 3, 4, 5), bound)
+        small, _ = _contract_twin_sinks(dst)
+        assert small.terminals == (2,) and small.bound == bound - 3
+        sol = _steiner_tree(dst)
+        assert (sol is None) == (bound < 5), bound
+        if sol is not None:
+            assert sol.arcs == tuple(sorted(arcs))
+
+
+def test_contraction_keeps_the_table_small():
+    # eight twins under one node: one terminal reaches the table
+    arcs = [(ROOT, 1)] + [(1, t) for t in range(2, 10)]
+    dst = steiner(10, arcs, tuple(range(2, 10)), 9)
+    sol = _steiner_tree(dst)
+    assert sol.weight == 9 and sol.arcs == tuple(sorted(arcs))
+    assert sol.cells < dreyfus_wagner(dst).cells
 
 
 # ---------------------------------------------------------------------------
