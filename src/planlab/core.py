@@ -212,6 +212,26 @@ def delta_vars(instance: Instance) -> Tuple[int, ...]:
     return diff_set(instance, instance.goal)
 
 
+def goal_count(instance: Instance) -> Tuple[int, int]:
+    """(unmet, fixes): the number of goal variables whose initial value
+    differs from the goal, and the most goal variables that one action sets
+    to their goal value.  A step fixes at most `fixes` goal variables, so a
+    plan of k steps exists only if unmet <= k * fixes: Bonet & Geffner's
+    (2001) goal count, divided by the most that one action fixes.  The
+    oracle prunes with it and zero-two refutes with it."""
+    goal = instance.goal
+    unmet = sum(instance.init[v] != x for v, x in goal.items())
+    fixes = 0
+    for a in instance.actions:  # plain loops: no generator per action
+        n = 0
+        for v, x in a.eff.items():
+            if goal.get(v) == x:
+                n += 1
+        if n > fixes:
+            fixes = n
+    return unmet, fixes
+
+
 def classify(instance: Instance) -> RestrictionProfile:
     producers: Dict[Tuple[int, int], int] = {}
     post_unique = True
@@ -237,6 +257,11 @@ def classify(instance: Instance) -> RestrictionProfile:
 
 
 def effect_polarity(instance: Instance, action_id: int) -> EffectPolarity:
+    """Each effect of the action tagged GOOD (it sets a variable to its goal
+    value, or one outside the goal) or BAD, and the action tagged GOOD (no
+    bad effect), BAD (only bad effects) or MIXED.  Public API only: no
+    route calls it; zero-two tests the effects against the goal in its own
+    loops."""
     action = instance.actions[action_id]
     tags = []
     for v in sorted(action.eff):

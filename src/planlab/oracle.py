@@ -67,15 +67,17 @@ search recorded earlier was either kept then or dropped, and it would be
 dropped again from t, one level deeper.  The first goal state (unmet 0)
 is always kept, so plans and verdicts are those of the search that tries
 every action, and the visited count is its count of kept states:
-planlab.reference.plain_bfs with bounded=True.
+planlab.reference.plain_bfs with bounded=True.  fixes and unmet(init)
+come from core.goal_count, the goal count that zero-two refutes with
+too; an initial state with unmet > k * fixes answers at once.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .core import (Instance, Plan, PlanLabError, commute, overwrites, pack,
-                   pack_actions)
+from .core import (Instance, Plan, PlanLabError, commute, goal_count,
+                   overwrites, pack, pack_actions)
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -108,11 +110,9 @@ def shortest_plan_with_stats(instance: Instance, k: int,
     width, acts = pack_actions(instance)
     _, init = pack(dict(enumerate(instance.init)), width)
     goal_mask, goal_bits = pack(instance.goal, width)
-    unmet = sum(instance.init[v] != x for v, x in instance.goal.items())
+    unmet, fixes = goal_count(instance)
     if not unmet:
         return (), 1
-    fixes = max((sum(instance.goal.get(v) == x for v, x in a.eff.items())
-                 for a in instance.actions), default=0)
     if unmet > k * fixes:
         return None, 1
     # the goal fields' low bits; a state's differing goal bits are folded

@@ -4,12 +4,15 @@ Stages, run at bound k' = min(k, |goal|) (see solve_zero_two): (1) a chain
 transform that removes good actions with two effects, raising the bound
 from k' to k'*(k'+3)+1; (2) a reduction to directed Steiner tree -- good
 actions become root arcs, mixed actions arcs from their bad to their good
-variable; (3) twin-sink contraction: of each group of sink terminals with
-the same in-neighbours one stays, and the bound drops by one per twin
-dropped; (4) the Dreyfus-Wagner dynamic program over the remaining terminal
-subsets, pruned to the entries a tree within the bound can use, with the
-dropped twins hung back off their representative's parent; (5) plan
-extraction by walking the tree bottom-up.
+variable; (3) a goal-count refutation: with no preconditions one step sets
+at most `fixes` goal variables to their goal value, so more unmet goal
+variables than k' * fixes leave no plan, and no table is built; (4)
+twin-sink contraction: of each group of sink terminals with the same
+in-neighbours one stays, and the bound drops by one per twin dropped; (5)
+the Dreyfus-Wagner dynamic program over the remaining terminal subsets,
+pruned to the entries a tree within the bound can use, with the dropped
+twins hung back off their representative's parent; (6) plan extraction by
+walking the tree bottom-up.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .core import (Action, BAD, ContractError, GOOD, Instance, MIXED, Plan,
-                   delta_vars, effect_polarity, validate_plan)
+from .core import (Action, ContractError, Instance, Plan, delta_vars,
+                   goal_count, validate_plan)
 
 ROOT = 0  # Steiner node 0 is the root; variable v is node v + 1
 
@@ -73,11 +76,14 @@ def _require_zero_two(action: Action) -> None:
 
 def _has_two_effect_good_action(instance: Instance) -> bool:
     """Whether some action sets two variables, each to its goal value or
-    outside the goal: effect_polarity's GOOD, tested without building it."""
+    outside the goal: a good action with two effects."""
     goal = instance.goal
-    return any(len(a.eff) == 2
-               and all(goal.get(v, x) == x for v, x in a.eff.items())
-               for a in instance.actions)
+    for a in instance.actions:
+        if len(a.eff) == 2:
+            (v, x), (w, y) = a.eff.items()
+            if goal.get(v, x) == x and goal.get(w, y) == y:
+                return True
+    return False
 
 
 def _fresh(name: str, taken: Set[str]) -> str:
@@ -124,17 +130,16 @@ def eliminate_two_effect_good_actions(instance: Instance,
     source: Dict[int, int] = {}
 
     for aid, action in enumerate(instance.actions):
-        polarity = effect_polarity(instance, aid)
-        if not action.eff or polarity.action == BAD:
-            continue
-        cvars = [fresh_var(f"{action.name}+x{i}") for i in range(1, k + 3)]
         effs = sorted(action.eff.items())
+        bad = [(v, x) for v, x in effs if instance.goal.get(v, x) != x]
+        if len(bad) == len(effs):
+            continue  # a bad action, or one with no effects
+        cvars = [fresh_var(f"{action.name}+x{i}") for i in range(1, k + 3)]
         # The head sets the bad effect of a mixed action (gflag otherwise),
         # the links pass a token along cvars, and each payload pair gets a
         # tail of its own off the last link.
-        if polarity.action == MIXED:
-            bad = 0 if polarity.effects[0][1] == BAD else 1
-            head, payload = effs[bad], [effs[1 - bad]]
+        if bad:
+            head, payload = bad[0], [e for e in effs if e != bad[0]]
         else:
             head, payload = (g_var, 1), effs
         links = k + 3 - len(payload)
@@ -161,24 +166,26 @@ def eliminate_two_effect_good_actions(instance: Instance,
 def build_dst(instance: Instance, bound: int) -> SteinerInstance:
     """Arc rules: a good action's single variable hangs off the root; a mixed
     action points from its bad to its good variable.  Bad actions are
-    dropped.  Parallel candidates collapse to the smallest action id."""
+    dropped.  Parallel candidates collapse to the smallest action id.  An
+    effect is good when it sets its variable to the goal value or the
+    variable is outside the goal, and bad otherwise."""
+    goal = instance.goal
     arc_action: Dict[Tuple[int, int], int] = {}
     for aid, action in enumerate(instance.actions):
         _require_zero_two(action)
-        polarity = effect_polarity(instance, aid)
-        if polarity.action == BAD or not polarity.effects:
-            continue
-        if polarity.action == GOOD:
-            if len(polarity.effects) > 1:
+        good = bad = None
+        for v, x in action.eff.items():
+            if goal.get(v, x) != x:
+                bad = v
+            elif good is None:
+                good = v
+            else:
                 raise ContractError(
-                    f"good action {instance.actions[aid].name!r} has two "
-                    "effects; run the chain transform first")
-            arc = (ROOT, polarity.effects[0][0] + 1)
-        else:
-            bad_v = next(v for v, t in polarity.effects if t == BAD)
-            good_v = next(v for v, t in polarity.effects if t == GOOD)
-            arc = (bad_v + 1, good_v + 1)
-        arc_action.setdefault(arc, aid)
+                    f"good action {action.name!r} has two effects; run the "
+                    "chain transform first")
+        if good is not None:  # bad actions and empty effects add no arc
+            arc = (ROOT if bad is None else bad + 1, good + 1)
+            arc_action.setdefault(arc, aid)
     return SteinerInstance(
         node_count=instance.var_count + 1,
         arcs=tuple(sorted(arc_action)),
@@ -406,18 +413,27 @@ def solve_zero_two(instance: Instance, k: int) -> ZeroTwoResult:
     the input already has no two-effect good action, keeping the Steiner
     bound at k'.  The first stage that runs, the transform or build_dst,
     checks the (0,2) contract; the result's dst and solution are the
-    uncontracted graph and the tree over all of its terminals."""
+    uncontracted graph and the tree over all of its terminals.
+
+    After build_dst, core.goal_count refutes the input without a Steiner
+    table when unmet > k' * fixes.  With no preconditions a step writes
+    its effects whatever the state, and it sets at most `fixes` goal
+    variables to their goal value, so a plan of k' steps fixes at most
+    k' * fixes of the unmet ones.  The transform and build_dst still run,
+    so the result's dst is the same either way; solution is None."""
     if k < 0:
         raise ValueError("k must be non-negative")
 
     transform = None
-    work, bound = instance, min(k, len(instance.goal))
+    steps = min(k, len(instance.goal))
+    work, bound = instance, steps
     if _has_two_effect_good_action(instance):
         transform = eliminate_two_effect_good_actions(instance, bound)
         work, bound = transform.instance, transform.bound
 
     dst = build_dst(work, bound)
-    solution = _steiner_tree(dst)
+    unmet, fixes = goal_count(instance)
+    solution = None if unmet > steps * fixes else _steiner_tree(dst)
     if solution is None:
         return ZeroTwoResult(None, transform is not None, work, dst, None)
 

@@ -3,10 +3,11 @@ import random
 
 import pytest
 
-from planlab import cli, fomc, io
+from planlab import cli, fomc, io, zerotwo
 from planlab.cli import main
 from planlab.core import ContractError
-from planlab.generators import (MulticoloredGraph, compose_pub, from_mcc_03,
+from planlab.generators import (HittingSetInput, MulticoloredGraph,
+                                compose_pub, from_hitting_set, from_mcc_03,
                                 random_instance)
 from planlab.oracle import DEFAULT_BUDGET, shortest_plan
 
@@ -413,6 +414,59 @@ def test_compose_02_dp_cells_pinned(capsys, tmp_path, k, bound, length,
                             "steiner_nodes": 54 if k == 1 else 160,
                             "steiner_arcs": 62 if k == 1 else 196,
                             "dp_cells": cells}
+
+
+def test_goal_count_refutes_before_the_steiner_table(capsys, tmp_path,
+                                                     monkeypatch):
+    """Five subsets of a path's edges, each hit by at most two elements:
+    two elements fix at most four subsets, so k = 2 is refuted without a
+    Steiner table, and the stats still describe the graph."""
+    inst, _ = from_hitting_set(HittingSetInput(
+        4, ((1,), (1, 2), (2, 3), (3, 4), (4,)), 2))
+    path = tmp_path / "hs.sasp"
+    path.write_text(io.serialize_instance(inst))
+    tables = []
+    monkeypatch.setattr(zerotwo, "_steiner_tree",
+                        lambda dst: tables.append(dst))
+    code, out = run(capsys, "solve", str(path), "2", "--solver", "zero-two",
+                    "--stats")
+    assert code == 1 and not out["solvable"] and out["plan"] is None
+    assert tables == []
+    assert out["stats"]["transformed"]
+    assert set(out["stats"]) == {"transformed", "steiner_nodes",
+                                 "steiner_arcs"}
+    assert out["stats"]["steiner_nodes"] > len(inst.var_names) + 1
+
+
+def _many_terminals(tmp_path) -> str:
+    """25 goal variables, each set only by a_i, which also sets a variable
+    outside the goal that b_i resets: 25 terminals, one fixed per step."""
+    lines = ["SASP 1", "vars 50", "domain 2", "init" + " 0" * 50,
+             "goal" + "".join(f" {i}=1" for i in range(25))]
+    lines += [f"action a{i} pre eff {i}=1 {25 + i}=1" for i in range(25)]
+    lines += [f"action b{i} pre eff {25 + i}=0" for i in range(25)]
+    path = tmp_path / "many.sasp"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_terminals_above_the_cap_refuted_by_count(capsys, tmp_path):
+    # 25 unmet goal variables, one per step: k = 5 is refuted by count
+    # before the Dreyfus-Wagner table and its terminal cap
+    code, out = run(capsys, "solve", _many_terminals(tmp_path), "5",
+                    "--solver", "zero-two", "--stats")
+    assert code == 1 and not out["solvable"] and out["plan"] is None
+    assert out["solver"] == "zero-two" and "dp_cells" not in out["stats"]
+
+
+def test_terminals_above_the_cap_not_refuted_exit_3(capsys, tmp_path):
+    # at k = 30 the count does not refute, and the table refuses 25
+    # terminals
+    code = main(["solve", _many_terminals(tmp_path), "30", "--solver",
+                 "zero-two"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "25 terminals exceed the hard cap" in captured.err
 
 
 def test_generate_compose(capsys, tmp_path, toy_file):

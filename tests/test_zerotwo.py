@@ -1,17 +1,21 @@
+import hashlib
 import random
 from typing import Optional
 
 import pytest
 
 from planlab.core import (Action, ContractError, GOOD, Instance, classify,
-                          effect_polarity, validate_plan)
+                          effect_polarity, goal_count, validate_plan)
 from planlab.generators import random_instance
+from planlab.io import serialize_instance
 from planlab.oracle import shortest_plan
 from planlab.reference import (brute_force_steiner, enumerate_minimal_plans,
                                reaches_all_terminals)
 from planlab.zerotwo import (MAX_TERMINALS, ROOT, SteinerInstance,
-                             _contract_twin_sinks, _steiner_tree, build_dst,
-                             dreyfus_wagner, eliminate_two_effect_good_actions,
+                             _contract_twin_sinks,
+                             _has_two_effect_good_action, _steiner_tree,
+                             build_dst, dreyfus_wagner,
+                             eliminate_two_effect_good_actions,
                              extract_plan, solve_zero_two, steiner_to_dot)
 
 
@@ -150,6 +154,42 @@ def test_build_dst_rejects_two_effect_good(zt1):
                     {0: 1, 1: 1})
     with pytest.raises(ContractError):
         build_dst(inst, 1)
+
+
+REDUCTION_DIGEST = \
+    "58589145ee80a8914a1a117875cea8142970b601dc7af3fb80871a1b332af689"
+
+
+def test_reduction_is_pinned():
+    """The chain transform's output and build_dst's graph on 160 fixed
+    random (0,2) instances, some with an empty-effect action: build_dst runs
+    on the transform's output, and on the input too when it has no
+    two-effect good action (its contract error is hashed otherwise)."""
+    rng = random.Random(27)
+    digest = hashlib.sha256()
+    for i in range(160):
+        n, d = rng.randint(1, 5), rng.randint(1, 3)
+        inst = random_instance(n, d, rng.randint(0, 7), seed=27_000 + i,
+                               max_pre=0, max_eff=2)
+        if i % 5 == 0:
+            inst = Instance(n, d, inst.actions + (Action("idle", {}, {}),),
+                            inst.init, inst.goal)
+        k = i % 4
+        t = eliminate_two_effect_good_actions(inst, k)
+        digest.update(repr((serialize_instance(t.instance),
+                            t.instance.var_names, t.bound,
+                            sorted(t.source_action.items()), t.g_var,
+                            t.g_reset)).encode())
+        for work, bound in ((t.instance, t.bound), (inst, k)):
+            try:
+                dst = build_dst(work, bound)
+            except ContractError as exc:
+                digest.update(str(exc).encode())
+                continue
+            digest.update(repr((dst.node_count, dst.arcs,
+                                sorted(dst.arc_action.items()),
+                                dst.terminals, dst.bound)).encode())
+    assert digest.hexdigest() == REDUCTION_DIGEST
 
 
 def test_parallel_arcs_collapse():
@@ -503,6 +543,34 @@ def test_pipeline_matches_oracle(seed):
     assert (r.plan is not None) == (expected is not None), (inst, k)
     if r.plan is not None:
         assert validate_plan(inst, r.plan).valid and len(r.plan) <= k
+
+
+def test_goal_count_refutation_matches_oracle():
+    """At every k from 0 to |goal| + 1, zero-two's verdict is the oracle's,
+    on instances the goal count refutes and on those it lets through to
+    the Steiner table, with and without two-effect good actions."""
+    seen = {"refuted": 0, "refuted_transformed": 0, "solved": 0,
+            "tabled_no_plan": 0}
+    for seed in range(120):
+        inst = random_zero_two(seed, n_max=6, m_max=7)
+        unmet, fixes = goal_count(inst)
+        transformed = _has_two_effect_good_action(inst)
+        for k in range(len(inst.goal) + 2):
+            r = solve_zero_two(inst, k)
+            expected = shortest_plan(inst, k)
+            assert (r.plan is not None) == (expected is not None), (inst, k)
+            assert r.transformed == transformed
+            if unmet > min(k, len(inst.goal)) * fixes:
+                assert r.solution is None and expected is None
+                seen["refuted"] += 1
+                seen["refuted_transformed"] += transformed
+            elif r.plan is not None:
+                assert validate_plan(inst, r.plan).valid
+                assert len(r.plan) <= k
+                seen["solved"] += 1
+            else:
+                seen["tabled_no_plan"] += 1
+    assert all(seen.values()), seen
 
 
 def test_dot_dump(zt1):
