@@ -232,6 +232,11 @@ def goal_count(instance: Instance) -> Tuple[int, int]:
     return unmet, fixes
 
 
+def is_unary(instance: Instance) -> bool:
+    """Every action has exactly one effect."""
+    return all(len(a.eff) == 1 for a in instance.actions)
+
+
 def classify(instance: Instance) -> RestrictionProfile:
     producers: Dict[Tuple[int, int], int] = {}
     post_unique = True
@@ -240,7 +245,7 @@ def classify(instance: Instance) -> RestrictionProfile:
             producers[(v, x)] = producers.get((v, x), 0) + 1
             if producers[(v, x)] > 1:
                 post_unique = False
-    unary = all(len(a.eff) == 1 for a in instance.actions)
+    unary = is_unary(instance)
     binary = instance.domain_size == 2
     prevail: Dict[int, int] = {}
     single_valued = True

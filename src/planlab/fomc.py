@@ -35,26 +35,27 @@ depends on k alone.
 The builders state each quantifier's range as a unary guard relation:
 exists x in R phi reads as exists x (R(x) and phi), and forall x in R phi as
 forall x (R(x) -> phi).  A formula compiles once, independent of any
-structure, to Python closures over one environment list
-(compile_program), and binds to each structure (Program.bind), which fills
-the environment's structure slots: the radix, every relation as a
-frozenset of radix-packed keys, and each guard's members, over which a
-guarded quantifier alone ranges.  Each formula depends on (fragment, k)
-alone, so solve_via_mc compiles it once per (fragment, k) and binds it to
-each instance's structure.  The compiler cuts the formula below the
-existential prefix into conjuncts, cutting through a following universal
-block (forall distributes over and, for any universe), and wraps each
-conjunct only in the block quantifiers whose variable it names: forall x
-phi is phi when phi does not name x and x ranges over something, and true
-when x ranges over nothing, which bind decides from the structure.  The
-evaluator checks each conjunct as soon as the deepest prefix variable it
-names is bound.  On the sigma22 encoding the actions range over ACT and
-(v, x) over VAR x DOM; the SKIP conjunct of steps i and i+1 runs once as
-soon as a_i+1 is bound, not once per (v, x), and the precondition conjunct
-of step i as soon as a_i is bound, so a refutation backjumps instead of
-trying every action tuple.  The reference evaluator model_check_basic
-compiles the same nodes with every quantifier over the whole universe and
-its guard read as an atom, and binds them the same way.
+structure, to Python source, one generated function per conjunct over one
+environment list (compile_program), and binds to each structure
+(Program.bind), which fills the environment's structure slots: the radix,
+every relation as a frozenset of radix-packed keys, and each guard's
+members, over which a guarded quantifier alone ranges.  Each formula
+depends on (fragment, k) alone, so solve_via_mc compiles it once per
+(fragment, k) and binds it to each instance's structure.  The compiler
+cuts the formula below the existential prefix into conjuncts, cutting
+through a following universal block (forall distributes over and, for any
+universe), and wraps each conjunct only in the block quantifiers whose
+variable it names: forall x phi is phi when phi does not name x and x
+ranges over something, and true when x ranges over nothing, which bind
+decides from the structure.  The evaluator checks each conjunct as soon as
+the deepest prefix variable it names is bound.  On the sigma22 encoding
+the actions range over ACT and (v, x) over VAR x DOM; the SKIP conjunct of
+steps i and i+1 runs once as soon as a_i+1 is bound, not once per (v, x),
+and the precondition conjunct of step i as soon as a_i is bound, so a
+refutation backjumps instead of trying every action tuple.  The reference
+evaluator model_check_basic walks the formula nodes themselves, with every
+quantifier over the whole universe and its guard read as an atom; it
+shares no code with the compiler.
 """
 
 from __future__ import annotations
@@ -64,14 +65,14 @@ from functools import lru_cache, reduce
 from itertools import combinations
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, Union
 
-from .core import (ContractError, Instance, Plan, PlanLabError, classify,
-                   commute, diff_set, overwrites, pack_actions, validate_plan)
+from .core import (ContractError, Instance, Plan, PlanLabError, commute,
+                   diff_set, is_unary, overwrites, pack_actions, validate_plan)
 
 SIGMA1_MAX_K = 8  # the diff subset disjunction grows as 2**k
 # sigma22's goal conjunct nests _value_after k deep.  Compiling it, once per
 # k, takes about 2 Python frames per level, and evaluating it, on every
-# call, about 3: k = 200 needs a recursion limit of about 612, and k = 329
-# still passes the default 1000.
+# call, one per HOIST_DEPTH nodes, each level two nodes deep: k = 200 needs
+# a recursion limit of about 440, and k = 464 still passes the default 1000.
 SIGMA22_MAX_K = 200
 
 
@@ -430,38 +431,37 @@ def build_sigma1_formula(k: int) -> Formula:
 # Compiled programs
 # ---------------------------------------------------------------------------
 #
-# A formula compiles once, for no structure in particular, to closures over
-# one environment list.  Each binder gets a variable slot, and a variable
-# name resolves through the scope of its enclosing binders to the innermost
-# one.  Each value that a structure supplies -- the radix U, a relation's
-# packed keys, a guard's members -- gets a slot of its own when first met,
-# and Program.bind fills those from one structure.  (Every slot counts up
-# from 0: CPython indexes a list fastest with a non-negative int.)  A
-# relation is a frozenset of its tuples packed radix-U into ints, so a unary
-# relation's keys are its elements.
+# A formula compiles once, for no structure in particular, to Python source:
+# one generated function per conjunct, which takes one environment list and
+# returns the conjunct's truth value.  Each binder gets a variable slot, and
+# a variable name resolves through the scope of its enclosing binders to the
+# innermost one.  Each value that a structure supplies -- the radix U, a
+# relation's packed keys, a guard's members -- gets a slot of its own when
+# first met, and Program.bind fills those from one structure.  (Every slot
+# counts up from 0: CPython indexes a list fastest with a non-negative int.)
+# A relation is a frozenset of its tuples packed radix-U into ints, so a
+# unary relation's keys are its elements.
+#
+# A generated function copies each slot it reads from the environment into
+# a local, s<slot>, once on entry; its conjunct is one expression over those
+# locals, whose and, or and implies short-circuit.  The block quantifiers a
+# conjunct keeps are for loops around it, and a quantifier inside it is a
+# generator expression with its variable's local as the target.  Only slot
+# numbers and fixed tokens enter the source, never a relation or variable
+# name.  Python's parser refuses deeply nested expressions, so a subformula
+# nested HOIST_DEPTH deep becomes a generated function of its own, called
+# with the locals it reads.
 
 Check = Callable[[list], bool]
 
-
-def _atom(keys: int, slots: Tuple[int, ...], radix: int) -> Check:
-    """R(t1..tn): the terms' values packed radix-U, probed in R's keys."""
-    if len(slots) == 1:
-        a, = slots
-        return lambda env: env[a] in env[keys]
-    if len(slots) == 2:
-        a, b = slots
-        return lambda env: env[a] * env[radix] + env[b] in env[keys]
-    if len(slots) == 3:
-        a, b, c = slots
-        return lambda env: ((env[a] * env[radix] + env[b]) * env[radix]
-                            + env[c] in env[keys])
-    return lambda env: reduce(lambda key, s: key * env[radix] + env[s],
-                              slots, 0) in env[keys]
+# Nodes nested this deep in one generated expression move to a function of
+# their own; the parser allows 200 nested parentheses.
+HOIST_DEPTH = 30
 
 
 def _pack(rows: FrozenSet[Tuple[int, ...]], arity: int,
           U: int) -> FrozenSet[int]:
-    """A relation's rows packed radix-U, as _atom probes them."""
+    """A relation's rows packed radix-U, as a compiled atom probes them."""
     if arity == 1:
         return frozenset(a for a, in rows)
     if arity == 2:
@@ -469,42 +469,6 @@ def _pack(rows: FrozenSet[Tuple[int, ...]], arity: int,
     if arity == 3:
         return frozenset((a * U + b) * U + c for a, b, c in rows)
     return frozenset(reduce(lambda key, e: key * U + e, t, 0) for t in rows)
-
-
-def _all(parts: Tuple[Check, ...]) -> Check:
-    if len(parts) == 1:
-        return parts[0]
-    if len(parts) == 2:
-        a, b = parts
-        return lambda env: a(env) and b(env)
-
-    def all_(env):
-        for p in parts:
-            if not p(env):
-                return False
-        return True
-    return all_
-
-
-def _any(parts: Tuple[Check, ...]) -> Check:
-    if len(parts) == 1:
-        return parts[0]
-    if len(parts) == 2:
-        a, b = parts
-        return lambda env: a(env) or b(env)
-
-    def any_(env):
-        for p in parts:
-            if p(env):
-                return True
-        return False
-    return any_
-
-
-def _quantifier(exists: bool, slot: int, domain: int, body: Check) -> Check:
-    if exists:
-        return lambda env: any(body(env) for env[slot] in env[domain])
-    return lambda env: all(body(env) for env[slot] in env[domain])
 
 
 def _conjuncts(f: Formula) -> List[Formula]:
@@ -600,10 +564,12 @@ class Program:
 
 
 class _Compiler:
-    """Formula nodes to closures that read every structure value from a
-    slot.  Variable slots are allocated as binders are met; scope maps each
+    """Formula nodes to Python source that reads every structure value from
+    a slot.  Variable slots are allocated as binders are met; scope maps each
     name to its stack of binding slots, and used records every slot a name
-    resolved to.  A guarded quantifier ranges over its guard's members
+    resolved to.  reads holds the slots that the function being emitted
+    reads and does not bind itself, and functions the generated function
+    definitions.  A guarded quantifier ranges over its guard's members
     alone."""
 
     def __init__(self):
@@ -613,6 +579,8 @@ class _Compiler:
         self.ranges: Dict[Optional[str], int] = {}
         self.scope: Dict[str, List[int]] = {}
         self.used: set = set()
+        self.reads: set = set()
+        self.functions: List[str] = []
         self.n_slots = 0
 
     def new_slot(self) -> int:
@@ -647,48 +615,94 @@ class _Compiler:
         self.scope.setdefault(name, []).append(slot)
         return slot
 
+    def local(self, slot: int) -> str:
+        """The local that holds slot's value."""
+        self.reads.add(slot)
+        return f"s{slot}"
+
+    def emit(self, f: Formula, depth: int = 0) -> str:
+        """f as one Python expression over slot locals, f's own node nested
+        depth deep in its function's expression."""
+        if isinstance(f, (Atom, Equal)):
+            return self.literal(f, False)
+        if isinstance(f, Not) and isinstance(f.part, (Atom, Equal)):
+            return self.literal(f.part, True)
+        if depth >= HOIST_DEPTH:
+            return self.hoist(f)
+        if isinstance(f, Not):
+            return f"(not {self.emit(f.part, depth + 1)})"
+        if isinstance(f, (And, Or)):
+            if not f.parts:
+                return "True" if isinstance(f, And) else "False"
+            parts = []
+            for p in f.parts:  # a loop: a generator would cost a frame
+                parts.append(self.emit(p, depth + 1))
+            op = " and " if isinstance(f, And) else " or "
+            return "(" + op.join(parts) + ")"
+        if isinstance(f, Implies):
+            return (f"(not {self.emit(f.left, depth + 1)}"
+                    f" or {self.emit(f.right, depth + 1)})")
+        if isinstance(f, (Exists, Forall)):
+            domain = self.local(self.members(f.guard))
+            slot = self.bind(f.var)
+            body = self.emit(f.body, depth + 1)
+            self.scope[f.var].pop()
+            self.reads.discard(slot)
+            test = "any" if isinstance(f, Exists) else "all"
+            return f"{test}({body} for s{slot} in {domain})"
+        raise TypeError(f"not a formula node: {f!r}")
+
+    def literal(self, f: Union[Atom, Equal], negated: bool) -> str:
+        """An equality, or an atom as its terms' values packed radix-U and
+        looked up in its relation's keys; negated, its negation."""
+        if isinstance(f, Equal):
+            left = self.local(self.slot(f.left))
+            op = "!=" if negated else "=="
+            return f"({left}{op}{self.local(self.slot(f.right))})"
+        if self.radix is None:
+            self.radix = self.new_slot()
+        keys = self.local(self.relation(f.rel, len(f.terms)))
+        terms = [self.local(self.slot(t)) for t in f.terms]
+        key = terms[0] if terms else "0"  # a 0-ary row packs to 0
+        if len(terms) > 1:
+            U = self.local(self.radix)
+            key = f"{key}*{U}+{terms[1]}"
+            for t in terms[2:]:
+                key = f"({key})*{U}+{t}"
+        return f"({key}{' not in ' if negated else ' in '}{keys})"
+
+    def hoist(self, f: Formula) -> str:
+        """A call of a new generated function that evaluates f over the
+        locals it reads, passed as arguments."""
+        outer, self.reads = self.reads, set()
+        body = self.emit(f)
+        args = ",".join(f"s{s}" for s in sorted(self.reads))
+        name = f"h{len(self.functions)}"
+        self.functions.append(f"def {name}({args}):\n return {body}")
+        self.reads |= outer
+        return f"{name}({args})"
+
+    def conjunct(self, name: str, body: str,
+                 loops: List[Tuple[int, int]]) -> str:
+        """A generated function of the environment list that reads the
+        slots body reads and evaluates body inside one universal loop per
+        (variable slot, members slot) of loops, outermost first."""
+        self.reads.update(domain for _, domain in loops)
+        self.reads.difference_update(slot for slot, _ in loops)
+        lines = [f"def {name}(env):"]
+        lines += [f" s{s}=env[{s}]" for s in sorted(self.reads)]
+        if not loops:
+            return "\n".join(lines + [f" return {body}"])
+        indent = " "
+        for slot, domain in loops:
+            lines.append(f"{indent}for s{slot} in s{domain}:")
+            indent += " "
+        lines += [f"{indent}if not {body}: return False", " return True"]
+        return "\n".join(lines)
+
     def program(self, prefix, conjuncts) -> Program:
         return Program(self.n_slots, tuple(prefix), tuple(conjuncts),
                        tuple(self.named), self.radix, self.keys, self.ranges)
-
-    def compile(self, f: Formula) -> Check:
-        if isinstance(f, Atom):
-            if self.radix is None:
-                self.radix = self.new_slot()
-            return _atom(self.relation(f.rel, len(f.terms)),
-                         tuple(map(self.slot, f.terms)), self.radix)
-        if isinstance(f, Equal):
-            a, b = self.slot(f.left), self.slot(f.right)
-            return lambda env: env[a] == env[b]
-        if isinstance(f, Not):
-            part = self.compile(f.part)
-            return lambda env: not part(env)
-        if isinstance(f, And):
-            return _all(tuple(map(self.compile, f.parts)))
-        if isinstance(f, Or):
-            return _any(tuple(map(self.compile, f.parts)))
-        if isinstance(f, Implies):
-            left, right = self.compile(f.left), self.compile(f.right)
-            return lambda env: not left(env) or right(env)
-        if isinstance(f, (Exists, Forall)):
-            domain = self.members(f.guard)
-            slot = self.bind(f.var)
-            body = self.compile(f.body)
-            self.scope[f.var].pop()
-            return _quantifier(isinstance(f, Exists), slot, domain, body)
-        raise TypeError(f"not a formula node: {f!r}")
-
-
-class _Reference(_Compiler):
-    """The textbook reading: every quantifier ranges over the whole
-    universe, and a guard R joins its body as the atom R(var)."""
-
-    def compile(self, f: Formula) -> Check:
-        if isinstance(f, (Exists, Forall)) and f.guard is not None:
-            r = Atom(f.guard, (f.var,))
-            f = type(f)(f.var, And((r, f.body)) if isinstance(f, Exists)
-                        else Implies(r, f.body))
-        return super().compile(f)
 
 
 def compile_program(formula: Formula) -> Program:
@@ -706,20 +720,26 @@ def compile_program(formula: Formula) -> Program:
         block.append(f)
         f = f.body
 
+    namespace: dict = {}
     conjuncts = []
     for g in _conjuncts(f):
-        c.used = set()
+        c.used, c.reads, hoisted = set(), set(), len(c.functions)
         slots = [c.bind(q.var) for q in block]
-        check, dropped = c.compile(g), []
+        body, dropped, loops = c.emit(g), [], []
         for q, slot in zip(reversed(block), reversed(slots)):
             c.scope[q.var].pop()
             domain = c.members(q.guard)
             if slot in c.used:
-                check = _quantifier(False, slot, domain, check)
+                loops.insert(0, (slot, domain))
             else:
                 dropped.append(domain)
+        name = f"c{len(conjuncts)}"
+        source = c.functions[hoisted:] + [c.conjunct(name, body, loops)]
+        # one compile per conjunct: the parse tree of a whole program can
+        # take hundreds of megabytes
+        exec(compile("\n".join(source), "<fomc program>", "exec"), namespace)
         levels = tuple(sorted(s for s in c.used if s < len(prefix)))
-        conjuncts.append((check, levels, tuple(dropped)))
+        conjuncts.append((namespace[name], levels, tuple(dropped)))
     return c.program(prefix, conjuncts)
 
 
@@ -736,15 +756,14 @@ def compile_query(structure: RelationalStructure,
 # Evaluation
 # ---------------------------------------------------------------------------
 #
-# Two evaluators over the same node compiler and the same bind.
-# model_check_basic is the plain recursive short-circuiting definition of
-# satisfaction: every quantifier ranges over the whole universe, its guard
-# read as an atom of its body.
 # evaluate_program handles the common shape here -- a closed formula with an
 # outer existential block -- and checks each conjunct as soon as its prefix
 # variables are bound, with conflict-directed backjumping over the block.
-# Both try universe elements in index order, so the first witness is
-# deterministic and the same for both.
+# It tries universe elements in index order, so the first witness is
+# deterministic.  model_check_basic is the plain recursive short-circuiting
+# definition of satisfaction over the formula nodes themselves: every
+# quantifier ranges over the whole universe, its guard read as an atom of
+# its body.
 
 _SAT = object()  # sentinel distinct from any conflict set
 
@@ -810,11 +829,63 @@ def model_check_witness(structure: RelationalStructure,
 
 
 def model_check_basic(structure: RelationalStructure, formula: Formula) -> bool:
-    """Plain recursive evaluation; the reference semantics that
-    model_check_witness is tested against."""
-    c = _Reference()
-    program = c.program((), [(c.compile(formula), (), ())])
-    return evaluate_program(program.bind(structure))[0]
+    """Plain recursive evaluation over the formula nodes and the structure's
+    rows: every quantifier ranges over the whole universe, and its guard R
+    reads as the atom R(var).  The reference semantics that
+    model_check_witness is tested against; it shares no code with the
+    compiler."""
+    named: Dict[Tuple[str, int], None] = {}  # in the order first met
+
+    def check(f: Formula, bound: FrozenSet[str]) -> None:
+        if isinstance(f, (Exists, Forall)):
+            if f.guard is not None:
+                named.setdefault((f.guard, 1))
+            bound = bound | {f.var}
+        elif isinstance(f, (Atom, Equal)):
+            if isinstance(f, Atom):
+                named.setdefault((f.rel, len(f.terms)))
+            for name in (f.terms if isinstance(f, Atom)
+                         else (f.left, f.right)):
+                if name not in bound:
+                    raise ContractError(f"free variable {name!r} in formula")
+        for child in _children(f):
+            check(child, bound)
+
+    check(formula, frozenset())
+    rels = structure.relations
+    for name, arity in named:
+        if name not in rels:
+            raise ContractError(f"formula uses unknown relation {name!r}")
+        if structure.arities[name] != arity:
+            raise ContractError(f"relation {name} has arity "
+                                f"{structure.arities[name]}, atom uses "
+                                f"{arity}")
+
+    def holds(f: Formula, env: Dict[str, int]) -> bool:
+        if isinstance(f, Atom):
+            return tuple(env[t] for t in f.terms) in rels[f.rel]
+        if isinstance(f, Equal):
+            return env[f.left] == env[f.right]
+        if isinstance(f, Not):
+            return not holds(f.part, env)
+        if isinstance(f, And):
+            return all(holds(p, env) for p in f.parts)
+        if isinstance(f, Or):
+            return any(holds(p, env) for p in f.parts)
+        if isinstance(f, Implies):
+            return not holds(f.left, env) or holds(f.right, env)
+        if isinstance(f, Exists):
+            return any(guarded(f, e) and holds(f.body, {**env, f.var: e})
+                       for e in range(structure.size))
+        if isinstance(f, Forall):
+            return all(not guarded(f, e) or holds(f.body, {**env, f.var: e})
+                       for e in range(structure.size))
+        raise TypeError(f"not a formula node: {f!r}")
+
+    def guarded(f: Union[Exists, Forall], e: int) -> bool:
+        return f.guard is None or (e,) in rels[f.guard]
+
+    return holds(formula, {})
 
 
 # ---------------------------------------------------------------------------
@@ -834,8 +905,9 @@ class McResult:
 
 
 # The formula depends on (fragment, k) alone, so one compiled program serves
-# every instance.  A sigma1 program at its cap k = 8 holds about 18 MB, and
-# a sigma22 program at k = 200 about 34 MB.
+# every instance.  A sigma1 program at its cap k = 8 holds about 2.6 MB, and
+# a sigma22 program at k = 200 about 8.3 MB; building and compiling them
+# peaks at about 23 and 30 MB.
 PROGRAM_CACHE_SIZE = 16
 
 
@@ -873,7 +945,7 @@ def solve_via_mc(instance: Instance, k: int,
     if fragment not in (None, SIGMA22, SIGMA1):
         raise ValueError(f"unknown fragment {fragment!r}")
     if fragment != SIGMA22:
-        unary = classify(instance).unary
+        unary = is_unary(instance)
         if fragment == SIGMA1 and not unary:
             raise ContractError(
                 "the existential fragment requires a unary instance")

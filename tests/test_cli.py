@@ -1,9 +1,10 @@
 import json
 import random
+import sys
 
 import pytest
 
-from planlab import cli, fomc, io, zerotwo
+from planlab import cli, core, io, zerotwo
 from planlab.cli import main
 from planlab.core import ContractError
 from planlab.generators import (HittingSetInput, MulticoloredGraph,
@@ -542,20 +543,23 @@ def test_repeated_solve_calls_leak_no_option(capsys, toy_file):
 
 def test_one_classify_per_call(capsys, tmp_path, monkeypatch):
     # unary but not post-unique: auto routes to fo-mc, which picks sigma1.
-    # cli classifies only to route auto, and fomc only to choose or check
-    # the fragment
+    # cli classifies only to route auto; fomc chooses or checks the fragment
+    # with core.is_unary alone
     path = tmp_path / "u.sasp"
     path.write_text(TOY1_TEXT + "action a3 pre 1=1 eff 0=1\n")
     calls = []
-    real_classify = cli.classify
-    for module in (cli, fomc):
-        monkeypatch.setattr(module, "classify", lambda inst: calls.append(1)
-                            or real_classify(inst))
+    real_classify = core.classify
+    for name, module in list(sys.modules.items()):  # every module binding it
+        if (name.split(".")[0] == "planlab"
+                and getattr(module, "classify", None) is real_classify):
+            monkeypatch.setattr(module, "classify", lambda inst:
+                                calls.append(1) or real_classify(inst))
+    assert cli.classify is not real_classify
     solve = ["solve", str(path), "2"]
     for argv, route, count in (
             (["classify", str(path)], "fo-mc", 1),
-            (solve, "fo-mc/sigma1", 2),
-            (solve + ["--solver", "fo-mc"], "fo-mc/sigma1", 1),
+            (solve, "fo-mc/sigma1", 1),
+            (solve + ["--solver", "fo-mc"], "fo-mc/sigma1", 0),
             (solve + ["--solver", "fo-mc", "--fragment", "sigma22"],
              "fo-mc/sigma22", 0)):
         calls.clear()

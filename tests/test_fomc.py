@@ -1,8 +1,11 @@
 import dataclasses
 import hashlib
+import io
 import itertools
 import random
+import re
 import time
+import tokenize
 
 import pytest
 
@@ -142,11 +145,7 @@ def test_solve_via_mc_compiles_once_per_fragment_and_k(toy1, zt1,
     # compiles nothing
     programs = fomc._fragment_program
     programs.cache_clear()
-    compiled = []
-    compile_ = fomc._Compiler.compile
-    monkeypatch.setattr(fomc._Compiler, "compile",
-                        lambda self, f: compiled.append(f)
-                        or compile_(self, f))
+    compiled = _spy_on_sources(monkeypatch)
 
     def compiles(instance, k, fragment):
         made = len(compiled)
@@ -349,13 +348,12 @@ def test_sigma22_refutation_cost_grows_linearly_in_k(monkeypatch):
             [tuple(range(i))] * (2 if i == k else 1), i
     # the SKIP conjuncts name neither v nor x, so they run outside the
     # universal block: only the k precondition conjuncts and the goal
-    # conjunct get their two quantifiers
-    made = []
-    quantifier = fomc._quantifier
-    monkeypatch.setattr(fomc, "_quantifier",
-                        lambda *args: made.append(args) or quantifier(*args))
+    # conjunct get their two quantifiers, each a loop in the generated
+    # source
+    sources = _spy_on_sources(monkeypatch)
     compile_query(build_structure(inst), build_sigma22_formula(k))
-    assert len(made) == 2 * (k + 1)
+    assert sum(len(re.findall(r"\bfor\b", source))
+               for source in sources) == 2 * (k + 1)
 
 
 def test_solve_via_mc_examples(toy1):
@@ -844,11 +842,21 @@ def test_pack_matches_atom_probes():
     for arity in range(5):
         universe = list(itertools.product(range(U), repeat=arity))
         rows = frozenset(t for t in universe if rng.random() < 0.3)
-        keys = fomc._pack(rows, arity, U)
-        assert len(keys) == len(rows)
-        probe = fomc._atom(-1, tuple(range(arity)), -2)
+        assert len(fomc._pack(rows, arity, U)) == len(rows)
+        names = tuple(f"x{i}" for i in range(arity))
+        f: fomc.Formula = Atom("R", names)
+        for name in reversed(names):
+            f = Exists(name, f)
+        s = RelationalStructure(tuple((str(e), "element") for e in range(U)),
+                                {"R": rows}, {"R": arity})
+        q = compile_query(s, f)
+        # the atom is the one conjunct, checked once every term is bound
+        (probe, levels), = q.sched[-1] if arity else [(q.const_checks[0], ())]
+        assert levels == tuple(range(arity))
         for t in universe:
-            assert probe([*t, U, keys]) == (t in rows), (arity, t)
+            env = q.env[:]
+            env[:arity] = t
+            assert probe(env) == (t in rows), (arity, t)
 
 
 def _atoms(rel):
@@ -933,6 +941,103 @@ def test_closure_scoping_witness():
     _, f, _ = next(c for c in SCOPING_CASES
                    if c[0] == "inner-exists-rebinds-runtime")
     assert model_check_witness(s, f)[:2] == (True, {"x": 1})
+
+
+def _spy_on_sources(monkeypatch):
+    """The generated source that fomc compiles from now on, in the order
+    compiled.  fomc turns source into code with the builtin compile, which a
+    module global of that name shadows for fomc alone."""
+    sources = []
+    monkeypatch.setattr(fomc, "compile", lambda source, *args:
+                        sources.append(source) or compile(source, *args),
+                        raising=False)
+    return sources
+
+
+# Every name a generated program may contain: the fixed tokens, and the
+# conjunct functions, hoisted functions and slot locals, each numbered.
+_FIXED_NAMES = {"def", "return", "for", "in", "not", "and", "or", "if",
+                "any", "all", "True", "False", "env"}
+
+
+def _foreign_tokens(source):
+    return [t.string for t in tokenize.generate_tokens(
+        io.StringIO(source).readline)
+        if t.type == tokenize.STRING or t.type == tokenize.NAME
+        and t.string not in _FIXED_NAMES and not re.fullmatch(r"[sch]\d+",
+                                                               t.string)]
+
+
+UNSAFE_NAMES = ['"', "'", "x'y\"z", "a\nb", "__import__('os').getcwd()",
+                "env", "s0", "c0", "h0", "lambda", "not", "True", "", " ",
+                "))", "1"]
+
+
+@pytest.mark.parametrize("name", UNSAFE_NAMES)
+def test_generated_source_holds_no_names(name, monkeypatch):
+    """Relation and variable names, whatever their text, only select slots:
+    the program evaluates as model_check_basic says, and its source holds
+    nothing but fixed tokens and numbered names."""
+    sources = _spy_on_sources(monkeypatch)
+    s = RelationalStructure(
+        tuple((str(e), "element") for e in range(3)),
+        {name: frozenset({(0,)}), "Q": frozenset({(1,), (2,)}),
+         name + "R": frozenset({(0, 1), (0, 2), (1, 0)}), "E": frozenset()},
+        {name: 1, "Q": 1, name + "R": 2, "E": 1})
+    x, y = name + "x", name + "y"
+    cases = [
+        # R(0, x) holds for each x in Q, and 0 is the one member of name
+        (Exists(name, Forall(x, Implies(Atom("Q", (x,)),
+                                        Atom(name + "R", (name, x))))), True),
+        (Exists(name, Forall(x, Atom(name + "R", (name, x)), "Q"), name),
+         True),
+        (Exists(name, And((Atom("Q", (name,)), Exists(y, And((
+            Atom(name + "R", (name, y)), Atom(name, (y,)))))))), True),
+        (Exists(name, Forall(x, Not(Equal(name, x)), "Q"), "Q"), False),
+        (Forall(name, Exists(x, Atom(name + "R", (name, x)), "E"), name),
+         False),
+    ]
+    for formula, expected in cases:
+        assert model_check_basic(s, formula) == expected
+        assert model_check_witness(s, formula)[0] == expected
+    assert sources
+    for source in sources:
+        assert _foreign_tokens(source) == [], source
+
+
+def test_sigma_sources_hold_no_names(monkeypatch):
+    sources = _spy_on_sources(monkeypatch)
+    for k in (1, 2, 3):
+        fomc.compile_program(build_sigma1_formula(k))
+        fomc.compile_program(build_sigma22_formula(k))
+    assert sources
+    for source in sources:
+        assert _foreign_tokens(source) == []
+
+
+def test_deep_nesting_is_hoisted(monkeypatch):
+    """A chain of quantifiers nested far below the prefix, each bound to the
+    R-successor of the one before and the last compared with the prefix
+    variable: its subformulas deeper than HOIST_DEPTH run as functions of
+    their own, called with the loop variables and prefix locals they read."""
+    sources = _spy_on_sources(monkeypatch)
+    s = _structure(3, P={(0,)}, R={(0, 1), (1, 2), (2, 0)})
+    depth = 2 * fomc.HOIST_DEPTH + 5
+    names = ["a"] + [f"x{i}" for i in range(1, depth + 1)]
+    for equal in (True, False):
+        for exists in (True, False):
+            f: fomc.Formula = Equal(names[-1], "a")
+            f = f if equal else Not(f)
+            for prev, name in zip(reversed(names[:-1]), reversed(names[1:])):
+                step = Atom("R", (prev, name))
+                f = Exists(name, And((step, f))) if exists \
+                    else Forall(name, Implies(step, f))
+            f = Exists("a", f, "P")
+            # a is 0, and the chain ends at element depth mod 3
+            expected = (depth % 3 == 0) == equal
+            assert model_check_basic(s, f) == expected
+            assert model_check_witness(s, f)[0] == expected
+    assert any(re.search(r"def h\d+\(", source) for source in sources)
 
 
 def test_sigma22_over_a_large_arity3_key_space():
@@ -1030,6 +1135,48 @@ def test_structures_are_pinned():
             digest.update(s.encode())
     assert digest.hexdigest() == STRUCTURE_DIGEST
     assert skip_digest.hexdigest() == SKIP_DIGEST
+
+
+# The digest of test_model_check_witness_is_pinned.  The verdict, witness
+# and assignment count of each call depend on the schedule and the order in
+# which candidates are tried, never on how a conjunct is compiled.
+WITNESS_DIGEST = \
+    "a0f8cb97bd4ddb81840736a5f8cfdd8335f168ccaeb0c7495a45a4df25456a11"
+
+
+def test_model_check_witness_is_pinned():
+    """(sat, witness, assignments) of model_check_witness on 150 random
+    instances, half of them unary: sigma22 at k = 1-4 on each, sigma1 at
+    k = 1-3 on each unary one."""
+    sigma22 = {k: fomc.compile_program(build_sigma22_formula(k))
+               for k in range(1, 5)}
+    sigma1 = {k: fomc.compile_program(build_sigma1_formula(k))
+              for k in range(1, 4)}
+    rng = random.Random(28)
+    digest = hashlib.sha256()
+    answers = set()
+    for i in range(150):
+        unary = i % 2 == 0
+        n, d = rng.randint(1, 4), rng.randint(2, 4)
+        m = rng.randint(0, min(6, n * d))
+        inst = random_instance(n, d, m, seed=28_000 + i, unary=unary)
+        s = build_structure(inst)
+        for k, program in sigma22.items():
+            r = model_check_witness(s, program)
+            answers.add((SIGMA22, r[0]))
+            digest.update(repr((SIGMA22, k, r)).encode())
+        if unary:
+            for k, program in sigma1.items():
+                try:
+                    se = build_extended_structure(inst, k)
+                except TriviallyUnsolvable:
+                    r = "trivially unsolvable"
+                else:
+                    r = model_check_witness(se, program)
+                    answers.add((SIGMA1, r[0]))
+                digest.update(repr((SIGMA1, k, r)).encode())
+    assert len(answers) == 4
+    assert digest.hexdigest() == WITNESS_DIGEST
 
 
 def test_sexpr_round_readable():

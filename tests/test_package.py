@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pkgutil
@@ -59,3 +60,34 @@ def test_the_program_does_not_load_the_reference_module():
     proc = subprocess.run([sys.executable, "-c", BOUNDARY, src],
                           stdout=subprocess.PIPE, text=True, check=True)
     assert proc.stdout == "False []\n"
+
+
+def _code_calls(path):
+    """The builtins among eval, exec and compile that a module calls, by
+    name or through the builtins module."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) \
+                and f.value.id == "builtins":
+            name = f.attr
+        else:
+            name = f.id if isinstance(f, ast.Name) else None
+        if name in ("eval", "exec", "compile"):
+            found.add(name)
+    return found
+
+
+def test_only_fomc_runs_generated_code():
+    """fomc compiles each formula to Python source and runs it; no other
+    module evaluates, executes or compiles code."""
+    src = os.path.dirname(planlab.__file__)
+    calls = {name[:-3]: _code_calls(os.path.join(src, name))
+             for name in sorted(os.listdir(src)) if name.endswith(".py")}
+    assert calls.pop("fomc") == {"compile", "exec"}
+    assert "oracle" in calls
+    assert {name: found for name, found in calls.items() if found} == {}
