@@ -1,0 +1,8 @@
+"""`python -m planlab ARGS` runs the `planlab` command line."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,7 +1,10 @@
 """Command-line front door: classify, solve, validate, generate.
 
 Machine-readable JSON goes to stdout, human-readable notes to stderr.
-Exit codes: 0 solved/valid, 1 unsolvable/invalid, 2 parse or usage error,
+`main` parses a call with its subcommand's parser alone, taken from the
+one parser tree built per process; only a call without a known command,
+or with arguments left over, goes through the top-level parser.  Exit
+codes: 0 solved/valid, 1 unsolvable/invalid, 2 parse or usage error,
 3 solver inapplicable to the instance, search budget exhausted, out of
 memory, or a generator refusing its input.
 """
@@ -362,8 +365,27 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(argv: List[str]) -> argparse.Namespace:
+    """The namespace of `_parser().parse_args(argv)`, got from the
+    command's own parser alone: the top-level parser would only look the
+    command up among its subparsers and hand that parser the rest of argv.
+    Without a known command argv goes to the top-level parser, which also
+    reports leftover arguments, so usage errors read the same either way."""
+    parser = _parser()
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error("unrecognized arguments: " + " ".join(extra))
+    args.command = argv[0]
+    return args
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except io.ParseError as exc:

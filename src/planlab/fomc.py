@@ -151,29 +151,50 @@ def _children(f: Formula) -> Tuple[Formula, ...]:
     return ()
 
 
+# node_count, formula_to_sexpr and _quantifier_free walk with a stack of
+# their own: sigma22's formula nests deeper than Python's recursion limit
+# allows from k of about 170, below its cap.
 def node_count(f: Formula) -> int:
-    return 1 + sum(node_count(c) for c in _children(f))
+    count, stack = 0, [f]
+    while stack:
+        count += 1
+        stack.extend(_children(stack.pop()))
+    return count
 
 
-def formula_to_sexpr(f: Formula) -> str:
+def _sexpr_items(f: Formula) -> List[Union[str, Formula]]:
+    """f's s-expression as text pieces and the subformulas between them."""
     if isinstance(f, (Exists, Forall)):
         kind = "exists" if isinstance(f, Exists) else "forall"
         var = f.var if f.guard is None else f"({f.var} {f.guard})"
-        return f"({kind} {var} {formula_to_sexpr(f.body)})"
-    if isinstance(f, And):
-        return "(and " + " ".join(formula_to_sexpr(p) for p in f.parts) + ")"
-    if isinstance(f, Or):
-        return "(or " + " ".join(formula_to_sexpr(p) for p in f.parts) + ")"
+        return [f"({kind} {var} ", f.body, ")"]
+    if isinstance(f, (And, Or)):
+        items: List[Union[str, Formula]] = [
+            "(and " if isinstance(f, And) else "(or "]
+        for i, part in enumerate(f.parts):
+            items += (" ", part) if i else (part,)
+        return items + [")"]
     if isinstance(f, Not):
-        return f"(not {formula_to_sexpr(f.part)})"
+        return ["(not ", f.part, ")"]
     if isinstance(f, Implies):
-        return (f"(implies {formula_to_sexpr(f.left)} "
-                f"{formula_to_sexpr(f.right)})")
+        return ["(implies ", f.left, " ", f.right, ")"]
     if isinstance(f, Atom):
-        return "(" + " ".join((f.rel,) + f.terms) + ")"
+        return ["(" + " ".join((f.rel,) + f.terms) + ")"]
     if isinstance(f, Equal):
-        return f"(= {f.left} {f.right})"
+        return [f"(= {f.left} {f.right})"]
     raise TypeError(f"not a formula node: {f!r}")
+
+
+def formula_to_sexpr(f: Formula) -> str:
+    out: List[str] = []
+    stack: List[Union[str, Formula]] = [f]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        else:
+            stack.extend(reversed(_sexpr_items(item)))
+    return "".join(out)
 
 
 def prefix_shape(f: Formula) -> Tuple[int, int, bool]:
@@ -191,8 +212,13 @@ def prefix_shape(f: Formula) -> Tuple[int, int, bool]:
 
 
 def _quantifier_free(f: Formula) -> bool:
-    return (not isinstance(f, (Exists, Forall))
-            and all(_quantifier_free(c) for c in _children(f)))
+    stack = [f]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, (Exists, Forall)):
+            return False
+        stack.extend(_children(f))
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -69,26 +69,24 @@ def _decode(data: Union[str, bytes]) -> str:
         raise ParseError(f"not valid UTF-8: {exc.reason}", line=1) from None
 
 
-def _parse_assignments(tokens, first, lineno, raw, n, d,
-                       what) -> Dict[int, int]:
-    """<var>=<val> tokens, the first of them token `first` of line `raw`."""
-    out: Dict[int, int] = {}
-    for i, tok in enumerate(tokens, first):
-        m = _ASSIGN_RE.match(tok)
-        if not m:
-            raise _error(f"expected <var>=<val>, got {tok!r}", lineno, raw, i)
-        v, x = (_number(m.group(1), lineno, raw, i),
-                _number(m.group(2), lineno, raw, i))
-        if v >= n:
-            raise _error(f"{what}: variable index {v} out of range "
-                         f"(vars {n})", lineno, raw, i)
-        if x >= d:
-            raise _error(f"{what}: value out of range (domain {d})",
-                         lineno, raw, i)
-        if v in out:
-            raise _error(f"{what}: variable {v} assigned twice", lineno, raw, i)
-        out[v] = x
-    return out
+def _assignment_fault(tok: str, n: int, d: int, what: str) -> str:
+    """Why `tok` is not a fresh <var>=<val> of an instance with n variables
+    and d values: the first check it fails, of syntax, number length,
+    variable, value and repetition, in that order."""
+    m = _ASSIGN_RE.match(tok)
+    if not m:
+        return f"expected <var>=<val>, got {tok!r}"
+    for text in m.groups():
+        try:
+            int(text)
+        except ValueError:  # Python refuses very long digit strings
+            return f"number too long ({len(text)} digits)"
+    v, x = int(m[1]), int(m[2])
+    if v >= n:
+        return f"{what}: variable index {v} out of range (vars {n})"
+    if x >= d:
+        return f"{what}: value out of range (domain {d})"
+    return f"{what}: variable {v} assigned twice"
 
 
 def parse_instance(data: Union[str, bytes]) -> Instance:
@@ -137,8 +135,25 @@ def parse_instance(data: Union[str, bytes]) -> Instance:
     lineno, raw, tokens = next_line("'goal ...'")
     if tokens[0] != "goal":
         raise _error("expected 'goal' line", lineno, raw, 0)
-    goal = _parse_assignments(tokens[1:], 1, lineno, raw, n, d, "goal")
+    goal: Dict[int, int] = {}
+    for i in range(1, len(tokens)):
+        m = _ASSIGN_RE.match(tokens[i])
+        if m:
+            try:
+                v, x = int(m[1]), int(m[2])
+            except ValueError:
+                pass
+            else:
+                if v < n and x < d and v not in goal:
+                    goal[v] = x
+                    continue
+        raise _error(_assignment_fault(tokens[i], n, d, "goal"),
+                     lineno, raw, i)
 
+    # One pass over each action line's tokens: assignments go to pre until
+    # the first "eff" after "pre", then to eff.  A line's faults are
+    # reported in the order the line reads, except that a missing "eff"
+    # wins over any fault among the preconditions.
     actions = []
     names = set()
     for lineno, raw, tokens in lines:
@@ -153,16 +168,35 @@ def parse_instance(data: Union[str, bytes]) -> Instance:
         if name in names:
             raise _error(f"duplicate action name {name!r}", lineno, raw, 1)
         names.add(name)
-        if tokens[2:3] != ["pre"]:  # points at the name when nothing follows
+        if len(tokens) < 3 or tokens[2] != "pre":
+            # points at the name when nothing follows it
             raise _error("expected 'pre' after action name", lineno, raw,
                          min(2, len(tokens) - 1))
-        if "eff" not in tokens[3:]:  # the name itself may be "eff"
+        pre: Dict[int, int] = {}
+        eff: Dict[int, int] = {}
+        out = pre
+        for i in range(3, len(tokens)):
+            tok = tokens[i]
+            m = _ASSIGN_RE.match(tok)
+            if m:
+                try:
+                    v, x = int(m[1]), int(m[2])
+                except ValueError:
+                    pass
+                else:
+                    if v < n and x < d and v not in out:
+                        out[v] = x
+                        continue
+            elif tok == "eff" and out is pre:
+                out = eff
+                continue
+            if out is pre and "eff" not in tokens[i:]:
+                break
+            what = f"{'pre' if out is pre else 'eff'}({name})"
+            raise _error(_assignment_fault(tok, n, d, what),
+                         lineno, raw, i)
+        if out is pre:
             raise _error("action line is missing 'eff'", lineno, raw, 2)
-        eff_at = tokens.index("eff", 3)
-        pre = _parse_assignments(tokens[3:eff_at], 3, lineno, raw, n, d,
-                                 f"pre({name})")
-        eff = _parse_assignments(tokens[eff_at + 1:], eff_at + 1, lineno,
-                                 raw, n, d, f"eff({name})")
         actions.append(Action(name, pre, eff))
 
     try:

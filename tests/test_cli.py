@@ -1,5 +1,7 @@
 import json
+import os
 import random
+import subprocess
 import sys
 
 import pytest
@@ -718,3 +720,138 @@ def test_negative_budget_is_a_usage_error(capsys, toy_file, monkeypatch):
     code, _ = run(capsys, "solve", toy_file, "2", "--solver", "oracle",
                   "--budget", "0")
     assert code == 3
+
+
+_USAGE = "usage: planlab [-h] {classify,solve,validate,generate} ...\n"
+_SOLVE_USAGE = (
+    "usage: planlab solve [-h] [--solver {auto,post-unique,zero-two,fo-mc,"
+    "oracle}]\n"
+    "                     [--fragment {sigma1,sigma22}] [--stats] "
+    "[--budget BUDGET]\n"
+    "                     [--dot PATH]\n"
+    "                     instance k\n")
+_TOY_PLAN = '"plan": ["a1", "a2"]'
+
+# argv (FILE stands for TOY1) -> exit code, stdout and stderr at 80 columns,
+# recorded before main dispatched straight to the subcommand's parser
+CLI_PARITY = {
+    "no-argv": ([], 2, "", _USAGE + (
+        "planlab: error: the following arguments are required: command\n")),
+    "help": (["-h"], 0, _USAGE + (
+        "\n"
+        "Bounded-plan solvers and generators for SAS+ planning\n"
+        "\n"
+        "positional arguments:\n"
+        "  {classify,solve,validate,generate}\n"
+        "    classify            restriction profile and routing\n"
+        "    solve               decide plan existence at bound k\n"
+        "    validate            check a plan file\n"
+        "    generate            write a generated instance\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"), ""),
+    "unknown-command": (["frobnicate", "FILE"], 2, "", _USAGE + (
+        "planlab: error: argument command: invalid choice: 'frobnicate' "
+        "(choose from 'classify', 'solve', 'validate', 'generate')\n")),
+    "solve-without-k": (["solve", "FILE"], 2, "", _SOLVE_USAGE + (
+        "planlab solve: error: the following arguments are required: k\n")),
+    "solve-k-not-integer": (["solve", "FILE", "two"], 2, "", _SOLVE_USAGE + (
+        "planlab solve: error: argument k: invalid int value: 'two'\n")),
+    "solve-unknown-solver": (
+        ["solve", "FILE", "2", "--solver", "nope"], 2, "", _SOLVE_USAGE + (
+            "planlab solve: error: argument --solver: invalid choice: "
+            "'nope' (choose from 'auto', 'post-unique', 'zero-two', "
+            "'fo-mc', 'oracle')\n")),
+    "solve-extra-argument": (
+        ["solve", "FILE", "2", "--frobnicate"], 2, "", _USAGE + (
+            "planlab: error: unrecognized arguments: --frobnicate\n")),
+    "solve-help": (["solve", "--help"], 0, _SOLVE_USAGE + (
+        "\n"
+        "positional arguments:\n"
+        "  instance\n"
+        "  k\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --solver {auto,post-unique,zero-two,fo-mc,oracle}\n"
+        "  --fragment {sigma1,sigma22}\n"
+        "                        force a model-checking fragment\n"
+        "  --stats\n"
+        "  --budget BUDGET       visited-state cap (default $PLAN_LAB_BUDGET "
+        "or\n"
+        "                        5000000)\n"
+        "  --dot PATH            dump the Steiner digraph (zero-two solver "
+        "only)\n"), ""),
+    "solve-abbreviated-option": (
+        ["solve", "FILE", "2", "--sol", "oracle"], 0,
+        '{"solvable": true, "length": 2, ' + _TOY_PLAN
+        + ', "solver": "oracle", "stats": {}}\n',
+        "oracle: solvable at k=2\n"),
+    "solve-option-with-equals": (
+        ["solve", "FILE", "2", "--solver=oracle", "--budget=5", "--stats"], 0,
+        '{"solvable": true, "length": 2, ' + _TOY_PLAN
+        + ', "solver": "oracle", "stats": {"visited_states": 3}}\n',
+        "oracle: solvable at k=2\n"),
+    "classify-extra-positional": (
+        ["classify", "FILE", "extra"], 2, "", _USAGE + (
+            "planlab: error: unrecognized arguments: extra\n")),
+    "generate-without-generator": (["generate"], 2, "", (
+        "usage: planlab generate [-h]\n"
+        "                        {hitting-set,mcc-ubs,mcc-03,or2,compose-pub,"
+        "compose-02,random}\n"
+        "                        ...\n"
+        "planlab generate: error: the following arguments are required: "
+        "generator\n")),
+    "generate-or2-without-v2": (
+        ["generate", "or2", "--v1", "0", "--out", "x.sasp"], 2, "", (
+            "usage: planlab generate or2 [-h] --v1 {0,1} --v2 {0,1} "
+            "--out OUT\n"
+            "planlab generate or2: error: the following arguments are "
+            "required: --v2\n")),
+}
+
+
+@pytest.mark.parametrize("argv,code,out,err", list(CLI_PARITY.values()),
+                         ids=list(CLI_PARITY))
+def test_cli_parity(capsys, monkeypatch, toy_file, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        got = main([toy_file if arg == "FILE" else arg for arg in argv])
+    except SystemExit as exc:
+        got = exc.code
+    captured = capsys.readouterr()
+    assert (got, captured.out, captured.err) == (code, out, err)
+
+
+def test_solve_skips_the_top_level_parser(capsys, toy_file, monkeypatch):
+    parser = cli._parser()
+    calls = []
+
+    def counting_parse_known_args(*args, **kwargs):
+        calls.append(1)
+        return real_parse_known_args(*args, **kwargs)
+
+    real_parse_known_args = parser.parse_known_args
+    monkeypatch.setattr(parser, "parse_known_args", counting_parse_known_args)
+    assert main(["solve", toy_file, "2", "--stats"]) == 0
+    assert main(["classify", toy_file]) == 0
+    assert calls == []
+    with pytest.raises(SystemExit):  # no command: the top-level parser runs
+        main(["--frobnicate"])
+    capsys.readouterr()
+    assert calls == [1]
+
+
+def test_python_dash_m_planlab_matches_main(capsys, toy_file):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    argv = ["solve", toy_file, "2", "--stats"]
+    proc = subprocess.run([sys.executable, "-m", "planlab", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, env=env)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        code, captured.out, captured.err)
+    assert code == 0 and json.loads(proc.stdout)["plan"] == ["a1", "a2"]

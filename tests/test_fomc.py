@@ -2,8 +2,11 @@ import dataclasses
 import hashlib
 import io
 import itertools
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 import tokenize
 
@@ -228,6 +231,45 @@ def test_sigma1_diff_disjunction_size():
 def test_value_unfolds_to_init():
     f = build_sigma22_formula(1)
     assert "INIT_V" in formula_to_sexpr(f)
+
+
+# SHA-256 over (k, node_count, prefix_shape, formula_to_sexpr) of the sigma1
+# then the sigma22 formula at k = 1-4, computed while the three recursed
+PRINTER_DIGEST = ("9d12514ddf439410039c5084816cad38"
+                  "9bcd661a19e3586f4c45cab96cbb2e01")
+
+
+def test_printers_pinned():
+    digest = hashlib.sha256()
+    for build in (build_sigma1_formula, build_sigma22_formula):
+        for k in range(1, 5):
+            f = build(k)
+            digest.update(repr((k, node_count(f), prefix_shape(f),
+                                formula_to_sexpr(f))).encode())
+    assert digest.hexdigest() == PRINTER_DIGEST
+
+
+PRINT_AT_THE_CAP = """import sys
+sys.path.insert(0, sys.argv[1])
+from planlab.fomc import (SIGMA22_MAX_K, build_sigma22_formula,
+                          formula_to_sexpr, node_count, prefix_shape)
+f = build_sigma22_formula(SIGMA22_MAX_K)
+print(sys.getrecursionlimit(), node_count(f), prefix_shape(f),
+      formula_to_sexpr(f).count("(exists"), sep=";")
+"""
+
+
+def test_printers_reach_the_sigma22_cap():
+    """The printers walk the nesting with a stack of their own, so the
+    formula at the cap prints under the default recursion limit."""
+    src = os.path.dirname(os.path.dirname(fomc.__file__))
+    proc = subprocess.run([sys.executable, "-c", PRINT_AT_THE_CAP, src],
+                          stdout=subprocess.PIPE, text=True, check=True)
+    limit, nodes, shape, exists = proc.stdout.split(";")
+    assert limit == "1000"
+    assert int(nodes) > 2 * SIGMA22_MAX_K
+    assert shape == f"({SIGMA22_MAX_K}, 2, True)"
+    assert exists == f"{SIGMA22_MAX_K}\n"
 
 
 def test_model_check_trivial_exists(toy1):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 
@@ -6,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planlab.core import Action, Instance, StructuralError
+from planlab.generators import (HittingSetInput, MulticoloredGraph,
+                                from_hitting_set, from_mcc_03,
+                                random_instance)
 from planlab.io import (ParseError, parse_instance, parse_plan,
                         serialize_instance, serialize_plan)
 
@@ -307,3 +311,112 @@ def test_keywords_as_action_names():
         "action a2", "action pre", 1))
     assert [a.name for a in inst.actions] == ["eff", "pre"]
     assert inst.actions[0].eff == {0: 1} and inst.actions[1].pre == {0: 1}
+
+
+# whitespace runs that stand in for one separating space; str.split() reads
+# each as a separator
+_RUNS = (" ", "  ", "\t", " \t ", "\u00a0", "\u3000", "\x0b", " \u2003 ")
+
+
+def _rewritten(text: str, rng: random.Random) -> str:
+    """`text` with every space a run of whitespace, lines indented or ending
+    in whitespace (a "\\r" among it), and comment and blank lines between."""
+    lines = []
+    for line in text.splitlines():
+        if rng.random() < 0.3:
+            lines.append(rng.choice(("", "#", "  # note 1=2 eff", "\t\u00a0")))
+        words = line.split(" ")
+        lines.append(rng.choice(("", " ", "\t"))
+                     + "".join(w + rng.choice(_RUNS) for w in words[:-1])
+                     + words[-1] + rng.choice(("", " ", "\r", "\t\r")))
+    return "\n".join(lines) + rng.choice(("", "\n", "\n\n# end\n"))
+
+
+def _pinned_instances():
+    """200 seeded generator instances: random ones of several restriction
+    classes (empty goals and preconditions among them), then hitting-set and
+    multicolored-clique reductions."""
+    rng = random.Random(29)
+    for seed in range(180):
+        n, d = rng.randint(1, 8), rng.randint(1, 5)
+        flags = rng.choice(({}, {"unary": True}, {"max_pre": 0},
+                            {"max_pre": 0, "max_eff": 2}))
+        yield random_instance(n, d, rng.randint(0, 12), seed, **flags)
+    for _ in range(10):
+        subsets = tuple(tuple(sorted(rng.sample(range(1, 6),
+                                                rng.randint(1, 3))))
+                        for _ in range(rng.randint(1, 4)))
+        yield from_hitting_set(HittingSetInput(5, subsets,
+                                               rng.randint(0, 3)))[0]
+    for _ in range(10):
+        graph = MulticoloredGraph(3, 2, tuple(
+            ((i, a), (j, b)) for i in range(1, 4) for j in range(i + 1, 4)
+            for a in range(2) for b in range(2) if rng.random() < 0.5))
+        yield from_mcc_03(graph)[0]
+
+
+# SHA-256 of serialize_instance(parse_instance(text)) over every pinned
+# instance, written canonically and rewritten; computed before the parser
+# read action lines in one pass
+PARSE_DIGEST = ("efb16ae7bcd59ff9855e2f0e049c51e9"
+                "544b1c2b76be7483e14b8c6401141386")
+
+
+def test_parse_pinned_over_generated_instances():
+    rng = random.Random(2029)
+    digest = hashlib.sha256()
+    count = 0
+    for inst in _pinned_instances():
+        text = serialize_instance(inst)
+        parsed = parse_instance(text)
+        assert parse_instance(_rewritten(text, rng)) == parsed == inst
+        for variant in (text, _rewritten(text, rng)):
+            digest.update(serialize_instance(parse_instance(variant))
+                          .encode())
+        count += 1
+    assert count == 200
+    assert digest.hexdigest() == PARSE_DIGEST
+
+
+# lines with two faults: (message, line, column, token) of the fault that
+# wins, each pinned before the parser read action lines in one pass
+TWO_FAULTS = {
+    "illegal-name-and-token": (
+        "action a|1 pre 0:1 eff 0=1",
+        ("illegal action name 'a|1'", 6, 8, "a|1")),
+    "twice-then-malformed": (
+        "action a1 pre 0=1 0=0 1:1 eff 0=1",
+        ("pre(a1): variable 0 assigned twice", 6, 19, "0=0")),
+    "eff-twice-then-malformed": (
+        "action a1 pre eff 0=1 0=1 x",
+        ("eff(a1): variable 0 assigned twice", 6, 23, "0=1")),
+    "missing-eff-and-token": (
+        "action a1 pre 0:1",
+        ("action line is missing 'eff'", 6, 11, "pre")),
+    "missing-eff-and-range": (
+        "action a1 pre 7=1 0=0",
+        ("action line is missing 'eff'", 6, 11, "pre")),
+    "variable-and-value-range": (
+        "action a1 pre eff 5=7",
+        ("eff(a1): variable index 5 out of range (vars 2)", 6, 19, "5=7")),
+    "long-after-range-token": (
+        "action a1 pre eff 5=1 1=" + _LONG,
+        ("eff(a1): variable index 5 out of range (vars 2)", 6, 19, "5=1")),
+    "long-after-range-in-token": (
+        "action a1 pre 0=1 eff 5=" + _LONG,
+        ("number too long (5000 digits)", 6, 23, "5=" + _LONG)),
+    "long-before-range-in-token": (
+        "action a1 pre " + _LONG + "=7 eff",
+        ("number too long (5000 digits)", 6, 15, _LONG + "=7")),
+    "long-twice-in-token": (
+        "action a1 pre eff " + _LONG + "=" + "8" * 4400,
+        ("number too long (5000 digits)", 6, 19, _LONG + "=" + "8" * 4400)),
+}
+
+
+@pytest.mark.parametrize("line,expected", list(TWO_FAULTS.values()),
+                         ids=list(TWO_FAULTS))
+def test_the_first_fault_on_a_line_wins(line, expected):
+    with pytest.raises(ParseError) as err:
+        parse_instance(_toy1("action a1 pre eff 0=1", line))
+    _assert_error(err.value, *expected)
