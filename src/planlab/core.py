@@ -70,8 +70,8 @@ class Instance:
             if a.name in seen:
                 raise StructuralError(f"duplicate action name {a.name!r}")
             seen.add(a.name)
-            self._check_partial(a.pre, f"pre({a.name})")
-            self._check_partial(a.eff, f"eff({a.name})")
+            self._check_partial(a.pre, "pre", a.name)
+            self._check_partial(a.eff, "eff", a.name)
         if not self.var_names:
             object.__setattr__(
                 self, "var_names", tuple(f"v{i}" for i in range(n)))
@@ -80,12 +80,17 @@ class Instance:
         if len(set(self.var_names)) != n:
             raise StructuralError("duplicate variable name")
 
-    def _check_partial(self, s: PartialState, where: str) -> None:
+    def _check_partial(self, s: PartialState, where: str,
+                       action: Optional[str] = None) -> None:
+        """Each variable and value of s in range; the message names where,
+        or where(action) for an action's precondition or effect."""
+        n, d = self.var_count, self.domain_size
         for v, x in s.items():
-            if not 0 <= v < self.var_count:
-                raise StructuralError(f"{where}: variable {v} out of range")
-            if not 0 <= x < self.domain_size:
-                raise StructuralError(f"{where}: value {x} out of range")
+            if not (0 <= v < n and 0 <= x < d):
+                if action is not None:
+                    where = f"{where}({action})"
+                what = f"variable {v}" if not 0 <= v < n else f"value {x}"
+                raise StructuralError(f"{where}: {what} out of range")
 
     def action_id(self, name: str) -> int:
         for i, a in enumerate(self.actions):

@@ -35,27 +35,28 @@ depends on k alone.
 The builders state each quantifier's range as a unary guard relation:
 exists x in R phi reads as exists x (R(x) and phi), and forall x in R phi as
 forall x (R(x) -> phi).  A formula compiles once, independent of any
-structure, to Python source, one generated function per conjunct over one
-environment list (compile_program), and binds to each structure
-(Program.bind), which fills the environment's structure slots: the radix,
-every relation as a frozenset of radix-packed keys, and each guard's
-members, over which a guarded quantifier alone ranges.  Each formula
-depends on (fragment, k) alone, so solve_via_mc compiles it once per
-(fragment, k) and binds it to each instance's structure.  The compiler
-cuts the formula below the existential prefix into conjuncts, cutting
-through a following universal block (forall distributes over and, for any
-universe), and wraps each conjunct only in the block quantifiers whose
-variable it names: forall x phi is phi when phi does not name x and x
-ranges over something, and true when x ranges over nothing, which bind
-decides from the structure.  The evaluator checks each conjunct as soon as
-the deepest prefix variable it names is bound.  On the sigma22 encoding
-the actions range over ACT and (v, x) over VAR x DOM; the SKIP conjunct of
-steps i and i+1 runs once as soon as a_i+1 is bound, not once per (v, x),
-and the precondition conjunct of step i as soon as a_i is bound, so a
-refutation backjumps instead of trying every action tuple.  The reference
-evaluator model_check_basic walks the formula nodes themselves, with every
-quantifier over the whole universe and its guard read as an atom; it
-shares no code with the compiler.
+structure, to Python source over one environment list (compile_program),
+which searches its existential prefix with one generated function per
+prefix level, and binds to each structure (Program.bind), which fills the
+environment's structure slots: the radix, every relation as a frozenset of
+radix-packed keys, and each guard's members, over which a guarded
+quantifier alone ranges.  Each formula depends on (fragment, k) alone, so
+solve_via_mc compiles it once per (fragment, k) and binds it to each
+instance's structure.  The compiler cuts the formula below the existential
+prefix into conjuncts, cutting through a following universal block (forall
+distributes over and, for any universe), and wraps each conjunct only in
+the block quantifiers whose variable it names: forall x phi is phi when phi
+does not name x and x ranges over something, and true when x ranges over
+nothing, which bind decides from the structure.  The search checks each
+conjunct as soon as the deepest prefix variable it names is bound, and
+backjumps over the levels that a failure did not involve.  On the sigma22
+encoding the actions range over ACT and (v, x) over VAR x DOM; the SKIP
+conjunct of steps i and i+1 runs once as soon as a_i+1 is bound, not once
+per (v, x), and the precondition conjunct of step i as soon as a_i is
+bound, so a refutation backjumps instead of trying every action tuple.  The
+reference evaluator model_check_basic walks the formula nodes themselves,
+with every quantifier over the whole universe and its guard read as an
+atom; it shares no code with the compiler.
 """
 
 from __future__ import annotations
@@ -63,16 +64,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence,
+                    Tuple, Union)
 
 from .core import (ContractError, Instance, Plan, PlanLabError, commute,
                    diff_set, is_unary, overwrites, pack_actions, validate_plan)
 
 SIGMA1_MAX_K = 8  # the diff subset disjunction grows as 2**k
 # sigma22's goal conjunct nests _value_after k deep.  Compiling it, once per
-# k, takes about 2 Python frames per level, and evaluating it, on every
-# call, one per HOIST_DEPTH nodes, each level two nodes deep: k = 200 needs
-# a recursion limit of about 440, and k = 464 still passes the default 1000.
+# k, takes about 2 Python frames per level.  Evaluating it, on every call,
+# takes one frame per prefix level, and within the goal conjunct one per
+# HOIST_DEPTH nodes, each level two nodes deep: k = 200 needs a recursion
+# limit of about 440, and k = 464 still passes the default 1000.
 SIGMA22_MAX_K = 200
 
 
@@ -458,31 +461,40 @@ def build_sigma1_formula(k: int) -> Formula:
 # ---------------------------------------------------------------------------
 #
 # A formula compiles once, for no structure in particular, to Python source:
-# one generated function per conjunct, which takes one environment list and
-# returns the conjunct's truth value.  Each binder gets a variable slot, and
-# a variable name resolves through the scope of its enclosing binders to the
-# innermost one.  Each value that a structure supplies -- the radix U, a
-# relation's packed keys, a guard's members -- gets a slot of its own when
-# first met, and Program.bind fills those from one structure.  (Every slot
-# counts up from 0: CPython indexes a list fastest with a non-negative int.)
-# A relation is a frozenset of its tuples packed radix-U into ints, so a
-# unary relation's keys are its elements.
+# the search over its outer existential block, one generated function per
+# prefix level, and a root that runs the conjuncts with no prefix variable.
+# All of them read one environment list.  Each binder gets a variable slot,
+# and a variable name resolves through the scope of its enclosing binders to
+# the innermost one.  Each value that a structure supplies -- the radix U, a
+# relation's packed keys, a guard's members, whether a set of ranges all
+# have members -- gets a slot of its own when first met, and Program.bind
+# fills those from one structure.  (Every slot counts up from 0: CPython
+# indexes a list fastest with a non-negative int.)  A relation is a
+# frozenset of its tuples packed radix-U into ints, so a unary relation's
+# keys are its elements.
 #
 # A generated function copies each slot it reads from the environment into
-# a local, s<slot>, once on entry; its conjunct is one expression over those
-# locals, whose and, or and implies short-circuit.  The block quantifiers a
-# conjunct keeps are for loops around it, and a quantifier inside it is a
-# generator expression with its variable's local as the target.  Only slot
-# numbers and fixed tokens enter the source, never a relation or variable
-# name.  Python's parser refuses deeply nested expressions, so a subformula
-# nested HOIST_DEPTH deep becomes a generated function of its own, called
-# with the locals it reads.
-
-Check = Callable[[list], bool]
+# a local, s<slot>, once on entry; a conjunct is one expression over those
+# locals, whose and, or and implies short-circuit.  A quantifier inside it
+# is a generator expression with its variable's local as the target.  The
+# block quantifiers it keeps are for loops in a generated function of its
+# own, called with the locals it reads, and so is a conjunct longer than
+# INLINE_CHARS, which is compiled alone.  Only slot numbers and fixed
+# tokens enter the source, never a relation or variable name.  Python's
+# parser refuses deeply nested expressions, so a subformula nested
+# HOIST_DEPTH deep becomes a generated function of its own, called with the
+# locals it reads.
 
 # Nodes nested this deep in one generated expression move to a function of
 # their own; the parser allows 200 nested parentheses.
 HOIST_DEPTH = 30
+# A conjunct whose test is longer than this many characters is a function
+# of its own, compiled alone, that its level calls.  The test of each of
+# sigma1's k + 1 subset-cover conjuncts doubles with k: inline at k = 8,
+# they put 0.7 MB of source in one level's function, whose compile peaked
+# at 116 MB.  Up to k = 4 they, and every conjunct without a universal
+# loop, run inline.
+INLINE_CHARS = 4096
 
 
 def _pack(rows: FrozenSet[Tuple[int, ...]], arity: int,
@@ -509,21 +521,21 @@ class CompiledQuery:
     Program, compiled once per formula independent of any structure, with
     one structure's values filled in.
 
-    env is the environment to evaluate in: the variable slots unbound and
-    the structure's values in theirs.  The outer existential block is split
-    out: its binders take the first slots, so prefix level L is environment
-    slot L, bound to prefix_names[L], and candidates[L] lists the members
-    of that binder's guard (the whole universe if it has none).  const_checks
-    are the conjuncts with no prefix variable, and sched[L] holds (check,
-    conflict levels) pairs, one per conjunct whose deepest prefix variable
-    is level L, run right after level L is bound.  A conjunct that leaves
-    out a quantifier over an empty range holds vacuously and is in neither.
+    env is the environment to evaluate in: the variable slots unbound, the
+    structure's values in theirs, and 0 in slot count, to which the search
+    adds its assignments.  The outer existential block is split out: its
+    binders take the first slots, so prefix level L is environment slot L,
+    bound to prefix_names[L], and candidates[L] lists the members of that
+    binder's guard (the whole universe if it has none).  search is the
+    program's root: run on a copy of env, it returns -1 with a witness
+    bound in the prefix slots, or 0, an empty conflict mask, when there is
+    none.
     """
     env: list
     prefix_names: List[str]
-    candidates: List[List[int]]
-    const_checks: List[Check]
-    sched: List[List[Tuple[Check, Tuple[int, ...]]]]
+    candidates: List[Sequence[int]]
+    search: Callable[[list], int]
+    count: int
 
 
 @dataclass(frozen=True)
@@ -536,8 +548,13 @@ class Program:
     The rest is cut into conjuncts: a universal block right after the
     prefix is cut through, since forall distributes over and, and each
     conjunct of its body keeps the block quantifiers whose variable it
-    names.  Each conjunct is (check, the prefix levels it names, the
-    members slots of the block quantifiers it dropped).  named lists each
+    names.  Each conjunct is tested in search, at the level of the deepest
+    prefix variable it names, or at the root if it names none: inline, or
+    by a call when it keeps a block quantifier or is longer than
+    INLINE_CHARS.  A conjunct that dropped block quantifiers first reads
+    the flag of their ranges, in the slot that flags gives for their
+    members slots: with a range empty, it holds vacuously.  search is the
+    root, and count the slot of the assignment count.  named lists each
     (relation, arity) the formula uses, in the order first met.  The slots
     of the structure's values: radix (None if no atom needs it), keys (by
     relation) and ranges, the members of each guard (None for the whole
@@ -545,18 +562,19 @@ class Program:
     """
     n_slots: int
     prefix: Tuple[Tuple[str, int], ...]
-    conjuncts: Tuple[Tuple[Check, Tuple[int, ...], Tuple[int, ...]], ...]
+    search: Callable[[list], int]
+    count: int
+    flags: Dict[Tuple[int, ...], int]
     named: Tuple[Tuple[str, int], ...]
     radix: Optional[int]
     keys: Dict[str, int]
     ranges: Dict[Optional[str], int]
 
     def bind(self, structure: RelationalStructure) -> CompiledQuery:
-        """The structure's values in their slots, with the candidates of
-        each prefix level.  forall x phi is phi when phi does not name x
-        and x ranges over something, and true when x ranges over nothing:
-        a conjunct that dropped a quantifier over an empty range is left
-        out."""
+        """The structure's values in their slots.  forall x phi is phi when
+        phi does not name x and x ranges over something, and true when x
+        ranges over nothing: each flag says whether every range it covers
+        has a member."""
         s = structure
         for name, arity in self.named:
             if name not in s.relations:
@@ -574,19 +592,12 @@ class Program:
             env[slot] = keys[name]
         for guard, slot in self.ranges.items():  # in index order
             env[slot] = range(U) if guard is None else sorted(keys[guard])
-        const_checks: List[Check] = []
-        sched: List[List[Tuple[Check, Tuple[int, ...]]]] = [
-            [] for _ in self.prefix]
-        for check, levels, dropped in self.conjuncts:
-            if not all(env[m] for m in dropped):
-                continue
-            if levels:
-                sched[levels[-1]].append((check, levels))
-            else:
-                const_checks.append(check)
+        for dropped, slot in self.flags.items():
+            env[slot] = all(env[m] for m in dropped)
+        env[self.count] = 0
         return CompiledQuery(env, [name for name, _ in self.prefix],
-                             [list(env[m]) for _, m in self.prefix],
-                             const_checks, sched)
+                             [env[m] for _, m in self.prefix], self.search,
+                             self.count)
 
 
 class _Compiler:
@@ -603,6 +614,7 @@ class _Compiler:
         self.radix: Optional[int] = None
         self.keys: Dict[str, int] = {}
         self.ranges: Dict[Optional[str], int] = {}
+        self.flags: Dict[Tuple[int, ...], int] = {}
         self.scope: Dict[str, List[int]] = {}
         self.used: set = set()
         self.reads: set = set()
@@ -697,38 +709,54 @@ class _Compiler:
                 key = f"({key})*{U}+{t}"
         return f"({key}{' not in ' if negated else ' in '}{keys})"
 
-    def hoist(self, f: Formula) -> str:
-        """A call of a new generated function that evaluates f over the
+    def function(self, name: str, body: List[str]) -> str:
+        """A call of a new generated function with body's lines, over the
         locals it reads, passed as arguments."""
-        outer, self.reads = self.reads, set()
-        body = self.emit(f)
         args = ",".join(f"s{s}" for s in sorted(self.reads))
-        name = f"h{len(self.functions)}"
-        self.functions.append(f"def {name}({args}):\n return {body}")
-        self.reads |= outer
+        self.functions.append("\n".join([f"def {name}({args}):"] + body))
         return f"{name}({args})"
 
-    def conjunct(self, name: str, body: str,
-                 loops: List[Tuple[int, int]]) -> str:
-        """A generated function of the environment list that reads the
-        slots body reads and evaluates body inside one universal loop per
-        (variable slot, members slot) of loops, outermost first."""
-        self.reads.update(domain for _, domain in loops)
-        self.reads.difference_update(slot for slot, _ in loops)
-        lines = [f"def {name}(env):"]
-        lines += [f" s{s}=env[{s}]" for s in sorted(self.reads)]
-        if not loops:
-            return "\n".join(lines + [f" return {body}"])
-        indent = " "
-        for slot, domain in loops:
-            lines.append(f"{indent}for s{slot} in s{domain}:")
-            indent += " "
-        lines += [f"{indent}if not {body}: return False", " return True"]
-        return "\n".join(lines)
+    def hoist(self, f: Formula) -> str:
+        """A call of a new generated function that evaluates f."""
+        outer, self.reads = self.reads, set()
+        body = [f" return {self.emit(f)}"]
+        call = self.function(f"h{len(self.functions)}", body)
+        self.reads |= outer
+        return call
 
-    def program(self, prefix, conjuncts) -> Program:
-        return Program(self.n_slots, tuple(prefix), tuple(conjuncts),
-                       tuple(self.named), self.radix, self.keys, self.ranges)
+    def conjunct(self, f: Formula, block: List[Forall], name: str) -> str:
+        """An expression over the locals it reads that is true when f, a
+        conjunct of the universal block's body, fails: f wrapped in the
+        block quantifiers whose variable it names, each a loop, outermost
+        first, of a new generated function called name.  forall x phi is
+        phi when phi does not name x and x ranges over something, and true
+        when x ranges over nothing, so if f drops quantifiers the test first
+        reads the flag that each of their ranges has a member."""
+        slots = [self.bind(q.var) for q in block]
+        body, dropped, loops = self.emit(f), [], []
+        for q, slot in zip(reversed(block), reversed(slots)):
+            self.scope[q.var].pop()
+            domain = self.members(q.guard)
+            if slot in self.used:
+                loops.insert(0, (slot, domain))
+            else:
+                dropped.append(domain)
+        if loops:
+            self.reads.update(domain for _, domain in loops)
+            self.reads.difference_update(slot for slot, _ in loops)
+            lines, indent = [], " "
+            for slot, domain in loops:
+                lines.append(f"{indent}for s{slot} in s{domain}:")
+                indent += " "
+            lines += [f"{indent}if not {body}: return False", " return True"]
+            body = self.function(name, lines)
+        elif len(body) > INLINE_CHARS:
+            body = self.function(name, [f" return {body}"])
+        if not dropped:
+            return f"not {body}"
+        if tuple(dropped) not in self.flags:
+            self.flags[tuple(dropped)] = self.new_slot()
+        return f"{self.local(self.flags[tuple(dropped)])} and not {body}"
 
 
 def compile_program(formula: Formula) -> Program:
@@ -741,32 +769,34 @@ def compile_program(formula: Formula) -> Program:
         binders.append(f)
         f = f.body
     prefix = [(q.var, c.members(q.guard)) for q in binders]
+    count = c.new_slot()
     block: List[Forall] = []
     while isinstance(f, Forall):
         block.append(f)
         f = f.body
 
+    # each conjunct's failure test, conflict mask and the slots it reads, at
+    # the deepest prefix level it names (-1, the root, for none)
+    levels: Dict[int, list] = {L: [] for L in range(-1, len(prefix))}
     namespace: dict = {}
-    conjuncts = []
-    for g in _conjuncts(f):
-        c.used, c.reads, hoisted = set(), set(), len(c.functions)
-        slots = [c.bind(q.var) for q in block]
-        body, dropped, loops = c.emit(g), [], []
-        for q, slot in zip(reversed(block), reversed(slots)):
-            c.scope[q.var].pop()
-            domain = c.members(q.guard)
-            if slot in c.used:
-                loops.insert(0, (slot, domain))
-            else:
-                dropped.append(domain)
-        name = f"c{len(conjuncts)}"
-        source = c.functions[hoisted:] + [c.conjunct(name, body, loops)]
-        # one compile per conjunct: the parse tree of a whole program can
-        # take hundreds of megabytes
+
+    def run(source: List[str]) -> None:
+        # one compile per conjunct's functions and per level function: the
+        # parse tree of a whole program can take hundreds of megabytes
         exec(compile("\n".join(source), "<fomc program>", "exec"), namespace)
-        levels = tuple(sorted(s for s in c.used if s < len(prefix)))
-        conjuncts.append((namespace[name], levels, tuple(dropped)))
-    return c.program(prefix, conjuncts)
+
+    for i, g in enumerate(_conjuncts(f)):
+        c.used, c.reads, start = set(), set(), len(c.functions)
+        test = c.conjunct(g, block, f"c{i}")
+        if len(c.functions) > start:
+            run(c.functions[start:])
+        named = [s for s in c.used if s < len(prefix)]
+        levels[max(named, default=-1)].append(
+            (test, sum(1 << L for L in named), c.reads))
+    for L, tests in levels.items():
+        run([_search_source(L, tests, prefix, count)])
+    return Program(c.n_slots, tuple(prefix), namespace["root"], count,
+                   c.flags, tuple(c.named), c.radix, c.keys, c.ranges)
 
 
 def compile_query(structure: RelationalStructure,
@@ -782,62 +812,62 @@ def compile_query(structure: RelationalStructure,
 # Evaluation
 # ---------------------------------------------------------------------------
 #
-# evaluate_program handles the common shape here -- a closed formula with an
-# outer existential block -- and checks each conjunct as soon as its prefix
-# variables are bound, with conflict-directed backjumping over the block.
-# It tries universe elements in index order, so the first witness is
-# deterministic.  model_check_basic is the plain recursive short-circuiting
-# definition of satisfaction over the formula nodes themselves: every
-# quantifier ranges over the whole universe, its guard read as an atom of
-# its body.
+# The search over the outer existential block is generated with the
+# program, conflict-directed backjumping (Prosser, Computational
+# Intelligence 9(3), 1993) with a conflict set as an int mask, bit L for
+# prefix level L.  Level L's function l<L> tries the members of its guard
+# in index order, so the first witness is deterministic, and counts one
+# assignment for each.  It runs inline each conjunct whose deepest prefix
+# variable is level L; the first that fails ORs the levels it names into
+# the level's mask, and the next candidate is tried.  A candidate that
+# passes them all is bound in env[L], and level L+1 runs in a frame of its
+# own.  When the child's mask lacks bit L, the failure below did not
+# involve level L, so no other candidate can mend it and the mask goes back
+# up at once; otherwise it joins the level's mask.  With the candidates
+# run out, the level returns its mask without bit L.  The last level
+# returns -1 for a witness instead of recursing.  The root, root(), runs
+# the conjuncts that name no prefix variable and then level 0.
+#
+# model_check_basic is the plain recursive short-circuiting definition of
+# satisfaction over the formula nodes themselves: every quantifier ranges
+# over the whole universe, its guard read as an atom of its body.
 
-_SAT = object()  # sentinel distinct from any conflict set
-
-
-def _try_level(q: CompiledQuery, env: list, L: int, counter: List[int]):
-    """Bind prefix level L..end.  Returns _SAT or the conflict level set."""
-    last = len(q.prefix_names) - 1
-    checks = q.sched[L]
-    conflict = set()
-    for val in q.candidates[L]:
-        counter[0] += 1
-        env[L] = val
-        failed = False
-        for check, levels in checks:
-            if not check(env):
-                conflict.update(levels)
-                failed = True
-                break
-        if failed:
-            continue
-        if L == last:
-            return _SAT
-        res = _try_level(q, env, L + 1, counter)
-        if res is _SAT:
-            return _SAT
-        if L not in res:
-            env[L] = -1
-            return res  # backjump: failure did not involve this level
-        res.discard(L)
-        conflict.update(res)
-    env[L] = -1
-    conflict.discard(L)
-    return conflict
+def _search_source(L: int, tests: list, prefix: List[Tuple[str, int]],
+                   count: int) -> str:
+    """The generated function of prefix level L, or of the root for L = -1,
+    that runs tests, the (failure test, conflict mask, slots read) of its
+    conjuncts.  count is the slot of the assignment count."""
+    reads = set().union(*(read for _, _, read in tests))
+    if L < 0:
+        lines = ["def root(env):"]
+        body = [f" if {test}: return 0" for test, _, _ in tests]
+        body.append(" return l0(env)" if prefix else " return -1")
+    else:
+        members = prefix[L][1]
+        reads.add(members)
+        reads.discard(L)
+        lines = [f"def l{L}(env):"]
+        body = [" m=n=0", f" for s{L} in s{members}:", "  n+=1"]
+        body += [f"  if {test}: m|={mask}; continue"
+                 for test, mask, _ in tests]
+        body.append(f"  env[{L}]=s{L}")
+        if L + 1 < len(prefix):
+            body += [f"  r=l{L + 1}(env)",
+                     f"  if r<0 or not r&{1 << L}: env[{count}]+=n; return r",
+                     "  m|=r"]
+        else:
+            body += [f"  env[{count}]+=n", "  return -1"]
+        body += [f" env[{count}]+=n", f" return m&{(1 << L) - 1}"]
+    lines += [f" s{s}=env[{s}]" for s in sorted(reads)]
+    return "\n".join(lines + body)
 
 
 def evaluate_program(q: CompiledQuery):
     """(satisfied, witness values for the prefix or None, assignments)."""
     env = q.env[:]
-    counter = [0]
-    for check in q.const_checks:
-        if not check(env):
-            return (False, None, counter[0])
-    e = len(q.prefix_names)
-    if not e:
-        return (True, [], counter[0])
-    if _try_level(q, env, 0, counter) is _SAT:
-        return (True, env[:e], counter[0])
-    return (False, None, counter[0])
+    if q.search(env) < 0:
+        return (True, env[:len(q.prefix_names)], env[q.count])
+    return (False, None, env[q.count])
 
 
 def model_check_witness(structure: RelationalStructure,
@@ -932,8 +962,8 @@ class McResult:
 
 # The formula depends on (fragment, k) alone, so one compiled program serves
 # every instance.  A sigma1 program at its cap k = 8 holds about 2.6 MB, and
-# a sigma22 program at k = 200 about 8.3 MB; building and compiling them
-# peaks at about 23 and 30 MB.
+# a sigma22 program at k = 200 about 8.7 MB; building and compiling them
+# peaks at about 23 and 31 MB (tracemalloc).
 PROGRAM_CACHE_SIZE = 16
 
 

@@ -180,6 +180,72 @@ def test_instance_invariants_enforced():
         Instance(1, 2, (Action("a", {}, {0: 1}),) * 2, (0,), {})  # dup name
 
 
+_OK = Action("ok", {0: 1}, {1: 0})
+
+# Each directly constructed bad Instance with the message it raises: the
+# first failing check wins, in the order var_count, domain, init, goal,
+# then each action's name, precondition and effect, then var_names.
+BAD_INSTANCES = [
+    ("var-count", lambda: Instance(-1, 2, (), (), {}),
+     "var_count must be non-negative"),
+    ("domain", lambda: Instance(1, 0, (), (0,), {}),
+     "domain_size must be at least 1"),
+    ("init-length", lambda: Instance(1, 2, (), (0, 0), {}),
+     "init has 2 entries, expected 1"),
+    ("init-value", lambda: Instance(2, 2, (), (0, 2), {}),
+     "init[1]=2 outside 0..1"),
+    ("goal-var", lambda: Instance(1, 2, (), (0,), {1: 0}),
+     "goal: variable 1 out of range"),
+    ("goal-value", lambda: Instance(1, 2, (), (0,), {0: -1}),
+     "goal: value -1 out of range"),
+    ("duplicate-action", lambda: Instance(2, 2, (_OK, _OK), (0, 0), {}),
+     "duplicate action name 'ok'"),
+    ("pre-var",
+     lambda: Instance(2, 2, (_OK, Action("b", {2: 0}, {0: 1})), (0, 0), {}),
+     "pre(b): variable 2 out of range"),
+    ("pre-value",
+     lambda: Instance(2, 3, (Action("b c", {1: 3}, {0: 1}),), (0, 0), {}),
+     "pre(b c): value 3 out of range"),
+    ("variable-before-value",
+     lambda: Instance(2, 2, (Action("b", {3: 9}, {}),), (0, 0), {}),
+     "pre(b): variable 3 out of range"),
+    ("eff-var",
+     lambda: Instance(2, 2, (Action("b", {0: 1}, {-1: 1}),), (0, 0), {}),
+     "eff(b): variable -1 out of range"),
+    ("eff-value",
+     lambda: Instance(2, 2, (Action("b", {}, {1: 2}),), (0, 0), {}),
+     "eff(b): value 2 out of range"),
+    ("pre-before-eff",
+     lambda: Instance(1, 2, (Action("b", {0: 5}, {4: 0}),), (0,), {}),
+     "pre(b): value 5 out of range"),
+    ("first-action-wins",
+     lambda: Instance(1, 2, (Action("x", {}, {0: 9}),
+                             Action("y", {7: 0}, {})), (0,), {}),
+     "eff(x): value 9 out of range"),
+    ("goal-before-actions",
+     lambda: Instance(1, 2, (Action("x", {3: 0}, {}),), (0,), {2: 0}),
+     "goal: variable 2 out of range"),
+    ("duplicate-before-pre",
+     lambda: Instance(1, 2, (Action("x", {}, {0: 1}),
+                             Action("x", {5: 0}, {})), (0,), {}),
+     "duplicate action name 'x'"),
+    ("var-names-length",
+     lambda: Instance(2, 2, (_OK,), (0, 0), {}, ("p",)),
+     "var_names length mismatch"),
+    ("var-names-duplicate",
+     lambda: Instance(2, 2, (_OK,), (0, 0), {}, ("p", "p")),
+     "duplicate variable name"),
+]
+
+
+@pytest.mark.parametrize("name, make, message", BAD_INSTANCES,
+                         ids=[c[0] for c in BAD_INSTANCES])
+def test_bad_instance_messages(name, make, message):
+    with pytest.raises(StructuralError) as e:
+        make()
+    assert str(e.value) == message
+
+
 def test_apply_is_pure(toy1):
     state = (0, 0)
     apply_action(state, toy1.actions[0])

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import io
 import itertools
+import json
 import os
 import random
 import re
@@ -23,6 +24,7 @@ from planlab.fomc import (SIGMA1, SIGMA1_MAX_K, SIGMA22, SIGMA22_MAX_K, And, Ato
                           model_check_basic, model_check_witness, node_count,
                           prefix_shape, solve_via_mc, structure_to_text)
 from planlab.generators import random_instance
+from planlab.io import serialize_instance
 from planlab.oracle import DEFAULT_BUDGET, shortest_plan
 from planlab.reference import plain_bfs
 
@@ -272,6 +274,29 @@ def test_printers_reach_the_sigma22_cap():
     assert exists == f"{SIGMA22_MAX_K}\n"
 
 
+def test_sigma22_cap_solves_under_the_default_recursion_limit(tmp_path):
+    """`python -m planlab solve` decides sigma22 at its cap in a fresh
+    interpreter, which keeps Python's default recursion limit: compiling
+    and evaluating the formula take a bounded number of frames per prefix
+    level.  One action sets the goal; the dummy action pads a1's plan."""
+    path = tmp_path / "one.sas"
+    path.write_text(serialize_instance(
+        Instance(1, 2, (Action("set", {}, {0: 1}),), (0,), {0: 1})))
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(fomc.__file__))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "planlab", "solve", str(path),
+         str(SIGMA22_MAX_K), "--solver", "fo-mc", "--fragment", SIGMA22,
+         "--stats"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["plan"] == ["set"] and out["solver"] == "fo-mc/sigma22"
+    # a1 = set; each later level tries set, which SKIP forbids, then dum_a
+    assert out["stats"]["assignments"] == 1 + 2 * (SIGMA22_MAX_K - 1)
+
+
 def test_model_check_trivial_exists(toy1):
     s = build_structure(toy1)
     assert model_check_witness(s, Exists("x", Equal("x", "x")))[0]
@@ -379,23 +404,28 @@ def test_sigma22_refutation_cost_grows_linearly_in_k(monkeypatch):
         assert r.assignments == 3 * k, k
     assert elapsed < 1.0
     k = 4
-    q = compile_query(build_structure(inst), build_sigma22_formula(k))
-    assert q.const_checks == []
+    sources = _spy_on_sources(monkeypatch)
+    compile_query(build_structure(inst), build_sigma22_formula(k))
+    functions = _functions(sources)
+    assert ": return 0" not in functions["root"]  # no conjunct at the root
     for i in range(1, k + 1):
         # the SKIP conjunct on (a_i-1, a_i) names those two, the
         # precondition conjunct for a_i names a_1..a_i, and the goal
         # conjunct joins them at the last level
-        levels = [lv for _, lv in q.sched[i - 1]]
+        levels = [tuple(L for L in range(k) if mask >> L & 1)
+                  for mask in _conflict_masks(functions[f"l{i - 1}"])]
         assert levels == ([(i - 2, i - 1)] if i > 1 else []) + \
             [tuple(range(i))] * (2 if i == k else 1), i
     # the SKIP conjuncts name neither v nor x, so they run outside the
     # universal block: only the k precondition conjuncts and the goal
     # conjunct get their two quantifiers, each a loop in the generated
-    # source
-    sources = _spy_on_sources(monkeypatch)
-    compile_query(build_structure(inst), build_sigma22_formula(k))
-    assert sum(len(re.findall(r"\bfor\b", source))
-               for source in sources) == 2 * (k + 1)
+    # source, besides the one loop over each level's candidates
+    loops = {name: len(re.findall(r"\bfor\b", body))
+             for name, body in functions.items()}
+    assert [loops[f"l{L}"] for L in range(k)] == [1] * k
+    assert sum(n for name, n in loops.items()
+               if name.startswith("c")) == 2 * (k + 1)
+    assert sum(loops.values()) == 2 * (k + 1) + k
 
 
 def test_solve_via_mc_examples(toy1):
@@ -876,29 +906,40 @@ def test_one_sigma_program_many_instances(toy1, zt1):
             assert verdicts == {True, False}, k
 
 
-def test_pack_matches_atom_probes():
+def test_pack_matches_atom_probes(monkeypatch):
     """A relation's keys are packed by the rule its atoms probe with, at
-    every arity: a tuple is a key iff it is a row."""
+    every arity: a tuple is a key iff it is a row.  Each term of the one
+    atom is a prefix variable whose guard holds one element of the tuple,
+    so the formula holds iff the tuple is a row."""
     rng = random.Random(29)
     U = 4
+    sources = _spy_on_sources(monkeypatch)
     for arity in range(5):
         universe = list(itertools.product(range(U), repeat=arity))
         rows = frozenset(t for t in universe if rng.random() < 0.3)
         assert len(fomc._pack(rows, arity, U)) == len(rows)
         names = tuple(f"x{i}" for i in range(arity))
         f: fomc.Formula = Atom("R", names)
-        for name in reversed(names):
-            f = Exists(name, f)
-        s = RelationalStructure(tuple((str(e), "element") for e in range(U)),
-                                {"R": rows}, {"R": arity})
-        q = compile_query(s, f)
+        for i in reversed(range(arity)):
+            f = Exists(names[i], f, f"G{i}")
+        del sources[:]
+        program = fomc.compile_program(f)
         # the atom is the one conjunct, checked once every term is bound
-        (probe, levels), = q.sched[-1] if arity else [(q.const_checks[0], ())]
-        assert levels == tuple(range(arity))
+        functions = _functions(sources)
+        if arity:
+            assert _conflict_masks(functions[f"l{arity - 1}"]) == \
+                [(1 << arity) - 1]
+        else:
+            assert functions["root"].count(": return 0") == 1
         for t in universe:
-            env = q.env[:]
-            env[:arity] = t
-            assert probe(env) == (t in rows), (arity, t)
+            rels = {f"G{i}": frozenset({(e,)}) for i, e in enumerate(t)}
+            s = RelationalStructure(
+                tuple((str(e), "element") for e in range(U)),
+                {"R": rows, **rels}, {"R": arity, **{r: 1 for r in rels}})
+            sat, witness, assignments = model_check_witness(s, program)
+            assert sat == (t in rows), (arity, t)
+            assert witness == (dict(zip(names, t)) if sat else None)
+            assert assignments == arity
 
 
 def _atoms(rel):
@@ -996,17 +1037,33 @@ def _spy_on_sources(monkeypatch):
     return sources
 
 
-# Every name a generated program may contain: the fixed tokens, and the
-# conjunct functions, hoisted functions and slot locals, each numbered.
+def _functions(sources):
+    """Each generated function's source, by name."""
+    return {m.group(1): m.group(0) for source in sources
+            for m in re.finditer(r"^def (\w+)\(.*?(?=^def |\Z)", source,
+                                 re.M | re.S)}
+
+
+def _conflict_masks(function):
+    """The conflict masks a generated level function ORs in, one for each
+    conjunct it runs, in order."""
+    return [int(mask) for mask in re.findall(r"m\|=(\d+); continue",
+                                             function)]
+
+
+# Every name a generated program may contain: the fixed tokens, the root,
+# its search's locals m, n and r, and the level functions, conjunct
+# functions, hoisted functions and slot locals, each numbered.
 _FIXED_NAMES = {"def", "return", "for", "in", "not", "and", "or", "if",
-                "any", "all", "True", "False", "env"}
+                "continue", "any", "all", "True", "False", "env", "root",
+                "m", "n", "r"}
 
 
 def _foreign_tokens(source):
     return [t.string for t in tokenize.generate_tokens(
         io.StringIO(source).readline)
         if t.type == tokenize.STRING or t.type == tokenize.NAME
-        and t.string not in _FIXED_NAMES and not re.fullmatch(r"[sch]\d+",
+        and t.string not in _FIXED_NAMES and not re.fullmatch(r"[schl]\d+",
                                                                t.string)]
 
 
@@ -1042,7 +1099,10 @@ def test_generated_source_holds_no_names(name, monkeypatch):
     for formula, expected in cases:
         assert model_check_basic(s, formula) == expected
         assert model_check_witness(s, formula)[0] == expected
-    assert sources
+    # the root, the prefix level's search function and the conjunct
+    # functions with their universal loops alike
+    names = set(_functions(sources))
+    assert {"root", "l0", "c0"} <= names
     for source in sources:
         assert _foreign_tokens(source) == [], source
 
@@ -1050,11 +1110,14 @@ def test_generated_source_holds_no_names(name, monkeypatch):
 def test_sigma_sources_hold_no_names(monkeypatch):
     sources = _spy_on_sources(monkeypatch)
     for k in (1, 2, 3):
-        fomc.compile_program(build_sigma1_formula(k))
-        fomc.compile_program(build_sigma22_formula(k))
-    assert sources
-    for source in sources:
-        assert _foreign_tokens(source) == []
+        for formula in (build_sigma1_formula(k), build_sigma22_formula(k)):
+            del sources[:]
+            fomc.compile_program(formula)
+            levels = prefix_shape(formula)[0]
+            assert {"root"} | {f"l{L}" for L in range(levels)} <= \
+                set(_functions(sources))
+            for source in sources:
+                assert _foreign_tokens(source) == []
 
 
 def test_deep_nesting_is_hoisted(monkeypatch):
@@ -1219,6 +1282,57 @@ def test_model_check_witness_is_pinned():
                 digest.update(repr((SIGMA1, k, r)).encode())
     assert len(answers) == 4
     assert digest.hexdigest() == WITNESS_DIGEST
+
+
+# The digest of test_solve_via_mc_is_pinned, computed before fo-mc generated
+# its search as one function per prefix level.
+SOLVE_DIGEST = \
+    "80ff094f2e92b38d57da009bd61683adf8bff05904e99951280e21bee4021f86"
+
+
+def test_solve_via_mc_is_pinned():
+    """(solvable, plan, assignments) of solve_via_mc on 40 seeded unary
+    instances, sigma1 at k = 1-4 and sigma22 at k = 1-6; then (sat, witness,
+    assignments) of the sigma22 and sigma1 programs on each instance's
+    structures with one guard emptied.  An empty VAR or DOM leaves sigma22's
+    SKIP conjuncts, which dropped both block quantifiers, holding vacuously;
+    an empty ACT leaves a prefix level with no candidates."""
+    sigma22 = {k: fomc.compile_program(build_sigma22_formula(k))
+               for k in range(1, 4)}
+    sigma1 = {k: fomc.compile_program(build_sigma1_formula(k))
+              for k in range(1, 3)}
+    rng = random.Random(30)
+    digest = hashlib.sha256()
+    answers = set()
+    for i in range(40):
+        n, d = rng.randint(1, 4), rng.randint(2, 3)
+        m = rng.randint(0, min(6, n * d))
+        inst = random_instance(n, d, m, seed=30_000 + i, unary=True)
+        for fragment, bounds in ((SIGMA1, range(1, 5)),
+                                 (SIGMA22, range(1, 7))):
+            for k in bounds:
+                r = solve_via_mc(inst, k, fragment)
+                answers.add((fragment, r.solvable))
+                digest.update(repr((fragment, k, r.solvable, r.plan,
+                                    r.assignments)).encode())
+        structures = [(sigma22, build_structure(inst))]
+        for k in sigma1:
+            try:
+                structures.append(({k: sigma1[k]},
+                                   build_extended_structure(inst, k)))
+            except TriviallyUnsolvable:
+                pass
+        for programs, s in structures:
+            for guard in ("VAR", "DOM", "ACT"):
+                empty = dataclasses.replace(
+                    s, relations={**s.relations, guard: frozenset()})
+                for k, program in programs.items():
+                    r = model_check_witness(empty, program)
+                    answers.add((guard, r[0]))
+                    digest.update(repr((guard, k, empty.size, r)).encode())
+    assert {(SIGMA1, True), (SIGMA1, False), (SIGMA22, True),
+            (SIGMA22, False), ("VAR", True), ("ACT", False)} <= answers
+    assert digest.hexdigest() == SOLVE_DIGEST
 
 
 def test_sexpr_round_readable():
