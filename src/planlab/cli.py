@@ -1,6 +1,11 @@
 """Command-line front door: classify, solve, validate, generate.
 
 Machine-readable JSON goes to stdout, human-readable notes to stderr.
+A route's module is imported only when that route runs, and `generators`
+only for `generate`, so a fresh `planlab solve` pays to import the route
+that answers it and no other.  `--solver auto` runs the first route that
+applies to the instance, and the next one that applies whenever a route
+refuses it (ContractError); the oracle applies to every instance.
 `main` parses a call with its subcommand's parser alone, taken from the
 one parser tree built per process; only a call without a known command,
 or with arguments left over, goes through the top-level parser.  Exit
@@ -17,11 +22,15 @@ import json
 import os
 import re
 import sys
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List,
+                    NamedTuple, Optional, Tuple)
 
-from . import fomc, generators, io, oracle, postunique, zerotwo
+from . import io, oracle
 from .core import (ContractError, Instance, RestrictionProfile, classify,
                    lint_instance, validate_plan)
+
+if TYPE_CHECKING:
+    from . import generators
 
 BUDGET_ENV = "PLAN_LAB_BUDGET"
 
@@ -29,6 +38,10 @@ EXIT_SOLVED = 0
 EXIT_UNSOLVED = 1
 EXIT_PARSE = 2
 EXIT_INAPPLICABLE = 3
+
+# fomc's fragment names (fomc.SIGMA1, fomc.SIGMA22), spelled out so that
+# building the parser does not import fomc.
+FRAGMENTS = ("sigma1", "sigma22")
 
 # What a route's runner returns: the plan or None, the solver label, stats.
 Solved = Tuple[Optional[List[int]], str, Dict[str, object]]
@@ -53,11 +66,13 @@ def _load_instance(path: str) -> Instance:
 
 
 def _post_unique(instance: Instance, k: int, option, budget: int) -> Solved:
+    from . import postunique
     plan, labels = postunique.shortest_plan_with_stats(instance, k)
     return plan, "post-unique", {"search_tree_nodes": labels}
 
 
 def _zero_two(instance: Instance, k: int, dot, budget: int) -> Solved:
+    from . import zerotwo
     result = zerotwo.solve_zero_two(instance, k)
     stats = {"transformed": result.transformed,
              "steiner_nodes": result.dst.node_count,
@@ -71,6 +86,7 @@ def _zero_two(instance: Instance, k: int, dot, budget: int) -> Solved:
 
 
 def _fo_mc(instance: Instance, k: int, fragment, budget: int) -> Solved:
+    from . import fomc
     result = fomc.solve_via_mc(instance, k, fragment)
     return result.plan, f"fo-mc/{result.fragment}", {
         "assignments": result.assignments}
@@ -92,7 +108,8 @@ class Route(NamedTuple):
     option: Optional[str]
 
 
-# In the order `--solver auto` tries them: the first route that applies runs.
+# In the order `--solver auto` tries them: the first route that applies runs,
+# and each one after it that applies runs if those before it refused.
 ROUTES = (
     Route("post-unique", lambda p: p.post_unique, _post_unique, None),
     Route("zero-two", lambda p: p.max_pre == 0 and p.max_eff <= 2,
@@ -102,13 +119,15 @@ ROUTES = (
 )
 
 
-def _route(profile: RestrictionProfile) -> Route:
-    return next(route for route in ROUTES if route.applies(profile))
+def _routes(profile: RestrictionProfile) -> Iterator[Route]:
+    """The rows that apply to profile, in the order `auto` tries them."""
+    return (route for route in ROUTES if route.applies(profile))
 
 
 def cmd_classify(args) -> int:
     profile = classify(_load_instance(args.instance))
-    print(json.dumps({**profile.as_dict(), "route": _route(profile).name}))
+    route = next(_routes(profile))
+    print(json.dumps({**profile.as_dict(), "route": route.name}))
     return EXIT_SOLVED
 
 
@@ -117,14 +136,25 @@ def cmd_solve(args) -> int:
         raise ValueError("k must be non-negative")
     budget = _budget(args)
     instance = _load_instance(args.instance)
-    route = (_route(classify(instance)) if args.solver == "auto" else
-             next(r for r in ROUTES if r.name == args.solver))
+    routes = (_routes(classify(instance)) if args.solver == "auto" else
+              (r for r in ROUTES if r.name == args.solver))
+    route = next(routes)
     for other in ROUTES:
         if other.option and other is not route and getattr(args, other.option):
             raise ValueError(f"--{other.option} applies to {other.name}, "
                              f"not {route.name}")
-    option = getattr(args, route.option) if route.option else None
-    plan, label, stats = route.run(instance, args.k, option, budget)
+    while True:
+        option = getattr(args, route.option) if route.option else None
+        try:
+            plan, label, stats = route.run(instance, args.k, option, budget)
+            break
+        except ContractError as exc:
+            after = next(routes, None)
+            if after is None:
+                raise
+            print(f"{route.name} inapplicable: {exc}; trying {after.name}",
+                  file=sys.stderr)
+            route = after
     solvable = plan is not None
     if solvable:
         report = validate_plan(instance, plan)
@@ -188,6 +218,7 @@ def _parse_edges(text: str) -> Tuple[Tuple[generators.Vertex,
                                            generators.Vertex], ...]:
     """'1.0-2.0,1.0-3.1' -> (((1,0),(2,0)), ((1,0),(3,1))); whitespace is
     ignored."""
+    from . import generators
     text = "".join(text.split())
     edges = []
     for chunk in text.split(",") if text else ():
@@ -200,6 +231,7 @@ def _parse_edges(text: str) -> Tuple[Tuple[generators.Vertex,
 
 
 def _graph_from_args(args) -> generators.MulticoloredGraph:
+    from . import generators
     if args.complete:
         if args.per_part != 1:
             raise ValueError("--complete is defined for --per-part 1")
@@ -230,6 +262,7 @@ def _write_generated(args, instance: Instance, bound: int,
 
 
 def cmd_generate(args) -> int:
+    from . import generators
     kind = args.generator
     if getattr(args, "k", 0) < 0:
         raise ValueError("k must be non-negative")
@@ -297,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("k", type=int)
     p.add_argument("--solver", default="auto",
                    choices=["auto", *(route.name for route in ROUTES)])
-    p.add_argument("--fragment", choices=[fomc.SIGMA1, fomc.SIGMA22],
+    p.add_argument("--fragment", choices=FRAGMENTS,
                    help="force a model-checking fragment")
     p.add_argument("--stats", action="store_true")
     p.add_argument("--budget", type=int,

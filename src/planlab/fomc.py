@@ -154,52 +154,6 @@ def _children(f: Formula) -> Tuple[Formula, ...]:
     return ()
 
 
-# node_count, formula_to_sexpr and _quantifier_free walk with a stack of
-# their own: sigma22's formula nests deeper than Python's recursion limit
-# allows from k of about 170, below its cap.
-def node_count(f: Formula) -> int:
-    count, stack = 0, [f]
-    while stack:
-        count += 1
-        stack.extend(_children(stack.pop()))
-    return count
-
-
-def _sexpr_items(f: Formula) -> List[Union[str, Formula]]:
-    """f's s-expression as text pieces and the subformulas between them."""
-    if isinstance(f, (Exists, Forall)):
-        kind = "exists" if isinstance(f, Exists) else "forall"
-        var = f.var if f.guard is None else f"({f.var} {f.guard})"
-        return [f"({kind} {var} ", f.body, ")"]
-    if isinstance(f, (And, Or)):
-        items: List[Union[str, Formula]] = [
-            "(and " if isinstance(f, And) else "(or "]
-        for i, part in enumerate(f.parts):
-            items += (" ", part) if i else (part,)
-        return items + [")"]
-    if isinstance(f, Not):
-        return ["(not ", f.part, ")"]
-    if isinstance(f, Implies):
-        return ["(implies ", f.left, " ", f.right, ")"]
-    if isinstance(f, Atom):
-        return ["(" + " ".join((f.rel,) + f.terms) + ")"]
-    if isinstance(f, Equal):
-        return [f"(= {f.left} {f.right})"]
-    raise TypeError(f"not a formula node: {f!r}")
-
-
-def formula_to_sexpr(f: Formula) -> str:
-    out: List[str] = []
-    stack: List[Union[str, Formula]] = [f]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-        else:
-            stack.extend(reversed(_sexpr_items(item)))
-    return "".join(out)
-
-
 def prefix_shape(f: Formula) -> Tuple[int, int, bool]:
     """(existential block length, following universal block length,
     rest quantifier-free)."""
@@ -214,6 +168,9 @@ def prefix_shape(f: Formula) -> Tuple[int, int, bool]:
     return e, u, _quantifier_free(f)
 
 
+# _quantifier_free walks with a stack of its own: sigma22's formula nests
+# deeper than Python's recursion limit allows from k of about 170, below its
+# cap.
 def _quantifier_free(f: Formula) -> bool:
     stack = [f]
     while stack:
@@ -325,18 +282,6 @@ def build_extended_structure(instance: Instance, k: int) -> RelationalStructure:
     Raises TriviallyUnsolvable when the goal deviates on more than k
     variables."""
     return _structure(instance, k)
-
-
-def structure_to_text(structure: RelationalStructure) -> str:
-    lines = ["universe:"]
-    for i, (name, sort) in enumerate(structure.universe):
-        lines.append(f"  {i}: {name} [{sort}]")
-    for rel in sorted(structure.relations):
-        rows = sorted(structure.relations[rel])
-        body = " ".join("(" + ",".join(structure.universe[e][0] for e in t) + ")"
-                        for t in rows)
-        lines.append(f"{rel}: {body}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

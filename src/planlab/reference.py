@@ -18,15 +18,19 @@ the CLI, imports this module; tests do.
   the hitting-set and multicolored-clique reductions.
 - brute_force_steiner, reaches_all_terminals: the smallest arc set of a
   Steiner digraph that reaches every terminal from the root.
+- node_count, formula_to_sexpr, structure_to_text: fo-mc's formulas and
+  structures as a node count and as text, which tests compare and pin.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from .core import (Action, Instance, PartialState, Plan, TotalState,
                    validate_plan)
+from .fomc import (And, Atom, Equal, Exists, Forall, Formula, Implies, Not,
+                   Or, RelationalStructure, _children)
 from .generators import HittingSetInput, MulticoloredGraph, normalize_edge
 from .oracle import BudgetExhausted
 from .zerotwo import ROOT, SteinerInstance
@@ -164,3 +168,61 @@ def brute_force_steiner(dst: SteinerInstance) -> Optional[int]:
             if reaches_all_terminals(dst, subset):
                 return r  # combinations are tried smallest first
     return None
+
+
+# node_count and formula_to_sexpr walk with a stack of their own: sigma22's
+# formula nests deeper than Python's recursion limit allows from k of about
+# 170, below its cap.
+def node_count(f: Formula) -> int:
+    count, stack = 0, [f]
+    while stack:
+        count += 1
+        stack.extend(_children(stack.pop()))
+    return count
+
+
+def _sexpr_items(f: Formula) -> List[Union[str, Formula]]:
+    """f's s-expression as text pieces and the subformulas between them."""
+    if isinstance(f, (Exists, Forall)):
+        kind = "exists" if isinstance(f, Exists) else "forall"
+        var = f.var if f.guard is None else f"({f.var} {f.guard})"
+        return [f"({kind} {var} ", f.body, ")"]
+    if isinstance(f, (And, Or)):
+        items: List[Union[str, Formula]] = [
+            "(and " if isinstance(f, And) else "(or "]
+        for i, part in enumerate(f.parts):
+            items += (" ", part) if i else (part,)
+        return items + [")"]
+    if isinstance(f, Not):
+        return ["(not ", f.part, ")"]
+    if isinstance(f, Implies):
+        return ["(implies ", f.left, " ", f.right, ")"]
+    if isinstance(f, Atom):
+        return ["(" + " ".join((f.rel,) + f.terms) + ")"]
+    if isinstance(f, Equal):
+        return [f"(= {f.left} {f.right})"]
+    raise TypeError(f"not a formula node: {f!r}")
+
+
+def formula_to_sexpr(f: Formula) -> str:
+    out: List[str] = []
+    stack: List[Union[str, Formula]] = [f]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        else:
+            stack.extend(reversed(_sexpr_items(item)))
+    return "".join(out)
+
+
+def structure_to_text(structure: RelationalStructure) -> str:
+    lines = ["universe:"]
+    for i, (name, sort) in enumerate(structure.universe):
+        lines.append(f"  {i}: {name} [{sort}]")
+    for rel in sorted(structure.relations):
+        rows = sorted(structure.relations[rel])
+        body = " ".join("(" + ",".join(structure.universe[e][0] for e in t) + ")"
+                        for t in rows)
+        lines.append(f"{rel}: {body}")
+    return "\n".join(lines) + "\n"

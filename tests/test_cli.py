@@ -1,12 +1,15 @@
+import importlib
 import json
 import os
+import pkgutil
 import random
 import subprocess
 import sys
 
 import pytest
 
-from planlab import cli, core, io, zerotwo
+import planlab
+from planlab import cli, core, fomc, io, zerotwo
 from planlab.cli import main
 from planlab.core import ContractError
 from planlab.generators import (HittingSetInput, MulticoloredGraph,
@@ -115,6 +118,42 @@ def test_solve_above_fo_mc_caps_exit_3(capsys, toy_file):
         code, out = run(capsys, "solve", toy_file, k, "--solver", "fo-mc",
                         "--fragment", fragment)
         assert code == 3 and out is None, fragment
+
+
+@pytest.mark.parametrize("k", [9, 12, 40])
+def test_auto_falls_through_when_a_route_refuses(capsys, tmp_path, k):
+    # unary, neither P nor (0,2): auto sends these to fo-mc, whose sigma1
+    # refuses k above its cap, and the oracle, the next route that applies,
+    # answers; classify still reports fo-mc, the first route that applies
+    assert k > fomc.SIGMA1_MAX_K
+    rng = random.Random(k)
+    path = tmp_path / "u.sasp"
+    verdicts = set()
+    for _ in range(60):
+        inst = random_instance(rng.randint(1, 5), rng.randint(1, 3),
+                               rng.randint(0, 7), rng.randrange(10**6),
+                               unary=True)
+        if next(cli._routes(core.classify(inst))).name != "fo-mc":
+            continue
+        path.write_text(io.serialize_instance(inst))
+        code, out = run(capsys, "classify", str(path))
+        assert code == 0 and out["route"] == "fo-mc"
+        code = main(["solve", str(path), str(k)])
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        expected = shortest_plan(inst, k)
+        assert code == (1 if expected is None else 0)
+        assert out["solver"] == "oracle"
+        assert out["plan"] == (None if expected is None else
+                               [inst.actions[a].name for a in expected])
+        assert "fo-mc inapplicable: " in captured.err
+        verdicts.add(out["solvable"])
+    assert verdicts == {True, False}
+
+
+def test_fragment_choices_are_fomcs():
+    # spelled out in cli, so that building the parser imports no fomc
+    assert cli.FRAGMENTS == (fomc.SIGMA1, fomc.SIGMA22)
 
 
 def test_solve_every_solver_agrees(capsys, toy_file):
@@ -551,6 +590,9 @@ def test_one_classify_per_call(capsys, tmp_path, monkeypatch):
     path.write_text(TOY1_TEXT + "action a3 pre 1=1 eff 0=1\n")
     calls = []
     real_classify = core.classify
+    # a module first imported during a call would bind the real classify
+    for info in pkgutil.iter_modules(planlab.__path__, "planlab."):
+        importlib.import_module(info.name)
     for name, module in list(sys.modules.items()):  # every module binding it
         if (name.split(".")[0] == "planlab"
                 and getattr(module, "classify", None) is real_classify):

@@ -20,13 +20,13 @@ from planlab.fomc import (SIGMA1, SIGMA1_MAX_K, SIGMA22, SIGMA22_MAX_K, And, Ato
                           Exists, Forall, Implies, Not, Or, RelationalStructure,
                           TriviallyUnsolvable, build_extended_structure,
                           build_sigma1_formula, build_sigma22_formula,
-                          build_structure, compile_query, formula_to_sexpr,
-                          model_check_basic, model_check_witness, node_count,
-                          prefix_shape, solve_via_mc, structure_to_text)
+                          build_structure, compile_query, model_check_basic,
+                          model_check_witness, prefix_shape, solve_via_mc)
 from planlab.generators import random_instance
 from planlab.io import serialize_instance
 from planlab.oracle import DEFAULT_BUDGET, shortest_plan
-from planlab.reference import plain_bfs
+from planlab.reference import (formula_to_sexpr, node_count, plain_bfs,
+                               structure_to_text)
 
 from conftest import random_small_instance
 
@@ -253,8 +253,8 @@ def test_printers_pinned():
 
 PRINT_AT_THE_CAP = """import sys
 sys.path.insert(0, sys.argv[1])
-from planlab.fomc import (SIGMA22_MAX_K, build_sigma22_formula,
-                          formula_to_sexpr, node_count, prefix_shape)
+from planlab.fomc import SIGMA22_MAX_K, build_sigma22_formula, prefix_shape
+from planlab.reference import formula_to_sexpr, node_count
 f = build_sigma22_formula(SIGMA22_MAX_K)
 print(sys.getrecursionlimit(), node_count(f), prefix_shape(f),
       formula_to_sexpr(f).count("(exists"), sep=";")

@@ -62,6 +62,48 @@ def test_the_program_does_not_load_the_reference_module():
     assert proc.stdout == "False []\n"
 
 
+LOADED = """import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+import planlab.cli
+argv = sys.argv[2:]
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = planlab.cli.main(argv)
+    assert code == 0, code
+print(" ".join(sorted(name[len("planlab."):] for name in sys.modules
+                      if name.startswith("planlab."))))
+"""
+LAZY = {"fomc", "generators", "postunique", "zerotwo"}
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    """planlab.cli imports a route's module when that route runs, and
+    generators only for `generate`, so a fresh `planlab solve` does not
+    pay to import the routes it does not take."""
+    src = os.path.dirname(os.path.dirname(planlab.__file__))
+    # two effects after a precondition, two producers of 0=1: auto routes
+    # it to the oracle
+    path = tmp_path / "oracle.sasp"
+    path.write_text("SASP 1\nvars 2\ndomain 2\ninit 0 0\ngoal 0=1\n"
+                    "action a pre eff 0=1\n"
+                    "action b pre 1=1 eff 0=1 1=0\n")
+    solve = ["solve", str(path), "1"]
+    generate = ["generate", "random", "--n", "2", "--actions", "2",
+                "--seed", "1", "--out", str(tmp_path / "r.sasp")]
+
+    def loaded(*argv):
+        proc = subprocess.run([sys.executable, "-c", LOADED, src, *argv],
+                              stdout=subprocess.PIPE, text=True, check=True)
+        return set(proc.stdout.split())
+
+    at_import = loaded()
+    assert {"cli", "core", "io", "oracle"} <= at_import
+    assert at_import & LAZY == set()
+    assert loaded(*solve, "--solver", "auto") & LAZY == set()
+    assert loaded(*solve, "--solver", "fo-mc") & LAZY == {"fomc"}
+    assert "generators" in loaded(*generate)
+
+
 def _code_calls(path):
     """The builtins among eval, exec and compile that a module calls, by
     name or through the builtins module."""
