@@ -97,6 +97,13 @@ def _oracle(instance: Instance, k: int, option, budget: int) -> Solved:
     return plan, "oracle", {"visited_states": visited}
 
 
+def _regression(instance: Instance, k: int, option, budget: int) -> Solved:
+    plan, visited = oracle.shortest_plan_with_stats(
+        oracle.regression_instance(instance), k, budget)
+    return (None if plan is None else plan[::-1], "regression",
+            {"visited_states": visited})
+
+
 class Route(NamedTuple):
     """A solver route: the profiles `auto` sends to it, its runner, and the
     one `solve` option only it reads, if any.  The runner is called as
@@ -115,6 +122,7 @@ ROUTES = (
     Route("zero-two", lambda p: p.max_pre == 0 and p.max_eff <= 2,
           _zero_two, "dot"),
     Route("fo-mc", lambda p: p.unary, _fo_mc, "fragment"),
+    Route("regression", lambda p: p.max_pre == 0, _regression, None),
     Route("oracle", lambda p: True, _oracle, None),
 )
 

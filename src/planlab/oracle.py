@@ -70,14 +70,25 @@ every action, and the visited count is its count of kept states:
 planlab.reference.plain_bfs with bounded=True.  fixes and unmet(init)
 come from core.goal_count, the goal count that zero-two refutes with
 too; an initial state with unmet > k * fixes answers at once.
+
+Regression: the regression route, which `--solver auto` runs on an
+instance without preconditions that no earlier route takes, searches
+backward.  regression_instance derives a binary instance whose states
+are the sets of goal variables that later steps of a plan have already
+set right, and this same search runs on it; its plan, reversed, is a
+shortest plan of the input (the argument is in regression_instance's
+docstring), though not the lexicographically smallest one.  On the
+multicolored-clique encodings of generators.from_mcc_03 it visits about
+half the states of the forward search.  `--solver oracle` still searches
+forward and returns the lexicographically smallest shortest plan.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .core import (Instance, Plan, PlanLabError, commute, goal_count,
-                   overwrites, pack, pack_actions)
+from .core import (Action, ContractError, Instance, Plan, PlanLabError,
+                   commute, goal_count, overwrites, pack, pack_actions)
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -170,6 +181,58 @@ def shortest_plan_with_stats(instance: Instance, k: int,
             break
         frontier, reached = next_frontier, next_reached
     return None, len(parent)
+
+
+def regression_instance(instance: Instance) -> Instance:
+    """The backward search of an instance without preconditions, as a
+    binary instance over the same variables, actions and action ids.
+
+    A goal variable matters when the initial state misses it or some
+    action sets it to a value other than its goal value (sets it wrong).
+    Action a has precondition v=1 for each goal variable it sets wrong and
+    effect v=1 for each one that matters and that it sets right; init is
+    all 0, and the goal is v=1 for each goal variable init misses.
+
+    Without preconditions every step applies, and each variable ends at
+    the value its last writer sets, or at its initial value when no step
+    writes it: the last-writer lemma, also behind zero-two's bound
+    min(k, |goal|).  So a_1 .. a_n is a plan when every goal variable that
+    init misses is written, and the last writer of every written goal
+    variable sets it right.  Read the plan backward, from a_n, keeping the
+    set W of the goal variables that the steps read so far write.  Their
+    last writers all set them right exactly when each step sets wrong only
+    variables already in W, and a step then adds to W what it sets right;
+    the plan reaches the goal when W ends up holding every goal variable
+    that init misses.  That is the derived instance, with W as its state,
+    so a_n .. a_1 is a plan of it exactly when a_1 .. a_n is a plan
+    of the input, and both have the same length.  A goal variable that
+    does not matter holds in every state, so it is left out.  A step that
+    adds nothing to W leaves the derived state as it is, and the search
+    records each state once, so no plan it returns holds such a step;
+    that matches the lemma, by which a step can be dropped from a plan of
+    the input when later steps write every goal variable it writes.
+    Raises ContractError when an action has a precondition."""
+    goal = instance.goal
+    unmet = {v: 1 for v, x in goal.items() if instance.init[v] != x}
+    matters = set(unmet)
+    matters.update(v for a in instance.actions for v, x in a.eff.items()
+                   if goal.get(v, x) != x)
+    actions = []
+    for a in instance.actions:
+        if a.pre:
+            raise ContractError(
+                f"action {a.name!r} has a precondition; the regression "
+                "route needs an instance without preconditions")
+        pre, eff = {}, {}
+        for v, x in a.eff.items():
+            if v in matters:
+                if goal[v] == x:
+                    eff[v] = 1
+                else:
+                    pre[v] = 1
+        actions.append(Action(a.name, pre, eff))
+    return Instance(instance.var_count, 2, tuple(actions),
+                    (0,) * instance.var_count, unmet, instance.var_names)
 
 
 def _skip_rule(acts, a):

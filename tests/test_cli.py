@@ -5,6 +5,7 @@ import pkgutil
 import random
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -16,6 +17,8 @@ from planlab.generators import (HittingSetInput, MulticoloredGraph,
                                 compose_pub, from_hitting_set, from_mcc_03,
                                 random_instance)
 from planlab.oracle import DEFAULT_BUDGET, shortest_plan
+from planlab.reference import (brute_force_hitting_set,
+                               has_multicolored_clique, plain_bfs)
 
 TOY1_TEXT = """\
 SASP 1
@@ -614,7 +617,8 @@ def test_one_classify_per_call(capsys, tmp_path, monkeypatch):
 
 def test_route_runners_take_plain_values(capsys, tmp_path, toy1, zt1):
     # every route row runs from (instance, k, option, budget) alone, and
-    # answers as `planlab solve --stats` does
+    # answers as `planlab solve --stats` does, or refuses and exits 3
+    refused = []
     for name, instance in (("toy1", toy1), ("zt1", zt1)):
         path = tmp_path / f"{name}.sasp"
         path.write_text(io.serialize_instance(instance))
@@ -624,14 +628,129 @@ def test_route_runners_take_plain_values(capsys, tmp_path, toy1, zt1):
             try:
                 plan, label, stats = route.run(instance, 2, None,
                                                DEFAULT_BUDGET)
-            except ContractError:  # zero-two on toy1, which has a pre
+            except ContractError:
                 assert main(argv) == 3, (name, route.name)
                 capsys.readouterr()
+                refused.append((name, route.name))
                 continue
             code, out = run(capsys, *argv)
             assert code == 0 and plan is not None, (name, route.name)
             assert out["plan"] == [instance.actions[a].name for a in plan]
             assert (out["solver"], out["stats"]) == (label, stats)
+    # toy1 has a precondition
+    assert refused == [("toy1", "zero-two"), ("toy1", "regression")]
+
+
+REGRESSION = next(route for route in cli.ROUTES if route.name == "regression")
+
+
+def test_regression_route_agrees_with_plain_bfs():
+    # random instances without preconditions, every effect count 1-4 and
+    # domain 2-4: the route's verdict and plan length are the forward
+    # search's, and every plan it returns is a plan of the input
+    rng = random.Random(32)
+    for eff in range(1, 5):
+        for d in range(2, 5):
+            for _ in range(40):
+                n = rng.randint(eff, 6)
+                inst = random_instance(n, d, rng.randint(1, 8),
+                                       rng.randrange(10 ** 6), max_pre=0,
+                                       max_eff=eff)
+                k = rng.randint(0, 6)
+                plan, label, stats = REGRESSION.run(inst, k, None,
+                                                    DEFAULT_BUDGET)
+                expected, _ = plain_bfs(inst, k, DEFAULT_BUDGET)
+                assert label == "regression" and stats["visited_states"] >= 1
+                assert (plan is None) == (expected is None), (inst, k)
+                if plan is not None:
+                    assert len(plan) == len(expected), (inst, k)
+                    assert core.validate_plan(inst, plan).valid, (inst, k)
+
+
+def _multicolored_graphs(rng):
+    """Every 3-partite graph with one vertex per part, and random ones
+    with 3 parts of 2 vertices and 4 parts of 1."""
+    pairs = list(combinations(range(1, 4), 2))
+    for mask in range(8):
+        yield MulticoloredGraph(3, 1, tuple(
+            ((i, 0), (j, 0)) for bit, (i, j) in enumerate(pairs)
+            if mask >> bit & 1))
+    for parts, per_part in ((3, 2), (4, 1)):
+        vertices = [(i, a) for i in range(1, parts + 1)
+                    for a in range(per_part)]
+        for _ in range(10):
+            yield MulticoloredGraph(parts, per_part, tuple(
+                (u, w) for u, w in combinations(vertices, 2)
+                if u[0] != w[0] and rng.random() < 0.7))
+
+
+def test_auto_answers_mcc_03_by_regression(capsys, tmp_path):
+    # the (0,3) clique encoding at its claimed bound: `auto` sends it to
+    # the regression route unless it is post-unique (one edge per pair of
+    # parts at most), and the verdict is the clique's
+    path = tmp_path / "mcc.sasp"
+    solvers = []
+    for graph in _multicolored_graphs(random.Random(3)):
+        instance, bound = from_mcc_03(graph)
+        path.write_text(io.serialize_instance(instance))
+        code, out = run(capsys, "solve", str(path), str(bound))
+        assert out["solvable"] == has_multicolored_clique(graph), graph
+        assert code == (0 if out["solvable"] else 1)
+        solvers.append(out["solver"])
+    assert set(solvers) == {"regression", "post-unique"}
+    assert solvers.count("regression") >= 15
+
+
+def test_auto_answers_hitting_sets(capsys, tmp_path):
+    # the hitting-set encoding at its claimed bound, through whichever
+    # route `auto` picks; an element in three subsets makes it (0,3)
+    rng = random.Random(5)
+    path = tmp_path / "hs.sasp"
+    solvers = set()
+    for _ in range(60):
+        size = rng.randint(1, 5)
+        subsets = tuple(tuple(sorted(rng.sample(range(1, size + 1),
+                                                rng.randint(1, size))))
+                        for _ in range(rng.randint(0, 5)))
+        inp = HittingSetInput(size, subsets, rng.randint(0, 3))
+        instance, bound = from_hitting_set(inp)
+        path.write_text(io.serialize_instance(instance))
+        code, out = run(capsys, "solve", str(path), str(bound))
+        assert out["solvable"] == brute_force_hitting_set(inp), inp
+        if out["solvable"]:
+            plan = tuple(instance.action_id(name) for name in out["plan"])
+            assert core.validate_plan(instance, plan).valid
+        solvers.add(out["solver"])
+    assert "regression" in solvers
+
+
+def test_classify_routes_each_generator_family(capsys, tmp_path, toy_file):
+    def route(*generate):
+        path = str(tmp_path / "gen.sasp")
+        code, _ = run(capsys, "generate", *generate, "--out", path)
+        assert code == 0, generate
+        code, out = run(capsys, "classify", path)
+        assert code == 0
+        return out["route"]
+
+    zt = tmp_path / "zt.sasp"
+    zt.write_text("SASP 1\nvars 1\ndomain 2\ninit 0\ngoal 0=1\n"
+                  "action flip pre eff 0=1\n")
+    assert route("mcc-03", "--parts", "3", "--complete") == "regression"
+    assert route("hitting-set", "--universe", "3", "--sets",
+                 "{1,2},{1,3},{1}", "--k", "1") == "regression"
+    assert route("hitting-set", "--universe", "3", "--sets",
+                 "{1,2},{2,3}", "--k", "1") == "zero-two"
+    assert route("compose-02", "--component", str(zt), "--component",
+                 str(zt), "--k", "1") == "zero-two"
+    assert route("mcc-ubs", "--parts", "3", "--complete") == "post-unique"
+    assert route("compose-pub", "--component", f"{toy_file}:2",
+                 "--component", f"{toy_file}:2") == "post-unique"
+    assert route("or2", "--v1", "1", "--v2", "0") == "post-unique"
+    assert route("random", "--n", "4", "--actions", "6", "--seed", "3",
+                 "--unary") == "fo-mc"
+    assert route("random", "--n", "4", "--actions", "6",
+                 "--seed", "3") == "oracle"
 
 
 def test_budget_env(capsys, toy_file, monkeypatch, tmp_path):
@@ -766,8 +885,9 @@ def test_negative_budget_is_a_usage_error(capsys, toy_file, monkeypatch):
 
 _USAGE = "usage: planlab [-h] {classify,solve,validate,generate} ...\n"
 _SOLVE_USAGE = (
-    "usage: planlab solve [-h] [--solver {auto,post-unique,zero-two,fo-mc,"
-    "oracle}]\n"
+    "usage: planlab solve [-h]\n"
+    "                     [--solver {auto,post-unique,zero-two,fo-mc,"
+    "regression,oracle}]\n"
     "                     [--fragment {sigma1,sigma22}] [--stats] "
     "[--budget BUDGET]\n"
     "                     [--dot PATH]\n"
@@ -803,7 +923,7 @@ CLI_PARITY = {
         ["solve", "FILE", "2", "--solver", "nope"], 2, "", _SOLVE_USAGE + (
             "planlab solve: error: argument --solver: invalid choice: "
             "'nope' (choose from 'auto', 'post-unique', 'zero-two', "
-            "'fo-mc', 'oracle')\n")),
+            "'fo-mc', 'regression', 'oracle')\n")),
     "solve-extra-argument": (
         ["solve", "FILE", "2", "--frobnicate"], 2, "", _USAGE + (
             "planlab: error: unrecognized arguments: --frobnicate\n")),
@@ -815,7 +935,7 @@ CLI_PARITY = {
         "\n"
         "options:\n"
         "  -h, --help            show this help message and exit\n"
-        "  --solver {auto,post-unique,zero-two,fo-mc,oracle}\n"
+        "  --solver {auto,post-unique,zero-two,fo-mc,regression,oracle}\n"
         "  --fragment {sigma1,sigma22}\n"
         "                        force a model-checking fragment\n"
         "  --stats\n"

@@ -3,7 +3,8 @@ from itertools import product
 
 import pytest
 
-from planlab.core import Action, Instance, commute, pack, validate_plan
+from planlab.core import (Action, ContractError, Instance, commute, pack,
+                          validate_plan)
 from planlab import oracle
 from planlab.generators import (HittingSetInput, MulticoloredGraph,
                                 from_hitting_set, from_mcc_03, from_mcc_ubs,
@@ -388,3 +389,39 @@ def test_no_non_goal_state_of_depth_k_is_recorded():
         assert oracle.shortest_plan_with_stats(inst, k) == (None, k)
         assert plain_bfs(inst, k, DEFAULT_BUDGET) == (None, k + 1)
     assert oracle.shortest_plan_with_stats(inst, 4) == ((0, 1, 2, 3), 5)
+
+
+def test_regression_instance_shape():
+    # goal 0=1 (unmet), 1=0 (met; "wrong" sets it to 1), 2=1 (met, never
+    # set wrong: left out); variable 3 is not in the goal
+    inst = Instance(4, 3, (Action("wrong", {}, {1: 1, 0: 1}),
+                           Action("fix", {}, {1: 0, 2: 1, 3: 2}),
+                           Action("noise", {}, {3: 1})),
+                    (0, 0, 1, 0), {0: 1, 1: 0, 2: 1})
+    derived = oracle.regression_instance(inst)
+    assert derived == Instance(4, 2, (Action("wrong", {1: 1}, {0: 1}),
+                                      Action("fix", {}, {1: 1}),
+                                      Action("noise", {}, {})),
+                               (0, 0, 0, 0), {0: 1})
+    assert oracle.shortest_plan_with_stats(derived, 2) == ((1, 0), 3)
+    assert validate_plan(inst, (0, 1)).valid
+    with pytest.raises(ContractError):
+        oracle.regression_instance(Instance(1, 2, (Action("a", {0: 0},
+                                                          {0: 1}),),
+                                            (0,), {0: 1}))
+
+
+def test_regression_leaves_out_goals_nothing_sets_wrong():
+    # one unmet goal variable, and m actions before its fix that each set
+    # an already satisfied goal variable to its goal value again.  Those
+    # variables stay out of the derived instance, so its search visits the
+    # initial state and the goal only; with them in, it would record each
+    # re-set state before it reached the goal
+    m = 8
+    acts = tuple(Action(f"reset{i}", {}, {i: 1}) for i in range(1, m + 1))
+    inst = Instance(m + 1, 2, acts + (Action("fix", {}, {0: 1}),),
+                    (0,) + (1,) * m, {v: 1 for v in range(m + 1)})
+    derived = oracle.regression_instance(inst)
+    assert oracle.shortest_plan_with_stats(derived, 0) == (None, 1)
+    for k in range(1, m + 2):
+        assert oracle.shortest_plan_with_stats(derived, k) == ((m,), 2), k

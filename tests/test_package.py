@@ -6,6 +6,8 @@ import subprocess
 import sys
 
 import planlab
+from planlab.generators import MulticoloredGraph, from_mcc_03
+from planlab.io import serialize_instance
 
 
 def test_every_module_loads_from_source():
@@ -88,6 +90,12 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
                     "action a pre eff 0=1\n"
                     "action b pre 1=1 eff 0=1 1=0\n")
     solve = ["solve", str(path), "1"]
+    # a clique encoding without preconditions: auto routes it to
+    # regression, which runs the oracle's search
+    triangle = MulticoloredGraph(3, 1, (((1, 0), (2, 0)), ((1, 0), (3, 0)),
+                                        ((2, 0), (3, 0))))
+    clique = tmp_path / "mcc.sasp"
+    clique.write_text(serialize_instance(from_mcc_03(triangle)[0]))
     generate = ["generate", "random", "--n", "2", "--actions", "2",
                 "--seed", "1", "--out", str(tmp_path / "r.sasp")]
 
@@ -100,6 +108,8 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     assert {"cli", "core", "io", "oracle"} <= at_import
     assert at_import & LAZY == set()
     assert loaded(*solve, "--solver", "auto") & LAZY == set()
+    assert loaded("solve", str(clique), "6") <= {"cli", "core", "io",
+                                                  "oracle"}
     assert loaded(*solve, "--solver", "fo-mc") & LAZY == {"fomc"}
     assert "generators" in loaded(*generate)
 
