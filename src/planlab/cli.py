@@ -99,7 +99,7 @@ def _oracle(instance: Instance, k: int, option, budget: int) -> Solved:
 
 def _regression(instance: Instance, k: int, option, budget: int) -> Solved:
     plan, visited = oracle.shortest_plan_with_stats(
-        oracle.regression_instance(instance), k, budget)
+        oracle.regression_instance(instance), k, budget, stubborn=True)
     return (None if plan is None else plan[::-1], "regression",
             {"visited_states": visited})
 

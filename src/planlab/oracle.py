@@ -77,10 +77,29 @@ backward.  regression_instance derives a binary instance whose states
 are the sets of goal variables that later steps of a plan have already
 set right, and this same search runs on it; its plan, reversed, is a
 shortest plan of the input (the argument is in regression_instance's
-docstring), though not the lexicographically smallest one.  On the
-multicolored-clique encodings of generators.from_mcc_03 it visits about
-half the states of the forward search.  `--solver oracle` still searches
-forward and returns the lexicographically smallest shortest plan.
+docstring), though not the lexicographically smallest one.  The derived
+instance is delete-free: every precondition, effect and goal is v=1, so
+no step ever unsets a variable.  The route runs the search in its
+stubborn mode (shortest_plan_with_stats(..., stubborn=True)), which
+expands from each state only the applicable actions of its strong
+stubborn set (Alkhazraji, Wehrle, Mattmüller & Helmert 2012; Wehrle &
+Helmert 2014): the achievers of the first unmet goal variable, closed
+under adding the achievers of the first unmet precondition of each
+member that does not apply.  With no deletes no action interferes with
+another, so that closure is the whole rule.  The set, as a bitmask over
+action ids, is built once per expanded state and its complement is the
+state's skip mask, in place of the inherited one above; the bound stays.
+The first action of an optimal plan that lies in the set applies in the
+state, because otherwise an earlier step achieves one of its unmet
+preconditions, and those achievers are in the set.  Moving it to the
+front keeps the plan valid and as long, because with no deletes an added
+fact never disables a later step.  So every state keeps an optimal
+path, and the verdict and the plan length are those of the full search.
+On the multicolored-clique encodings of generators.from_mcc_03 the
+pruned search visits about a seventeenth of the states of the unpruned
+backward search, itself about half the forward one.  `--solver oracle`
+still searches forward without pruning and returns the lexicographically
+smallest shortest plan.
 """
 
 from __future__ import annotations
@@ -110,17 +129,48 @@ def shortest_plan(instance: Instance, k: int,
 
 
 def shortest_plan_with_stats(instance: Instance, k: int,
-                             budget: int = DEFAULT_BUDGET):
+                             budget: int = DEFAULT_BUDGET,
+                             stubborn: bool = False):
     """(shortest plan or None, states visited).  Raises BudgetExhausted once
     more than `budget` states have been visited, the initial state
-    included; states the bound drops are not visited."""
+    included; states the bound drops are not visited.
+
+    stubborn: expand from each state only the applicable actions of its
+    strong stubborn set, for a delete-free binary instance (domain 2, every
+    precondition, effect and goal v=1); raises ContractError on any other.
+    The set is the achievers of the first unmet goal variable, closed under
+    adding the achievers of the first unmet precondition of each member
+    that does not apply.  No action deletes a fact, so none interferes with
+    another, and the set needs no other closure step.  Safety: take an
+    optimal plan from the state, and its first action a in the set (the
+    plan sets the unmet goal variable, so some step is in the set).  a
+    applies in the state: otherwise the step before it that achieves a's
+    first unmet precondition is in the set too.  Moving a to the front
+    keeps the plan valid and as long, because with no deletes an added
+    fact never disables a later step.  So from every state the pruned
+    search keeps a path of the optimal length, and its verdict and plan
+    length are those of the full search; its plan need not be the
+    lexicographically smallest one, and the goal-count bound, which drops
+    no state on an optimal path, stays.  The set replaces the inherited
+    skip mask instead of joining it: that mask's invariant rests on paths
+    that the full search follows and the pruned one may cut, and with
+    both, routed seed-1 mcc-03-4's derived instance answered no plan at
+    k = 6, though it has a 6-step plan (tests/test_oracle.py pins it)."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    if budget < 1:
-        raise BudgetExhausted(1)
     width, acts = pack_actions(instance)
     _, init = pack(dict(enumerate(instance.init)), width)
     goal_mask, goal_bits = pack(instance.goal, width)
+    # delete-free and binary: one-bit fields, and every condition and
+    # effect sets each bit it masks
+    if stubborn and (instance.domain_size != 2 or goal_bits != goal_mask
+                     or any(pm != pb or em != eb
+                            for pm, pb, em, eb in acts)):
+        raise ContractError(
+            "the stubborn-set search needs a binary instance whose "
+            "preconditions, effects and goal are all v=1")
+    if budget < 1:
+        raise BudgetExhausted(1)
     unmet, fixes = goal_count(instance)
     if not unmet:
         return (), 1
@@ -136,6 +186,12 @@ def shortest_plan_with_stats(instance: Instance, k: int,
     # (comm[a], base[a]) per last action a, built on first use; the
     # initial state (last action -1) skips nothing
     rules = {-1: (0, 0)}
+    if stubborn:
+        # per variable, the actions that set it
+        achievers = [0] * instance.var_count
+        for b, a in enumerate(instance.actions):
+            for v in a.eff:
+                achievers[v] |= 1 << b
     # per distinct skip mask: for every action b it lets through, (the
     # mask, b) and b's packed action
     tries = {}
@@ -149,10 +205,13 @@ def shortest_plan_with_stats(instance: Instance, k: int,
         allowance = (k - depth) * fixes
         next_frontier, next_reached = [], []
         for s, (held, last) in zip(frontier, reached):
-            rule = rules.get(last)
-            if rule is None:
-                rule = rules[last] = _skip_rule(acts, last)
-            skip = held & rule[0] | rule[1]
+            if stubborn:
+                skip = ~_stubborn_set(s, goal_bits, achievers, acts)
+            else:
+                rule = rules.get(last)
+                if rule is None:
+                    rule = rules[last] = _skip_rule(acts, last)
+                skip = held & rule[0] | rule[1]
             after = tries.get(skip)
             if after is None:
                 after = tries[skip] = [((skip, b), act)
@@ -233,6 +292,24 @@ def regression_instance(instance: Instance) -> Instance:
         actions.append(Action(a.name, pre, eff))
     return Instance(instance.var_count, 2, tuple(actions),
                     (0,) * instance.var_count, unmet, instance.var_names)
+
+
+def _stubborn_set(s, goal_bits, achievers, acts):
+    """The strong stubborn set of state s of a delete-free binary instance,
+    as a bitmask over action ids: the achievers of s's first unmet goal
+    variable, closed under adding the achievers of the first unmet
+    precondition of each member that does not apply in s."""
+    need = goal_bits & ~s
+    stub = todo = achievers[(need & -need).bit_length() - 1]
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        need = acts[low.bit_length() - 1][0] & ~s
+        if need:
+            new = achievers[(need & -need).bit_length() - 1] & ~stub
+            stub |= new
+            todo |= new
+    return stub
 
 
 def _skip_rule(acts, a):

@@ -10,7 +10,7 @@ from itertools import combinations
 import pytest
 
 import planlab
-from planlab import cli, core, fomc, io, zerotwo
+from planlab import cli, core, fomc, io, oracle, zerotwo
 from planlab.cli import main
 from planlab.core import ContractError
 from planlab.generators import (HittingSetInput, MulticoloredGraph,
@@ -668,17 +668,19 @@ def test_regression_route_agrees_with_plain_bfs():
 
 
 def _multicolored_graphs(rng):
-    """Every 3-partite graph with one vertex per part, and random ones
-    with 3 parts of 2 vertices and 4 parts of 1."""
+    """Every 3-partite graph with one vertex per part, ten random ones
+    each with 3 parts of 2 vertices and 4 parts of 1, and two each with
+    4 parts of 3, 5 of 2, 5 of 3 and 6 of 2."""
     pairs = list(combinations(range(1, 4), 2))
     for mask in range(8):
         yield MulticoloredGraph(3, 1, tuple(
             ((i, 0), (j, 0)) for bit, (i, j) in enumerate(pairs)
             if mask >> bit & 1))
-    for parts, per_part in ((3, 2), (4, 1)):
+    for parts, per_part, copies in ((3, 2, 10), (4, 1, 10), (4, 3, 2),
+                                    (5, 2, 2), (5, 3, 2), (6, 2, 2)):
         vertices = [(i, a) for i in range(1, parts + 1)
                     for a in range(per_part)]
-        for _ in range(10):
+        for _ in range(copies):
             yield MulticoloredGraph(parts, per_part, tuple(
                 (u, w) for u, w in combinations(vertices, 2)
                 if u[0] != w[0] and rng.random() < 0.7))
@@ -698,7 +700,29 @@ def test_auto_answers_mcc_03_by_regression(capsys, tmp_path):
         assert code == (0 if out["solvable"] else 1)
         solvers.append(out["solver"])
     assert set(solvers) == {"regression", "post-unique"}
-    assert solvers.count("regression") >= 15
+    assert solvers.count("regression") >= 23
+    # one 4x2 graph with a clique: the stubborn sets cut the derived
+    # search from 805 states to 58, so a budget of 58 answers and 57 runs
+    # out
+    graph = MulticoloredGraph(4, 2, (
+        ((1, 0), (2, 0)), ((1, 0), (2, 1)), ((1, 0), (3, 0)),
+        ((1, 0), (3, 1)), ((1, 0), (4, 0)), ((1, 0), (4, 1)),
+        ((1, 1), (3, 1)), ((1, 1), (4, 0)), ((1, 1), (4, 1)),
+        ((2, 0), (3, 0)), ((2, 0), (3, 1)), ((2, 0), (4, 0)),
+        ((2, 1), (4, 1)), ((3, 0), (4, 0)), ((3, 0), (4, 1))))
+    instance, bound = from_mcc_03(graph)
+    path.write_text(io.serialize_instance(instance))
+    code, out = run(capsys, "solve", str(path), str(bound), "--stats")
+    assert code == 0 and out["length"] == bound == 10
+    assert (out["solver"], out["stats"]) == ("regression",
+                                              {"visited_states": 58})
+    _, full = oracle.shortest_plan_with_stats(
+        oracle.regression_instance(instance), bound)
+    assert full == 805
+    code, _ = run(capsys, "solve", str(path), str(bound), "--budget", "57")
+    assert code == 3
+    code, out = run(capsys, "solve", str(path), str(bound), "--budget", "58")
+    assert code == 0 and out["solvable"]
 
 
 def test_auto_answers_hitting_sets(capsys, tmp_path):

@@ -425,3 +425,81 @@ def test_regression_leaves_out_goals_nothing_sets_wrong():
     assert oracle.shortest_plan_with_stats(derived, 0) == (None, 1)
     for k in range(1, m + 2):
         assert oracle.shortest_plan_with_stats(derived, k) == ((m,), 2), k
+
+
+def _random_delete_free(rng):
+    """A random delete-free binary instance: 0-3 preconditions and 1-3
+    effects per action, all v=1, and a goal of 1-n variables v=1."""
+    n = rng.randint(1, 7)
+    acts = tuple(
+        Action(f"a{i}",
+               dict.fromkeys(rng.sample(range(n), rng.randint(0, min(3, n))),
+                             1),
+               dict.fromkeys(rng.sample(range(n), rng.randint(1, min(3, n))),
+                             1))
+        for i in range(rng.randint(1, 9)))
+    init = tuple(int(rng.random() < 0.2) for _ in range(n))
+    goal = dict.fromkeys(rng.sample(range(n), rng.randint(1, n)), 1)
+    return Instance(n, 2, acts, init, goal)
+
+
+def test_stubborn_mode_agrees_with_plain_bfs():
+    # the pruned search keeps the plain search's verdict and plan length on
+    # drawn delete-free instances and on derived ones, from fewer states in
+    # all than the full search
+    rng = random.Random(33)
+    instances = [_random_delete_free(rng) for _ in range(500)]
+    for _ in range(100):
+        instances.append(oracle.regression_instance(random_instance(
+            rng.randint(2, 6), rng.randint(2, 4), rng.randint(1, 8),
+            rng.randrange(10 ** 6), max_pre=0, max_eff=rng.randint(1, 4))))
+    pruned = full = 0
+    for inst in instances:
+        k = rng.randint(0, 7)
+        plan, visited = oracle.shortest_plan_with_stats(inst, k,
+                                                        stubborn=True)
+        pruned += visited
+        full += oracle.shortest_plan_with_stats(inst, k)[1]
+        expected, _ = plain_bfs(inst, k, DEFAULT_BUDGET)
+        assert (plan is None) == (expected is None), (inst, k)
+        if plan is not None:
+            assert len(plan) == len(expected), (inst, k)
+            assert validate_plan(inst, plan).valid, (inst, k)
+    assert pruned < full
+
+
+def test_stubborn_mode_refuses_deletes_and_wide_domains():
+    ok = Instance(2, 2, (Action("a", {0: 1}, {1: 1}),), (1, 0), {1: 1})
+    assert oracle.shortest_plan_with_stats(ok, 1, stubborn=True) == ((0,), 2)
+    for inst in (Instance(2, 2, (Action("a", {0: 0}, {1: 1}),), (0, 0),
+                          {1: 1}),
+                 Instance(2, 2, (Action("a", {}, {0: 0, 1: 1}),), (1, 0),
+                          {1: 1}),
+                 Instance(2, 2, (Action("a", {}, {1: 1}),), (0, 0),
+                          {0: 0, 1: 1}),
+                 Instance(2, 3, (Action("a", {0: 1}, {1: 1}),), (1, 0),
+                          {1: 1})):
+        with pytest.raises(ContractError):
+            oracle.shortest_plan_with_stats(inst, 1, stubborn=True)
+
+
+def test_stubborn_mode_drops_the_inherited_skip_masks():
+    # the derived instance of routed seed-1 mcc-03-4 (a 3x2 clique
+    # encoding): with the inherited skip masks on top of the stubborn sets
+    # the search answered no plan at k = 6
+    vertices = [Action(f"a.{i}.{a}", {}, {2 * (i - 1) + a: 1})
+                for i in (1, 2, 3) for a in (0, 1)]
+    edges = [Action(name, {u: 1, w: 1}, {target: 1})
+             for name, u, w, target in (("ae.1.0+2.1", 0, 3, 6),
+                                        ("ae.1.0+3.1", 0, 5, 7),
+                                        ("ae.1.1+2.0", 1, 2, 6),
+                                        ("ae.1.1+2.1", 1, 3, 6),
+                                        ("ae.1.1+3.0", 1, 4, 7),
+                                        ("ae.2.0+3.0", 2, 4, 8),
+                                        ("ae.2.1+3.0", 3, 4, 8))]
+    inst = Instance(9, 2, tuple(vertices + edges), (0,) * 9,
+                    {6: 1, 7: 1, 8: 1})
+    plan, visited = oracle.shortest_plan_with_stats(inst, 6, stubborn=True)
+    assert len(plan) == 6 and validate_plan(inst, plan).valid
+    assert visited < oracle.shortest_plan_with_stats(inst, 6)[1]
+    assert oracle.shortest_plan_with_stats(inst, 5, stubborn=True)[0] is None
