@@ -8,21 +8,20 @@ against.  The ground truth the routes are tested against lives in
 planlab.reference, which this package does not import.
 """
 
-from .core import (Action, ContractError, EffectPolarity, Instance,
-                   PartialState, Plan, PlanLabError, RestrictionProfile,
-                   StructuralError, TotalState, ValidationReport, classify,
-                   delta_vars, diff_set, effect_polarity, lint_instance,
-                   restrict, validate_plan)
+from .core import (Action, ContractError, Instance, PartialState, Plan,
+                   PlanLabError, RestrictionProfile, StructuralError,
+                   TotalState, ValidationReport, classify, delta_vars,
+                   diff_set, lint_instance, restrict, validate_plan)
 from .io import ParseError, parse_instance, parse_plan, serialize_instance
 from .oracle import BudgetExhausted, shortest_plan
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Action", "BudgetExhausted", "ContractError", "EffectPolarity",
-    "Instance", "ParseError", "PartialState", "Plan", "PlanLabError",
-    "RestrictionProfile", "StructuralError", "TotalState",
-    "ValidationReport", "classify", "delta_vars", "diff_set",
-    "effect_polarity", "lint_instance", "parse_instance", "parse_plan",
-    "restrict", "serialize_instance", "shortest_plan", "validate_plan",
+    "Action", "BudgetExhausted", "ContractError", "Instance", "ParseError",
+    "PartialState", "Plan", "PlanLabError", "RestrictionProfile",
+    "StructuralError", "TotalState", "ValidationReport", "classify",
+    "delta_vars", "diff_set", "lint_instance", "parse_instance",
+    "parse_plan", "restrict", "serialize_instance", "shortest_plan",
+    "validate_plan",
 ]

@@ -67,7 +67,7 @@ def _load_instance(path: str) -> Instance:
 
 def _post_unique(instance: Instance, k: int, option, budget: int) -> Solved:
     from . import postunique
-    plan, labels = postunique.shortest_plan_with_stats(instance, k)
+    plan, labels = postunique.shortest_plan_with_stats(instance, k, budget)
     return plan, "post-unique", {"search_tree_nodes": labels}
 
 
@@ -76,9 +76,7 @@ def _zero_two(instance: Instance, k: int, dot, budget: int) -> Solved:
     result = zerotwo.solve_zero_two(instance, k)
     stats = {"transformed": result.transformed,
              "steiner_nodes": result.dst.node_count,
-             "steiner_arcs": len(result.dst.arcs)}
-    if result.solution is not None:
-        stats["dp_cells"] = result.solution.cells
+             "steiner_arcs": len(result.dst.arcs), **result.counts}
     if dot:
         with open(dot, "w") as fh:
             fh.write(zerotwo.steiner_to_dot(result.dst, result.built_from))

@@ -1,4 +1,4 @@
-"""SAS+ data model: instances, plan semantics, restriction classes, effect polarity.
+"""SAS+ data model: instances, plan semantics, restriction classes, packing.
 
 Variables are 0-based indices into a shared finite domain 0..d-1.  A partial
 state is a plain mapping var -> value; a variable absent from the mapping is
@@ -16,11 +16,6 @@ TotalState = Tuple[int, ...]
 Plan = Tuple[int, ...]
 
 NAME_RE = re.compile(r"[A-Za-z0-9_.+-]+\Z")
-
-GOOD = "good"
-BAD = "bad"
-MIXED = "mixed"
-
 
 class PlanLabError(Exception):
     pass
@@ -117,12 +112,6 @@ class RestrictionProfile:
             "max_pre": self.max_pre,
             "max_eff": self.max_eff,
         }
-
-
-@dataclass(frozen=True)
-class EffectPolarity:
-    effects: Tuple[Tuple[int, str], ...]  # (variable, GOOD|BAD) per effect
-    action: str  # GOOD | BAD | MIXED
 
 
 @dataclass(frozen=True)
@@ -264,28 +253,6 @@ def classify(instance: Instance) -> RestrictionProfile:
     max_eff = max((len(a.eff) for a in instance.actions), default=0)
     return RestrictionProfile(post_unique, unary, binary, single_valued,
                               max_pre, max_eff)
-
-
-def effect_polarity(instance: Instance, action_id: int) -> EffectPolarity:
-    """Each effect of the action tagged GOOD (it sets a variable to its goal
-    value, or one outside the goal) or BAD, and the action tagged GOOD (no
-    bad effect), BAD (only bad effects) or MIXED.  Public API only: no
-    route calls it; zero-two tests the effects against the goal in its own
-    loops."""
-    action = instance.actions[action_id]
-    tags = []
-    for v in sorted(action.eff):
-        x = action.eff[v]
-        goal_x = instance.goal.get(v)
-        tags.append((v, GOOD if goal_x is None or goal_x == x else BAD))
-    kinds = {t for _, t in tags}
-    if kinds == {GOOD} or not kinds:
-        overall = GOOD
-    elif kinds == {BAD}:
-        overall = BAD
-    else:
-        overall = MIXED
-    return EffectPolarity(tuple(tags), overall)
 
 
 def restrict(instance: Instance, keep: Iterable[int]) -> Instance:

@@ -113,11 +113,12 @@ DEFAULT_BUDGET = 5_000_000
 
 
 class BudgetExhausted(PlanLabError):
-    """The visited-state cap was hit before the search finished."""
+    """The search's cap was hit before it finished: the oracle's visited
+    states, or post-unique's queued labels (unit "labels")."""
 
-    def __init__(self, visited: int):
+    def __init__(self, visited: int, unit: str = "states"):
         self.visited = visited
-        super().__init__(f"search budget exhausted after {visited} states")
+        super().__init__(f"search budget exhausted after {visited} {unit}")
 
 
 def shortest_plan(instance: Instance, k: int,

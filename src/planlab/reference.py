@@ -6,6 +6,8 @@ the CLI, imports this module; tests do.
 
 - apply_action: one step on a state tuple, a second plan simulator beside
   core.validate_plan.
+- effect_polarity: each effect of an action tagged GOOD or BAD against the
+  goal, and the action GOOD, BAD or MIXED; the (0,2) tests read it.
 - plain_bfs: breadth-first search over state tuples that tries every
   action, in id order, from every state; the oracle without packing or
   skip masks.  With bounded=True it also drops every state that misses
@@ -24,6 +26,7 @@ the CLI, imports this module; tests do.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations, product
 from typing import List, Optional, Tuple, Union
 
@@ -37,6 +40,16 @@ from .zerotwo import ROOT, SteinerInstance
 
 SEQUENCE_BUDGET = 2_000_000  # enumerate_minimal_plans' cap on sequences tried
 
+GOOD = "good"
+BAD = "bad"
+MIXED = "mixed"
+
+
+@dataclass(frozen=True)
+class EffectPolarity:
+    effects: Tuple[Tuple[int, str], ...]  # (variable, GOOD|BAD) per effect
+    action: str  # GOOD | BAD | MIXED
+
 
 def apply_action(state: TotalState, action: Action) -> TotalState:
     """A new state: state with action's effects written over it."""
@@ -44,6 +57,27 @@ def apply_action(state: TotalState, action: Action) -> TotalState:
     for v, x in action.eff.items():
         out[v] = x
     return tuple(out)
+
+
+def effect_polarity(instance: Instance, action_id: int) -> EffectPolarity:
+    """Each effect of the action tagged GOOD (it sets a variable to its goal
+    value, or one outside the goal) or BAD, and the action tagged GOOD (no
+    bad effect), BAD (only bad effects) or MIXED.  No route calls it:
+    zero-two tests the effects against the goal in its own loops."""
+    action = instance.actions[action_id]
+    tags = []
+    for v in sorted(action.eff):
+        x = action.eff[v]
+        goal_x = instance.goal.get(v)
+        tags.append((v, GOOD if goal_x is None or goal_x == x else BAD))
+    kinds = {t for _, t in tags}
+    if kinds == {GOOD} or not kinds:
+        overall = GOOD
+    elif kinds == {BAD}:
+        overall = BAD
+    else:
+        overall = MIXED
+    return EffectPolarity(tuple(tags), overall)
 
 
 def _holds(state: TotalState, cond: PartialState) -> bool:

@@ -63,6 +63,9 @@ class ZeroTwoResult:
     built_from: Instance  # the instance `dst` encodes: transformed or input
     dst: SteinerInstance
     solution: Optional[DstSolution]
+    # "dp_cells": the Dreyfus-Wagner table's kept entries, whenever a table
+    # was built, also one that refutes
+    counts: Dict[str, int]
 
 
 def _require_zero_two(action: Action) -> None:
@@ -245,12 +248,14 @@ def _contract_twin_sinks(dst: SteinerInstance
         bound=dst.bound - len(dropped)), twins
 
 
-def _steiner_tree(dst: SteinerInstance) -> Optional[DstSolution]:
+def _steiner_tree(dst: SteinerInstance,
+                  counts: Optional[Dict[str, int]] = None
+                  ) -> Optional[DstSolution]:
     """dreyfus_wagner on the twin-contracted instance, with every dropped
     twin hung back off its representative's parent; the table's cells are
     those of the contracted run."""
     contracted, twins = _contract_twin_sinks(dst)
-    solution = dreyfus_wagner(contracted)
+    solution = dreyfus_wagner(contracted, counts)
     if solution is None or not twins:
         return solution
     parent = {head: tail for tail, head in solution.arcs}
@@ -260,9 +265,13 @@ def _steiner_tree(dst: SteinerInstance) -> Optional[DstSolution]:
                        solution.cells)
 
 
-def dreyfus_wagner(dst: SteinerInstance) -> Optional[DstSolution]:
+def dreyfus_wagner(dst: SteinerInstance,
+                   counts: Optional[Dict[str, int]] = None
+                   ) -> Optional[DstSolution]:
     """Minimum-weight arborescence from the root covering all terminals,
     or None when the optimum exceeds the bound or a terminal is unreachable.
+    Whenever a table is built, also one that refutes, counts["dp_cells"]
+    is set to its kept entries, if counts is given.
 
     f[mask][v] is the cheapest tree hanging from v that covers the terminal
     subset `mask`.  Only entries with f[mask][v] + dist(root, v) <= bound are
@@ -293,7 +302,10 @@ def dreyfus_wagner(dst: SteinerInstance) -> Optional[DstSolution]:
     if t_count > MAX_TERMINALS:
         raise ContractError(
             f"{t_count} terminals exceed the hard cap of {MAX_TERMINALS}")
+    if counts is None:
+        counts = {}
     if t_count == 0:
+        counts["dp_cells"] = 0
         return DstSolution(0, (), 0)
     bound = dst.bound
     n = dst.node_count
@@ -359,6 +371,7 @@ def dreyfus_wagner(dst: SteinerInstance) -> Optional[DstSolution]:
                 if x not in fm and cost + droot.get(x, INF) <= bound:
                     heapq.heappush(heap, (cost, u, x, w))
 
+    counts["dp_cells"] = cells = sum(len(fm) for fm in f)
     if ROOT not in f[full]:
         return None
 
@@ -378,8 +391,7 @@ def dreyfus_wagner(dst: SteinerInstance) -> Optional[DstSolution]:
     if len(arcs) != weight:
         raise AssertionError("reconstructed arc set disagrees with the "
                              "optimum weight")
-    return DstSolution(weight, tuple(sorted(arcs)),
-                       sum(len(fm) for fm in f))
+    return DstSolution(weight, tuple(sorted(arcs)), cells)
 
 
 def extract_plan(dst: SteinerInstance,
@@ -433,9 +445,11 @@ def solve_zero_two(instance: Instance, k: int) -> ZeroTwoResult:
 
     dst = build_dst(work, bound)
     unmet, fixes = goal_count(instance)
-    solution = None if unmet > steps * fixes else _steiner_tree(dst)
+    counts: Dict[str, int] = {}
+    solution = None if unmet > steps * fixes else _steiner_tree(dst, counts)
     if solution is None:
-        return ZeroTwoResult(None, transform is not None, work, dst, None)
+        return ZeroTwoResult(None, transform is not None, work, dst, None,
+                             counts)
 
     plan = extract_plan(dst, solution.arcs)
     report = validate_plan(work, plan)
@@ -456,7 +470,8 @@ def solve_zero_two(instance: Instance, k: int) -> ZeroTwoResult:
     if len(plan) > k:
         raise AssertionError(f"pipeline produced a plan of length {len(plan)}"
                              f" > k={k}")
-    return ZeroTwoResult(plan, transform is not None, work, dst, solution)
+    return ZeroTwoResult(plan, transform is not None, work, dst, solution,
+                         counts)
 
 
 def steiner_to_dot(dst: SteinerInstance, instance: Instance) -> str:

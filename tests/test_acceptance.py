@@ -9,8 +9,7 @@ import random
 import time
 from itertools import combinations
 
-from planlab.core import (Action, GOOD, Instance, classify, effect_polarity,
-                          validate_plan)
+from planlab.core import Action, Instance, classify, validate_plan
 from planlab.fomc import SIGMA1, SIGMA22, solve_via_mc
 from planlab.generators import (HittingSetInput, InstanceBuilder,
                                 MulticoloredGraph, compose_pub,
@@ -21,7 +20,8 @@ from planlab.io import ParseError, parse_instance, serialize_instance
 from planlab.oracle import shortest_plan
 from planlab.postunique import (find_required_pair, shortest_plan_with_stats,
                                 solve_postunique)
-from planlab.reference import (brute_force_hitting_set, brute_force_steiner,
+from planlab.reference import (GOOD, brute_force_hitting_set,
+                               brute_force_steiner, effect_polarity,
                                enumerate_minimal_plans,
                                has_multicolored_clique)
 from planlab.zerotwo import (SteinerInstance, dreyfus_wagner,

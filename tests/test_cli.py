@@ -483,6 +483,24 @@ def test_goal_count_refutes_before_the_steiner_table(capsys, tmp_path,
     assert out["stats"]["steiner_nodes"] > len(inst.var_names) + 1
 
 
+def test_dp_cells_of_a_table_that_refutes(capsys, tmp_path):
+    """Two goal variables are unmet and a2 sets two goal variables right,
+    so the goal count allows k = 1; no one step reaches the goal, and the
+    Steiner table of the transformed instance refutes it.  Its cells are
+    reported all the same."""
+    path = tmp_path / "refuted.sasp"
+    path.write_text("SASP 1\nvars 3\ndomain 2\ninit 0 1 1\n"
+                    "goal 0=1 1=1 2=0\naction a0 pre eff 1=0 2=0\n"
+                    "action a1 pre eff 2=0\naction a2 pre eff 0=1 1=1\n")
+    code, out = run(capsys, "solve", str(path), "1", "--solver", "zero-two",
+                    "--stats")
+    assert code == 1 and out["plan"] is None
+    assert out["stats"]["transformed"] and out["stats"]["dp_cells"] == 11
+    code, out = run(capsys, "solve", str(path), "2", "--solver", "zero-two",
+                    "--stats")
+    assert code == 0 and out["length"] == 2
+
+
 def _many_terminals(tmp_path) -> str:
     """25 goal variables, each set only by a_i, which also sets a variable
     outside the goal that b_i resets: 25 terminals, one fixed per step."""
@@ -785,6 +803,28 @@ def test_budget_env(capsys, toy_file, monkeypatch, tmp_path):
     monkeypatch.delenv("PLAN_LAB_BUDGET")
     code, _ = run(capsys, "solve", toy_file, "2", "--solver", "oracle")
     assert code == 0
+
+
+def test_budget_caps_post_unique_labels(capsys, tmp_path):
+    # mcc-ubs on the complete 3x1 graph is post-unique, and its search at
+    # the claimed bound runs away; the budget caps its distinct labels and
+    # the run exits 3 as the oracle's does
+    path = str(tmp_path / "ubs.sasp")
+    code, meta = run(capsys, "generate", "mcc-ubs", "--parts", "3",
+                     "--complete", "--out", path)
+    assert code == 0 and meta["expected_bound"] == 24
+    code = main(["solve", path, "24", "--budget", "1000"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("budget exhausted: search budget "
+                                   "exhausted after 10")
+    assert captured.err.endswith(" labels\n")
+    # at k = 8 the search ends after 545 labels: a budget of 545 answers
+    code, out = run(capsys, "solve", path, "8", "--budget", "545", "--stats")
+    assert code == 1 and out["solver"] == "post-unique"
+    assert out["stats"] == {"search_tree_nodes": 545}
+    code, _ = run(capsys, "solve", path, "8", "--budget", "544")
+    assert code == 3
 
 
 def test_out_of_memory_exits_3(capsys, toy_file, monkeypatch):

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from planlab.core import (Action, BAD, GOOD, Instance, MIXED, StructuralError,
+from planlab.core import (Action, Instance, StructuralError,
                           ValidationReport, classify, delta_vars, diff_set,
-                          effect_polarity, lint_instance, restrict,
-                          validate_plan)
-from planlab.reference import apply_action
+                          lint_instance, restrict, validate_plan)
+from planlab.reference import (BAD, GOOD, MIXED, apply_action,
+                               effect_polarity)
 
 from conftest import random_small_instance
 

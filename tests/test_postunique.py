@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 
@@ -5,8 +6,10 @@ import pytest
 
 from planlab.core import Action, ContractError, Instance, validate_plan
 from planlab import postunique, reference
-from planlab.generators import random_instance
-from planlab.oracle import shortest_plan
+from planlab.generators import (InstanceBuilder, MulticoloredGraph,
+                                compose_pub, from_mcc_ubs, normalize_edge,
+                                or2_gadget, random_instance)
+from planlab.oracle import BudgetExhausted, shortest_plan
 from planlab.postunique import (RequiredPair, find_required_pair,
                                 shortest_plan_with_stats, solve_postunique)
 from planlab.reference import apply_action, enumerate_minimal_plans
@@ -69,9 +72,14 @@ def set_clear_set(rng, inst):
 def test_required_pair_none_iff_valid():
     rng = random.Random(61803)
     late_windows = 0
-    for draw in range(800):
+    for draw in range(1200):
         wide = draw >= 400  # domains 3-4 and set/clear/set-again sequences
-        if wide:
+        if draw >= 800:
+            # domains 1 and 5-8: packed fields 0 and 3 bits wide
+            d = rng.choice((1, 5, 6, 7, 8))
+            inst = random_small_instance(rng, n_max=3, d_min=d, d_max=d,
+                                         m_max=6)
+        elif wide:
             inst = random_small_instance(rng, n_max=3, d_min=3, d_max=4,
                                          m_max=6)
         else:
@@ -87,7 +95,61 @@ def test_required_pair_none_iff_valid():
         assert pair == reference_required_pair(inst, seq), (inst, seq)
         assert (pair is None) == validate_plan(inst, seq).valid
         late_windows += wide and pair is not None and pair.i > 0
-    assert late_windows >= 20  # 45 with this seed
+    assert late_windows >= 60  # 69 with this seed, 45 of them at d = 3-4
+
+
+def _pinned_cases():
+    """Seeded random P instances (n 1-5, d 1-5, k 0-7), a compose-pub
+    composition one and two below its bound, the four OR gadgets at their
+    bound and mcc-ubs on the complete 3x1 graph at k = 4, 6 and 8."""
+    rng = random.Random(0x9E37)
+    cases = []
+    for i in range(600):
+        n, d = rng.randint(1, 5), rng.randint(1, 5)
+        m = rng.randint(1, min(8, n * d))
+        inst = random_instance(n, d, m, seed=70_000 + i, post_unique=True)
+        cases.append((inst, rng.randint(0, 7)))
+    pub, bound = compose_pub([
+        (random_instance(3, 2, 4, seed=s, post_unique=True, unary=True), 1)
+        for s in (5, 6, 7)])
+    cases += [(pub, bound - 2), (pub, bound - 1)]
+    for v1 in (0, 1):
+        for v2 in (0, 1):
+            b = InstanceBuilder(domain_size=2)
+            x, y = b.add_variable("v1", init=v1), b.add_variable("v2", init=v2)
+            b.set_goal(or2_gadget(b, x, y, "o").out, 1)
+            cases.append((b.build(), 6))
+    ubs, _ = from_mcc_ubs(MulticoloredGraph(3, 1, tuple(
+        normalize_edge((i, 0), (j, 0))
+        for i in range(1, 4) for j in range(i + 1, 4))))
+    cases += [(ubs, k) for k in (4, 6, 8)]
+    return cases
+
+
+def test_search_pinned():
+    # one digest over every case's (plan, labels) from the shortest-plan
+    # search and (plans, labels) from the enumeration; it was computed when
+    # each pair came from validate_plan's report, and however a label is
+    # replayed, every label, plan and count must stay as they were
+    digest = hashlib.sha256()
+    for inst, k in _pinned_cases():
+        result = solve_postunique(inst, k)
+        digest.update(repr((shortest_plan_with_stats(inst, k),
+                            result.plans, result.node_count)).encode())
+    assert digest.hexdigest() == (
+        "c1bb0503ac332e45215145372c952037ee5e46cb5bceb7664dc896bdd8586321")
+
+
+def test_label_budget(toy1):
+    # the budget caps the distinct labels queued, the empty one included:
+    # toy1 at k = 2 queues 1, 1 and 2 labels, so a budget of 4 answers and
+    # 3 runs out on the last level
+    assert shortest_plan_with_stats(toy1, 2, budget=4) == ((0, 1), 4)
+    for budget in (0, 1, 3):
+        with pytest.raises(BudgetExhausted) as err:
+            shortest_plan_with_stats(toy1, 2, budget=budget)
+        assert err.value.visited == budget + 1
+        assert str(err.value).endswith(f"after {budget + 1} labels")
 
 
 def test_producer(toy1):

@@ -4,12 +4,13 @@ from typing import Optional
 
 import pytest
 
-from planlab.core import (Action, ContractError, GOOD, Instance, classify,
-                          effect_polarity, goal_count, validate_plan)
+from planlab.core import (Action, ContractError, Instance, classify,
+                          goal_count, validate_plan)
 from planlab.generators import random_instance
 from planlab.io import serialize_instance
 from planlab.oracle import shortest_plan
-from planlab.reference import (brute_force_steiner, enumerate_minimal_plans,
+from planlab.reference import (GOOD, brute_force_steiner, effect_polarity,
+                               enumerate_minimal_plans,
                                reaches_all_terminals)
 from planlab.zerotwo import (MAX_TERMINALS, ROOT, SteinerInstance,
                              _contract_twin_sinks,
@@ -225,6 +226,24 @@ def test_dw_bound_exceeded():
     dst = SteinerInstance(3, ((0, 1), (1, 2)), {(0, 1): 0, (1, 2): 1},
                           (2,), 1)
     assert dreyfus_wagner(dst) is None
+
+
+def test_dw_counts_the_cells_of_a_table_that_refutes():
+    # terminals 2 and 3 need three arcs: at bound 2 the table refutes with
+    # five cells kept, at bound 3 it keeps six and finds the tree
+    arcs = ((0, 1), (0, 2), (1, 3))
+    action = {a: i for i, a in enumerate(arcs)}
+    counts = {}
+    assert dreyfus_wagner(SteinerInstance(4, arcs, action, (2, 3), 2),
+                          counts) is None
+    assert counts == {"dp_cells": 5}
+    sol = dreyfus_wagner(SteinerInstance(4, arcs, action, (2, 3), 3), counts)
+    assert sol.weight == 3 and sol.cells == counts["dp_cells"] == 6
+    # an unreachable terminal refutes before any table
+    counts = {}
+    assert dreyfus_wagner(SteinerInstance(3, ((0, 1),), {(0, 1): 0}, (2,),
+                                          5), counts) is None
+    assert counts == {}
 
 
 def test_dw_no_terminals():
